@@ -77,19 +77,24 @@ class TestSamplePath:
         rng = random.Random(55)
         mu = GroupMeasure.from_json_dict({"a": "1/5", "b": "1/5", "ba": "2/5", "aB": "1/5"})
         cfg = small_cfg(paths=40, steps=140, seed=99, allow_short_steps=False)
+        targets = [parse_word(w) for w in ("a", "ba", "aB", "aba")]
         words, _, table = montecarlo._support_table(mu)
         u = montecarlo._batch_uniforms(cfg.seed, 0, cfg.paths, cfg.steps)
         increments = np.searchsorted(
             montecarlo._support_table(mu)[1], u, side="right"
         ).astype(np.int16)
-        W, L, _ = montecarlo._evolve(
+        W, L, visited = montecarlo._evolve(
             increments, table, cfg.steps * table.shape[1] + 2,
-            np.empty(0, dtype=np.int8), np.zeros(1, dtype=np.int64),
+            np.array([montecarlo._CODE[ch] for t in targets for ch in t.letters], dtype=np.int8),
+            np.cumsum([0] + [len(t) for t in targets]).astype(np.int64),
         )
         for i in range(cfg.paths):
-            expected, _ = sample_path(mu, cfg.steps, _path_generator(cfg.seed, i))
+            expected, seen = sample_path(mu, cfg.steps, _path_generator(cfg.seed, i), targets)
             got = "".join("abB"[c] for c in W[i, : L[i]])
             assert got == expected.letters
+            assert {t for t, hit in zip(targets, visited[i]) if hit} == seen
+        # every target is visited by some path and missed by another
+        assert visited.any(axis=0).all() and not visited.all(axis=0).any()
 
 
 class TestDeterminism:
@@ -104,13 +109,6 @@ class TestDeterminism:
         r1 = simulate(SYMMETRIC_NN, cfg, targets=[parse_word("ba")], batch_paths=4096)
         r2 = simulate(SYMMETRIC_NN, cfg, targets=[parse_word("ba")], batch_paths=97)
         assert r1.to_json() == r2.to_json()
-
-    def test_python_fallback_parity(self, monkeypatch):
-        cfg = small_cfg(paths=600)
-        fast = simulate(SYMMETRIC_NN, cfg, targets=[parse_word("a")])
-        monkeypatch.setattr(montecarlo, "_evolve_compiled", montecarlo._evolve_python)
-        slow = simulate(SYMMETRIC_NN, cfg, targets=[parse_word("a")])
-        assert fast.to_json() == slow.to_json()
 
     def test_visits_monotone_in_steps(self):
         mu = SYMMETRIC_NN
@@ -129,6 +127,55 @@ class TestDeterminism:
             est, se = base.passage[t]
             est2, _ = double.passage[t]
             assert abs(est2 - est) < 2 * se
+
+
+class TestBatchLayout:
+    @pytest.mark.parametrize("steps", [1, 5, 403])
+    def test_uniforms_follow_path_generators(self, steps):
+        start, count = 37, 6
+        u = montecarlo._batch_uniforms(12, start, count, steps)
+        for i, row in enumerate(u):
+            assert np.array_equal(row, _path_generator(12, start + i).random(steps))
+
+    @pytest.mark.parametrize("atoms", [1, 3, 9, 64, 65])
+    def test_increments_match_searchsorted(self, atoms):
+        rng = np.random.default_rng(atoms)
+        cum = np.cumsum(rng.random(atoms))
+        cum /= cum[-1]
+        cum[-1] = 1.0
+        u = rng.random((30, 80))
+        u[0, : atoms - 1] = cum[:-1]  # a uniform on an edge belongs to the next atom
+        got = montecarlo._increments(cum, u)
+        assert got.dtype == np.int16
+        assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
+
+    def test_batch_size_bounds_memory(self):
+        # Sizing arithmetic only: nothing of this size is allocated.
+        budget, steps = montecarlo.BATCH_BYTES, montecarlo.PATH_STRIDE - 1
+        for letters in (1, 3):
+            n = montecarlo._batch_paths(steps, letters, 16384)
+            assert 1 <= n < 16384
+            assert n * steps * (8 + 8 + 2 + 2 * letters) <= budget
+            # the benchmark's 400-step runs keep the full default batch
+            assert montecarlo._batch_paths(400, letters, 16384) == 16384
+        assert montecarlo._batch_paths(steps, 1000, 16384) == 1  # floor of one path
+        assert montecarlo._batch_paths(400, 1, 7) == 7  # batch_paths stays a cap
+
+    def test_budget_does_not_change_results(self, monkeypatch):
+        cfg = small_cfg(paths=300)
+        full = simulate(SYMMETRIC_NN, cfg, targets=[parse_word("ba")])
+        sizes = []
+        evolve = montecarlo._evolve
+
+        def recording_evolve(increments, *args):
+            sizes.append(increments.shape[0])
+            return evolve(increments, *args)
+
+        monkeypatch.setattr(montecarlo, "_evolve", recording_evolve)
+        monkeypatch.setattr(montecarlo, "BATCH_BYTES", 40 * 6_500)
+        capped = simulate(SYMMETRIC_NN, cfg, targets=[parse_word("ba")])
+        assert sizes == [40] * 7 + [20]
+        assert capped.to_json() == full.to_json()
 
 
 class TestEstimates:
