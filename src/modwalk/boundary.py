@@ -109,21 +109,18 @@ def cylinder_diameter(c: Cylinder) -> float:
 
 
 def _compact(prefixes: set[str]) -> set[str]:
-    # Merge full sibling pairs ...xba / ...xBa back into their parent until
-    # stable; the parent prefix drops the final two letters.
-    merged = True
-    while merged:
-        merged = False
-        for s in sorted(prefixes, key=len, reverse=True):
-            if len(s) < 3 or s not in prefixes:
-                continue
-            flip = "B" if s[-2] == "b" else "b"
-            sibling = s[:-2] + flip + "a"
-            if sibling in prefixes:
-                prefixes.remove(s)
-                prefixes.remove(sibling)
-                prefixes.add(s[:-2])
-                merged = True
+    # Merge full sibling pairs ...xba / ...xBa into their parent (the prefix less its last
+    # two letters), longest first; a merged parent is pushed back to meet its own sibling.
+    work = sorted(prefixes, key=len)
+    while work:
+        s = work.pop()
+        if len(s) < 3 or s not in prefixes:
+            continue
+        sibling = s[:-2] + ("B" if s[-2] == "b" else "b") + "a"
+        if sibling in prefixes:
+            prefixes -= {s, sibling}
+            prefixes.add(s[:-2])
+            work.append(s[:-2])
     return prefixes
 
 
@@ -146,5 +143,4 @@ def act_on_cylinder(h: GroupWord, c: Cylinder) -> tuple[Cylinder, ...]:
             stack.extend(cyl.children())
         else:
             images.add(reduce_concat(h, cyl.prefix).letters)
-    compacted = _compact(images)
-    return tuple(sorted((Cylinder.of(s) for s in compacted), key=Cylinder.sort_key))
+    return tuple(sorted(map(Cylinder.of, _compact(images)), key=Cylinder.sort_key))

@@ -13,6 +13,7 @@ parameters (for instance the Hausdorff normalization) go through floats.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +31,6 @@ __all__ = [
     "NotNormalizedError",
     "params_to_pi",
     "pi_to_params",
-    "solve_rn_problem",
     "markov_base_to_params",
     "params_to_markov_base",
     "cylinder_mass",
@@ -114,20 +114,12 @@ def params_to_pi(d: DenjoyParams) -> PiWeights:
 
 
 def pi_to_params(w: PiWeights, tol: float = 1e-12) -> DenjoyParams:
+    """The realization problem: the unique normalized measure whose Radon-Nikodym cocycle
+    has weights ``w``; solvable exactly when ``pi_ba + pi_bbar_a = 1`` (Kolmogorov consistency
+    of the prescribed cylinder masses), otherwise :class:`NotNormalizedError`."""
     if not w.is_normalized(tol):
-        raise NotNormalizedError(
-            f"pi_ba + pi_bbar_a = {w.pi_ba + w.pi_bbar_a}, expected 1"
-        )
+        raise NotNormalizedError(f"pi_ba + pi_bbar_a = {w.pi_ba + w.pi_bbar_a}, expected 1")
     return DenjoyParams(w.pi_ba, w.pi_a / (1 + w.pi_a))
-
-
-def solve_rn_problem(w: PiWeights, tol: float = 1e-12) -> DenjoyParams:
-    """Unique normalized measure whose Radon-Nikodym cocycle has weights ``w``.
-
-    Solvable exactly when ``pi_ba + pi_bbar_a = 1`` (Kolmogorov consistency
-    of the prescribed cylinder masses); otherwise :class:`NotNormalizedError`.
-    """
-    return pi_to_params(w, tol)
 
 
 def markov_base_to_params(m: MarkovBase) -> DenjoyParams:
@@ -187,30 +179,43 @@ def rn_derivative(d: DenjoyParams, g: GroupWord, c: Cylinder) -> Scalar:
     return numerator / cylinder_mass(d, c)
 
 
-def check_stationarity(
-    d: DenjoyParams, mu: GroupMeasure, depth: int = 8, tol: float = 1e-10
-) -> float:
+@functools.lru_cache(maxsize=32)
+def _pullback_monomials(letters: str, depth: int) -> tuple[tuple[tuple[bool, int, int], ...], ...]:
+    """Mass monomials ``(starts with a, #b, #B)`` of the pieces of ``h^-1 C`` (``h`` spelled
+    ``letters``) for each ``C`` in ``cylinders_up_to_depth(depth)``; they do not depend on params."""
+    h_inv = inverse(GroupWord(letters))
+    return tuple(
+        tuple((s[0] == "a", s.count("b"), s.count("B")) for s in map(str, act_on_cylinder(h_inv, c)))
+        for c in cylinders_up_to_depth(depth)
+    )
+
+
+def check_stationarity(d: DenjoyParams, mu: GroupMeasure, depth: int = 8) -> float:
     """Max residual ``|nu(C) - sum_h mu(h) nu(h^-1 C)|`` over cylinders of depth <= depth.
 
-    The measure is accepted as stationary for ``mu`` when the returned
-    residual is at most ``tol`` (the conventional threshold used by
-    callers; this function only reports the residual).
-    """
+    Exact, float params taken at their binary values: with ``alpha = n/q``, ``p = pn/pq``
+    and ``W`` the lcm of the weight denominators, each residual is one integer over
+    ``W pq q^K`` (``K`` the most ``b``/``B`` letters in a piece), rounded once."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not mu.is_probability():
         raise ValueError("mu must be a probability measure")
-    pulled_by = {h: inverse(h) for h in mu.support()}
-    worst = 0.0
-    for c in cylinders_up_to_depth(depth):
-        expected = cylinder_mass(d, c)
-        convolved = 0
-        for h, weight in mu.weights.items():
-            pulled = act_on_cylinder(pulled_by[h], c)
-            for piece in pulled:
-                convolved = convolved + weight * cylinder_mass(d, piece)
-        worst = max(worst, abs(float(expected - convolved)))
-    return worst
+    n, q = Fraction(d.alpha).as_integer_ratio()
+    pn, pq = Fraction(d.p).as_integer_ratio()
+    W = math.lcm(*(w.denominator for w in mu.weights.values()))
+    tables = [(-W, _pullback_monomials("", depth))]  # the identity table holds nu(C) itself
+    tables += [(int(w * W), _pullback_monomials(h.letters, depth)) for h, w in mu.weights.items()]
+    monomials = {m for _, table in tables for pieces in table for m in pieces}
+    K = max(i + j for _, i, j in monomials)
+    mass = {
+        (first, i, j): (pn if first else pq - pn) * n**i * (q - n) ** j * q ** (K - i - j)
+        for first, i, j in monomials
+    }
+    den = W * pq * q**K
+    return max(
+        abs(sum(weight * mass[m] for weight, table in tables for m in table[k]) / den)
+        for k in range(len(tables[0][1]))
+    )
 
 
 def hausdorff_constants() -> tuple[float, DenjoyParams]:

@@ -25,14 +25,31 @@ from modwalk import (
     question_mark,
     rn_derivative,
     root_partition,
-    solve_rn_problem,
+    StepOnS,
     swap_b_letters,
     swap_involution,
 )
+from modwalk import denjoy
 from modwalk.boundary import act_on_cylinder
-from modwalk.group import inverse
+from modwalk.group import IDENTITY, inverse
 
 from helpers import random_rational, random_step, random_word
+
+
+def _check_stationarity_reference(d, mu, depth):
+    # The per-cylinder Fraction loop that check_stationarity used before its
+    # cached integer form: one act_on_cylinder and one cylinder_mass per piece.
+    pulled_by = {h: inverse(h) for h in mu.support()}
+    worst = 0.0
+    for c in cylinders_up_to_depth(depth):
+        expected = cylinder_mass(d, c)
+        convolved = 0
+        for h, weight in mu.weights.items():
+            pulled = act_on_cylinder(pulled_by[h], c)
+            for piece in pulled:
+                convolved = convolved + weight * cylinder_mass(d, piece)
+        worst = max(worst, abs(float(expected - convolved)))
+    return worst
 
 
 class TestParameterizations:
@@ -74,11 +91,11 @@ class TestParameterizations:
         )
 
     def test_solve_rn_problem(self):
-        good = solve_rn_problem(PiWeights(1, Fraction(1, 2), Fraction(1, 2)))
+        good = pi_to_params(PiWeights(1, Fraction(1, 2), Fraction(1, 2)))
         assert good == DenjoyParams(Fraction(1, 2), Fraction(1, 2))
         with pytest.raises(NotNormalizedError):
-            solve_rn_problem(PiWeights(1, Fraction(3, 10), Fraction(6, 10)))
-        hausdorff = solve_rn_problem(PiWeights(math.sqrt(2) / 2, 0.5, 0.5))
+            pi_to_params(PiWeights(1, Fraction(3, 10), Fraction(6, 10)))
+        hausdorff = pi_to_params(PiWeights(math.sqrt(2) / 2, 0.5, 0.5))
         assert hausdorff.p == pytest.approx(1 / (1 + math.sqrt(2)))
         assert hausdorff.alpha == 0.5
 
@@ -173,6 +190,59 @@ class TestStationarity:
         d = DenjoyParams(Fraction(1, 2), Fraction(1, 2))
         with pytest.raises(ValueError):
             check_stationarity(d, GroupMeasure({parse_word("a"): Fraction(1, 2)}))
+
+    def test_matches_reference_on_harmonic_params(self):
+        rng = random.Random(31)
+        for _ in range(10):
+            mu = random_step(rng)
+            params, g = harmonic_params(mu), mu.to_group_measure()
+            for depth in range(1, 7):
+                r = check_stationarity(params, g, depth=depth)
+                assert r == _check_stationarity_reference(params, g, depth)
+
+    def test_matches_reference_off_the_family(self):
+        rng = random.Random(32)
+        mu = random_step(rng)
+        params = harmonic_params(mu)
+        bad = DenjoyParams((params.alpha + Fraction(1, 3)) / 2, (params.p + Fraction(2, 3)) / 2)
+        r = check_stationarity(bad, mu.to_group_measure(), depth=6)
+        assert r > 1e-3
+        assert r == _check_stationarity_reference(bad, mu.to_group_measure(), 6)
+
+    def test_matches_reference_with_identity_in_support(self):
+        # a lazy walk has the same harmonic measure as the walk it slows down
+        mu = StepOnS(Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(1, 4), 0)
+        steps = {h: w * Fraction(3, 5) for h, w in mu.to_group_measure().weights.items()}
+        lazy = GroupMeasure({IDENTITY: Fraction(2, 5), **steps})
+        assert IDENTITY in lazy.support()
+        harmonic, off = harmonic_params(mu), DenjoyParams(Fraction(2, 7), Fraction(3, 11))
+        r_harmonic, r_off = (check_stationarity(d, lazy, depth=6) for d in (harmonic, off))
+        assert r_harmonic <= 1e-10 and r_off > 1e-3
+        assert r_harmonic == _check_stationarity_reference(harmonic, lazy, 6)
+        assert r_off == _check_stationarity_reference(off, lazy, 6)
+
+    def test_matches_reference_with_coprime_weight_denominators(self):
+        # denominators 6, 10 and 15 have no common factor, yet any two share one,
+        # so the common denominator 30 is neither one of them nor their product
+        mu = StepOnS(Fraction(1, 6), Fraction(3, 10), 0, 0, Fraction(8, 15))
+        g = mu.to_group_measure()
+        for d in (harmonic_params(mu), DenjoyParams(Fraction(2, 7), Fraction(3, 11))):
+            assert check_stationarity(d, g, depth=6) == _check_stationarity_reference(d, g, 6)
+
+    def test_float_params_agree_with_reference(self):
+        # check_stationarity takes float params at their exact binary values and
+        # the reference rounds every float product, so they agree to within 1e-15
+        rng = random.Random(10)
+        mu = random_step(rng)
+        params = harmonic_params(mu)
+        d = DenjoyParams(float(params.alpha) * 0.9, float(params.p))
+        g = mu.to_group_measure()
+        r = check_stationarity(d, g, depth=6)
+        assert r > 1e-3
+        assert abs(r - _check_stationarity_reference(d, g, 6)) <= 1e-15
+
+    def test_pullback_cache_is_bounded(self):
+        assert denjoy._pullback_monomials.cache_info().maxsize is not None
 
 
 class TestHausdorff:
