@@ -14,6 +14,7 @@ parameters (for instance the Hausdorff normalization) go through floats.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +22,7 @@ from typing import Union
 
 from .boundary import Cylinder, act_on_cylinder, cylinders_up_to_depth
 from .group import GroupMeasure, GroupWord, inverse, word_length
-from .mediant import rational_to_lr
+from .mediant import _stem_runs
 
 __all__ = [
     "Scalar",
@@ -232,11 +233,13 @@ def hausdorff_constants() -> tuple[float, DenjoyParams]:
 def question_mark(x: Union[Fraction, int, str], depth: int = 256) -> Fraction:
     """Minkowski's question-mark function at a rational of ``[0, 1]``.
 
-    Descends the mediant tree below ``[0, 1]`` and reads binary digits off
-    the L/R code (L after the leading L gives 0, R gives 1); the repeating
-    tail of a rational resolves exactly, so the result is an exact dyadic
-    whenever the code fits within ``depth`` digits, and a truncation to
-    ``depth`` digits otherwise.
+    Reads binary digits off the right L/R code ``w R L^oo`` of ``x`` (L
+    after the leading L gives 0, R gives 1); the repeating tail of a
+    rational resolves exactly, so the result is an exact dyadic whenever
+    ``w R`` fits within ``depth + 1`` letters, and a truncation to ``depth``
+    digits otherwise.  Only those letters are built, run by run from
+    Euclid's digits of ``x``, so the cost is bounded by ``depth`` however
+    long the code.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -247,9 +250,13 @@ def question_mark(x: Union[Fraction, int, str], depth: int = 256) -> Fraction:
         return Fraction(0)
     if x == 1:
         return Fraction(1)
-    codes = rational_to_lr(x)
-    word = codes.right.stem  # stem + 'R'; the dropped tail L^oo adds nothing
-    bits = word[1 : depth + 1]
+    word, size = [], 0
+    for letter, k in itertools.chain(_stem_runs(x), [("R", 1)]):  # w R
+        word.append(letter * min(k, depth + 1 - size))
+        size += k
+        if size > depth:
+            break
+    bits = "".join(word)[1:]  # the dropped tail L^oo adds nothing
     value = int(bits.replace("L", "0").replace("R", "1"), 2)
     return Fraction(value, 1 << len(bits))
 

@@ -24,7 +24,6 @@ __all__ = [
     "inverse",
     "word_length",
     "parse_word",
-    "format_word",
     "word_to_matrix",
     "swap_b_letters",
     "convolve",
@@ -135,10 +134,6 @@ def parse_word(s: str) -> GroupWord:
     Non-reduced strings such as ``"aa"`` or ``"bB"`` are rejected.
     """
     return GroupWord(s)
-
-
-def format_word(w: GroupWord) -> str:
-    return w.letters
 
 
 def swap_b_letters(w: GroupWord) -> GroupWord:

@@ -6,7 +6,10 @@ lower endpoint and descending right keeps the upper one, with the Farey
 mediant as the shared endpoint.  Finite L/R words address tree nodes,
 infinite L/R words encode points of the extended positive ray, and the
 involution ``z -> -1/z`` carries the encoding to the negative ray.  L/R
-syllable runs translate to continued-fraction digits.
+syllable runs translate to continued-fraction digits, so addresses come
+from Euclid's algorithm and intervals are built a whole run at a time
+(``R^k`` adds ``k`` times the right endpoint to the left one, ``L^k`` the
+reverse).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .group import GroupWord
 
@@ -182,10 +185,13 @@ def _check_lr(word: str) -> None:
 def lr_to_interval(word: str) -> MediantInterval:
     """Interval addressed by a finite L/R word, starting from ``[0, oo]``."""
     _check_lr(word)
-    iv = ROOT_INTERVAL
-    for ch in word:
-        iv = iv.child(ch)
-    return iv
+    ln, ld, rn, rd = 0, 1, 1, 0  # the root interval [0/1, 1/0]
+    for letter, k in _runs(word):
+        if letter == "R":
+            ln, ld = ln + k * rn, ld + k * rd
+        else:
+            rn, rd = rn + k * ln, rd + k * ld
+    return MediantInterval(ExtRational(ln, ld), ExtRational(rn, rd))
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,18 +231,25 @@ def rational_to_lr(q: RationalLike) -> RationalCodes:
     q = Fraction(q)
     if q <= 0:
         raise ValueError(f"need a positive rational, got {q}")
-    point = ExtRational.from_fraction(q)
-    iv = ROOT_INTERVAL
-    stem: list[str] = []
-    while True:
-        m = iv.mediant()
-        if m == point:
-            break
-        letter = "L" if point < m else "R"
-        stem.append(letter)
-        iv = iv.child(letter)
-    word = "".join(stem)
+    word = "".join(letter * k for letter, k in _stem_runs(q))
     return RationalCodes(word, LRCode(word + "L", "R"), LRCode(word + "R", "L"))
+
+
+def _stem_runs(q: Fraction) -> Iterator[tuple[str, int]]:
+    """Runs of the mediant-tree address of a positive rational, lazily.
+
+    Euclid's digits ``q = [a0; a1, ..., an]`` (``an >= 2`` unless ``q`` is
+    an integer) give ``R^a0 L^a1 R^a2 ...`` with the last run one shorter;
+    ``a0`` and the last run may be zero.
+    """
+    num, den, letter = q.numerator, q.denominator, "R"
+    while True:
+        digit, rest = divmod(num, den)
+        if not rest:
+            yield letter, digit - 1
+            return
+        yield letter, digit
+        num, den, letter = den, rest, "L" if letter == "R" else "R"
 
 
 def _runs(word: str) -> list[tuple[str, int]]:
@@ -289,7 +302,12 @@ def cf_value(digits: Sequence[int]) -> Fraction:
 
 
 def rational_to_cf(q: RationalLike) -> tuple[int, ...]:
-    """Canonical continued fraction of a positive rational via its right code."""
+    """Continued-fraction digits of a positive rational's right code.
+
+    These are the runs of ``w R L^oo`` (:func:`lr_to_cf`), so the last digit
+    is 1 unless ``w`` ends in ``R``: ``1/2`` gives ``(0, 1, 1)``, not the
+    canonical ``(0, 2)``.  :func:`cf_value` of the digits is ``q``.
+    """
     codes = rational_to_lr(q)
     return lr_to_cf(codes.right)
 

@@ -43,8 +43,6 @@ __all__ = [
     "ZTable",
     "UnresolvedPathsError",
     "sample_path",
-    "estimate_passage",
-    "estimate_cylinder_frequencies",
     "simulate",
     "compare_with_analytic",
     "estimate_alpha",
@@ -368,11 +366,13 @@ def simulate(
     """Full run: passage estimates for ``targets`` plus cylinder frequencies
     for every depth up to ``cfg.depth``.
 
-    Paths whose final word has fewer than ``cfg.depth`` letters ``a`` are
-    counted as unresolved and dropped from the frequency table (at every
-    depth, so parents stay the exact sums of their children); an
-    unresolved fraction above ``max_unresolved_fraction`` raises
-    :class:`UnresolvedPathsError`.
+    A passage estimate is the fraction of paths visiting the target within
+    ``cfg.steps`` steps, so it misses later visits (a one-sided bias that
+    decays with the step budget).  Paths whose final word has fewer than
+    ``cfg.depth`` letters ``a`` are counted as unresolved and dropped from
+    the frequency table (at every depth, so parents stay the exact sums of
+    their children); an unresolved fraction above
+    ``max_unresolved_fraction`` raises :class:`UnresolvedPathsError`.
     """
     targets = sorted(set(targets), key=GroupWord.sort_key)
     if batch_paths < 1:
@@ -423,28 +423,6 @@ def simulate(
         depth=cfg.depth,
         degenerate_support=degenerate,
     )
-
-
-def estimate_passage(
-    mu: GroupMeasure,
-    targets: Iterable[GroupWord],
-    cfg: SimConfig,
-    batch_paths: int = 16384,
-) -> SimReport:
-    """Fraction of paths visiting each target within ``cfg.steps`` steps.
-
-    The estimate misses visits later than ``cfg.steps`` (a one-sided bias
-    that decays with the step budget; the config policy keeps it far below
-    the standard error at desk scale).
-    """
-    return simulate(mu, cfg, targets=targets, batch_paths=batch_paths)
-
-
-def estimate_cylinder_frequencies(
-    mu: GroupMeasure, cfg: SimConfig, batch_paths: int = 16384
-) -> SimReport:
-    """Empirical limiting-cylinder distribution at depths ``1..cfg.depth``."""
-    return simulate(mu, cfg, batch_paths=batch_paths)
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,8 +6,10 @@ probabilities ``x = pi_a``, ``y = pi_ba``, ``ybar = pi_Ba`` satisfy a
 three-equation stationarity system whose unique solution in the open unit
 cube has ``y + ybar = 1``; the harmonic measure is then the Denjoy-family
 member with ``alpha = y`` and ``p = x/(1+x)``.  The ``y`` variable solves
-a quadratic with exact rational coefficients, isolated here by sign
-bracketing and bisection (rational roots are returned exactly).
+a quadratic with exact rational coefficients.  Rational roots are returned
+exactly; an irrational root is returned as the midpoint of the dyadic
+bisection enclosure that brackets it, computed in closed form from one
+integer square root (``_bisection_midpoint``).
 
 Also here: the Denjoy/Minkowski membership residuals, the closed-form
 nearest-neighbour solution, the level-set function of nearest-neighbour
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import copysign, hypot, isqrt
+from math import copysign, hypot, isfinite, isqrt, lcm
 from typing import Mapping, Sequence, Union
 
 from .denjoy import DenjoyParams, Scalar
@@ -226,6 +228,45 @@ def _exact_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
+def _bisection_midpoint(
+    coeffs: tuple[Fraction, Fraction, Fraction],
+    lo: Fraction,
+    hi: Fraction,
+    width: Fraction,
+) -> Fraction:
+    """Midpoint of the enclosure that bisecting ``[lo, hi]`` to ``width`` ends on.
+
+    ``f(t) = a t^2 + b t + c`` (``a != 0``) must satisfy ``f(lo) < 0 < f(hi)``
+    and have an irrational root between.  Bisection keeping that sign change
+    halves ``n`` times, the least ``n >= 0`` with ``(hi - lo) / 2^n <= width``,
+    and ends on the grid cell ``[t_k, t_{k+1}]``, ``t_j = lo + j (hi - lo) / 2^n``,
+    where ``f`` changes sign.  Here ``f(t_j)`` is cleared to an integer
+    quadratic ``g(j)``; one integer square root of its discriminant places
+    ``k`` to within one, and the exact signs ``g(k) < 0 < g(k+1)`` confirm it.
+    """
+    a, b, c = coeffs
+    span = hi - lo
+    ratio = span / width
+    n = max(0, ratio.numerator.bit_length() - ratio.denominator.bit_length())
+    if ratio.denominator << n < ratio.numerator:
+        n += 1
+    h = span / (1 << n)
+    ga, gb, gc = a * h * h, (2 * a * lo + b) * h, (a * lo + b) * lo + c
+    scale = lcm(ga.denominator, gb.denominator, gc.denominator)
+    ia, ib, ic = (v.numerator * (scale // v.denominator) for v in (ga, gb, gc))
+
+    def g(j: int) -> int:
+        return (ia * j + ib) * j + ic
+
+    # g rises through its root, so the root is (-ib + sqrt(disc)) / (2 ia).
+    k = (isqrt(ib * ib - 4 * ia * ic) - ib) // (2 * ia)
+    while g(k) >= 0:
+        k -= 1
+    while g(k + 1) <= 0:
+        k += 1
+    return lo + span * Fraction(2 * k + 1, 2 << n)
+
+
 def membership_alpha_roots(mu: StepOnS) -> tuple[float, ...]:
     """All real roots of the membership relation inside ``(0, 1)``.
 
@@ -250,13 +291,13 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PassageTriple:
     """Unique solution of the stationarity system in the open unit cube.
 
     The quadratic in ``y`` is solved exactly when its discriminant is a
-    rational square (in particular in the linear symmetric case), and
-    otherwise bracketed by the guaranteed sign change on ``(0, 1)`` and
-    bisected to an enclosure narrow enough that all three residuals stay
-    below ``tol``.
+    rational square (in particular in the linear symmetric case).  Otherwise
+    ``y`` is the midpoint of the dyadic enclosure of width at most
+    ``tol / 8`` that bisecting the guaranteed sign change on ``(0, 1)``
+    reaches, computed directly; all three residuals must stay below ``tol``.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     A, B, C = y_equation_coefficients(mu)
 
     def f(t: Fraction) -> Fraction:
@@ -282,18 +323,7 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PassageTriple:
                 raise MultipleRoots(f"two roots {inside} inside (0,1)")
             y = inside[0]
         else:
-            width = Fraction(tol) / 8
-            while hi - lo > width:
-                mid = (lo + hi) / 2
-                value = f(mid)
-                if value == 0:
-                    lo = hi = mid
-                    break
-                if value < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            y = (lo + hi) / 2
+            y = _bisection_midpoint((A, B, C), lo, hi, Fraction(tol) / 8)
 
     ybar = 1 - y
     denom = 1 - mu.bprime * ybar - mu.bbarprime * y
@@ -396,8 +426,9 @@ def hyperbola_point(bbarf: RationalLike, bits: int = 64) -> StepOnS:
 
     The branch value ``bf = ((bbarf+1) - sqrt(3 bbarf^2 + 1)) / 2`` is
     returned exactly when the square root is rational and otherwise as the
-    rational midpoint of a width ``2^-bits`` bisection enclosure, tight
-    enough that the Minkowski residual stays far below 1e-12.
+    midpoint of the bisection enclosure of width at most ``2^-bits`` on
+    ``[0, (1-bbarf)/2]``, tight enough at the default that the Minkowski
+    residual stays far below 1e-12.
     """
     bb = Fraction(bbarf)
     if not 0 < bb < 1:
@@ -413,14 +444,10 @@ def hyperbola_point(bbarf: RationalLike, bits: int = 64) -> StepOnS:
         lo, hi = Fraction(0), (1 - bb) / 2
         if not (q(lo) > 0 > q(hi)):
             raise NoRootInCube(f"no branch root for bbarf = {bb}")
-        width = Fraction(1, 2**bits)
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            if q(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        bf = (lo + hi) / 2
+        # -q rises through the root, as the helper requires
+        bf = _bisection_midpoint(
+            (Fraction(-2), 2 * (bb + 1), bb * bb - bb), lo, hi, Fraction(1, 2**bits)
+        )
     return StepOnS(1 - 2 * bf - bb, bf, bb, bf, Fraction(0))
 
 

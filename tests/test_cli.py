@@ -49,6 +49,13 @@ class TestSolve:
         assert run(capsys, "solve", "--mu", '{"a":"1/2","b":"1/4"}')[0] == 2
         assert run(capsys, "solve", "--mu", '{"a":"1/2","zz":"1/2"}')[0] == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_invalid_tol_exit_2(self, capsys, tol):
+        mu = '{"a":"1/5","b":"2/5","bb":"1/10","ba":"1/5","bba":"1/10"}'
+        code, _, err = run(capsys, "solve", "--mu", mu, "--tol", tol)
+        assert code == 2
+        assert "tol" in err
+
     def test_degenerate_exit_3(self, capsys):
         code, _, err = run(capsys, "solve", "--mu", '{"a":"1"}')
         assert code == 3

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -299,6 +300,14 @@ class TestQuestionMark:
         exact = question_mark(Fraction(5, 7), depth=4096)
         truncated = question_mark(Fraction(5, 7), depth=3)
         assert truncated <= exact < truncated + Fraction(1, 8)
+
+    def test_long_codes_cost_only_depth(self):
+        # the right codes have 10^9 letters; only the first 65 are read
+        tiny = Fraction(1, 10**9)
+        start = time.perf_counter()
+        assert question_mark(tiny, 64) == 0  # L^(10^9 - 1) R: all 64 bits are 0
+        assert question_mark(1 - tiny, 64) == 1 - Fraction(1, 2**64)  # L R^(10^9 - 1)
+        assert time.perf_counter() - start < 0.5
 
     def test_rejects_outside_unit_interval(self):
         with pytest.raises(ValueError):

@@ -14,8 +14,6 @@ from modwalk import (
     UnresolvedPathsError,
     compare_with_analytic,
     estimate_alpha,
-    estimate_cylinder_frequencies,
-    estimate_passage,
     example_ex1,
     harmonic_params,
     letter_test_power,
@@ -182,8 +180,8 @@ class TestEstimates:
     def test_passage_matches_analytic(self):
         # x = 2/3 and y = 1/2 for the symmetric nearest-neighbour walk
         cfg = SimConfig(paths=40_000, steps=320, seed=2, depth=2)
-        report = estimate_passage(
-            SYMMETRIC_NN, [parse_word("a"), parse_word("ba")], cfg
+        report = simulate(
+            SYMMETRIC_NN, cfg, targets=[parse_word("a"), parse_word("ba")]
         )
         est_a, se_a = report.passage[parse_word("a")]
         est_ba, se_ba = report.passage[parse_word("ba")]
@@ -195,7 +193,7 @@ class TestEstimates:
         mu = GroupMeasure.dirac(parse_word("ba"))
         cfg = small_cfg(paths=500)
         with pytest.warns(UserWarning, match="generate"):
-            report = estimate_passage(mu, [parse_word("a")], cfg)
+            report = simulate(mu, cfg, targets=[parse_word("a")])
         assert report.passage_counts[parse_word("a")] == 0
         assert report.degenerate_support
         with pytest.raises(ValueError, match="degenerate"):
@@ -203,7 +201,7 @@ class TestEstimates:
 
     def test_frequencies_partition(self):
         cfg = small_cfg(paths=5000)
-        report = estimate_cylinder_frequencies(SYMMETRIC_NN, cfg)
+        report = simulate(SYMMETRIC_NN, cfg)
         for depth in (1, 2):
             level = [c for c in report.cylinder_counts if c.depth == depth]
             assert sum(report.cylinder_counts[c] for c in level) == report.resolved
@@ -216,7 +214,7 @@ class TestEstimates:
     def test_frequencies_match_harmonic_measure(self):
         mu_step = nn_solve(NNParams(Fraction(1, 3), Fraction(0)))[2]
         cfg = SimConfig(paths=40_000, steps=400, seed=8, depth=3)
-        report = estimate_cylinder_frequencies(SYMMETRIC_NN, cfg)
+        report = simulate(SYMMETRIC_NN, cfg)
         est, se = report.cylinder_freq[Cylinder.of("a")]
         assert abs(est - 0.4) <= 4 * se  # p = 2/5
         table = compare_with_analytic(report, mu_step)
@@ -241,7 +239,7 @@ class TestCompare:
 
     def test_detects_wrong_alpha(self):
         cfg = SimConfig(paths=100_000, steps=400, seed=4, depth=3)
-        report = estimate_cylinder_frequencies(SYMMETRIC_NN, cfg)
+        report = simulate(SYMMETRIC_NN, cfg)
         good = compare_with_analytic(report, DenjoyParams(Fraction(1, 2), Fraction(2, 5)))
         bad = compare_with_analytic(
             report, DenjoyParams(Fraction(1, 2) + Fraction(1, 20), Fraction(2, 5))
