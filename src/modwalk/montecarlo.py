@@ -12,9 +12,10 @@ Randomness contract, version 1 (pinned so seeds reproduce across
 platforms and across any batching of the work): path ``i`` draws its
 uniform doubles from numpy's ``Philox`` bit generator keyed directly by
 the 64-bit ``seed`` and advanced by ``i * 2**20`` before the first draw.
-Batches only decide which paths a worker simulates, so merged counts
-cannot depend on the batch layout, and rerunning a path with a larger
-step budget extends the same trajectory.
+Batches, and the blocks in which a batch draws its uniforms, only decide
+which paths are simulated together, so merged counts cannot depend on the
+batch layout, and rerunning a path with a larger step budget extends the
+same trajectory.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ PATH_STRIDE = 1 << 20  # counter positions reserved per path
 RNG_CONTRACT = "philox-per-path-v1"
 Z_THRESHOLD = 4.0  # standard errors at which the z tests reject
 BATCH_BYTES = 256 << 20  # memory budget of one batch of paths
+BLOCK_BYTES = 4 << 20  # uniforms drawn at a time within a batch
 
 _CODE = {"a": 0, "b": 1, "B": 2}
 _LETTER = "abB"
@@ -197,14 +199,39 @@ def _batch_uniforms(seed: int, start: int, count: int, steps: int) -> np.ndarray
     return out
 
 
+# Per-path vectors of the step loop: three int64 offsets (top, row base and
+# a shifted top or the length), with room for a dozen int8/bool temporaries.
+_PATH_VECTOR_BYTES = 3 * 8 + 16
+
+
+def _code_bytes(letters: int) -> int:
+    return (letters + 3) // 4
+
+
 def _batch_paths(steps: int, letters: int, cap: int) -> int:
     """Paths per batch: at most ``cap`` and, above a floor of one path,
-    within ``BATCH_BYTES``.  Per step a path holds 8 bytes of uniforms, 8 of
-    ``searchsorted`` indices (on supports above 64 atoms), 2 of increments,
-    and ``letters`` bytes each of the kernel's letter table and word array
-    (plus 3 cells of slack)."""
-    per_path = steps * (18 + 2 * letters) + 3
+    within ``BATCH_BYTES``.  Per step a path holds 2 bytes of increments,
+    one code byte per four letters of the longest support word, and
+    ``letters`` cells of word array; on top of that come 3 word cells of
+    slack and ``_PATH_VECTOR_BYTES`` of the step loop's per-path vectors.
+    The uniforms are drawn ``BLOCK_BYTES`` at a time outside this budget."""
+    per_path = steps * (2 + _code_bytes(letters) + letters) + 3 + _PATH_VECTOR_BYTES
     return max(1, min(cap, BATCH_BYTES // per_path))
+
+
+def _step_increments(
+    cum: np.ndarray, seed: int, start: int, count: int, steps: int
+) -> np.ndarray:
+    """Atom indices of paths ``start`` to ``start + count - 1`` as a
+    step-major ``(steps, count)`` array.  Uniforms are drawn and counted in
+    blocks of at most ``BLOCK_BYTES`` (and at least one path), so no
+    batch-sized float64 array exists; each path keeps its own stream."""
+    out = np.empty((steps, count), dtype=np.int16)
+    block = max(1, BLOCK_BYTES // (8 * steps))
+    for lo in range(0, count, block):
+        hi = min(lo + block, count)
+        out[:, lo:hi] = _increments(cum, _batch_uniforms(seed, start + lo, hi - lo, steps)).T
+    return out
 
 
 def _increments(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -220,12 +247,28 @@ def _increments(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _packed_codes(table: np.ndarray) -> np.ndarray:
+    """``(bytes, atoms)`` code table: letter ``p`` of an atom sits in byte
+    ``p // 4`` at bits ``2 (p % 4)``, stored as its code plus one, so that 0
+    marks a letter the atom does not have."""
+    atoms, letters = table.shape
+    packed = np.zeros((_code_bytes(letters), atoms), dtype=np.uint8)
+    for p in range(letters):
+        packed[p // 4] |= (table[:, p] + 1).astype(np.uint8) << (2 * (p % 4))
+    return packed.view(np.int8)
+
+
 # Reduced-word push: with letters coded a=0, b=1, B=2, the pairs that cancel
 # are exactly those with top + c == 3 or top == c == 0; equal nonzero letters
 # merge to the third code 3 - c == c ^ 3; anything else appends.
 
 def _evolve(increments, table, width, tgt_flat, tgt_off):
     """Multiply each row's increments (indices into ``table``) on the right.
+
+    ``increments`` is ``(paths, steps)``; the transposed view of a
+    step-major array, as ``_batches`` passes it, saves a copy.  Each step
+    reads its letters from the packed code table (``_packed_codes``),
+    gathered once for the whole batch in step-major order.
 
     Returns ``(W, L, visited)``: path ``i`` ends at the reduced word
     ``W[i, :L[i]]`` (cells past ``L[i]`` are scratch), and ``visited[i, k]``
@@ -241,27 +284,37 @@ def _evolve(increments, table, width, tgt_flat, tgt_off):
     top_at = base.copy()
     visited = np.zeros((B, K), dtype=np.bool_)
     targets = [tgt_flat[tgt_off[k] : tgt_off[k + 1]] for k in range(K)]
-    # letters[t, p]: letter p of every path's increment at time t (-1: none)
-    letters = np.empty((steps, table.shape[1], B), dtype=np.int8)
-    for p in range(table.shape[1]):
-        letters[:, p] = table[:, p][increments.T]
+    longest = max((tgt.size for tgt in targets), default=0)
+    # codes[g, t]: byte g of every path's increment code at time t
+    codes = _packed_codes(table)[:, np.ascontiguousarray(increments.T)]
     always = (table >= 0).all(axis=0)
+    c = np.empty(B, dtype=np.int8)
+    three = np.int8(3)
     for t in range(steps):
-        for p, c in enumerate(letters[t]):
+        for p, present in enumerate(always):
+            np.right_shift(codes[p // 4, t], 2 * (p % 4), out=c)
+            np.bitwise_and(c, 3, out=c)
+            c -= 1  # letter code, or -1 if absent
             top = W[top_at]
-            s = top + c
-            cancel = (s == 3) | ((top | c) == 0)
+            cancel = (top + c == 3) | ((top | c) == 0)
             merge = (top == c) & (top > 0)
             append = ~(cancel | merge)
             # An append writes above the top and a merge over it; a cancel or
             # an absent letter writes scratch above the new length.
-            W[top_at + append] = np.where(merge, top ^ 3, c)
-            top_at += append if always[p] else append & (c >= 0)
+            value = c ^ (merge.view(np.int8) * three)
+            if present:
+                top_at += append
+                W[top_at] = value
+            else:
+                W[top_at + append] = value
+                top_at += append & (c >= 0)
             top_at -= cancel
         if K:
             L = top_at - base
+            near = np.flatnonzero(L <= longest)
+            L_near = L[near]
             for k, tgt in enumerate(targets):
-                idx = np.flatnonzero(L == tgt.size)
+                idx = near[L_near == tgt.size]
                 hit = np.ones(idx.size, dtype=np.bool_)
                 for j, letter in enumerate(tgt):
                     hit &= W[base[idx] + 1 + j] == letter
@@ -291,19 +344,25 @@ def sample_path(
     return position, frozenset(visited)
 
 
-def _batches(mu: GroupMeasure, cfg: SimConfig, batch_paths: int, tgt_flat, tgt_off):
+def _batches(mu: GroupMeasure, cfg: SimConfig, batch_paths: int, tgt_flat, tgt_off, read):
     """Run ``cfg.paths`` paths under RNG contract v1, at most ``batch_paths``
-    at a time and within ``BATCH_BYTES``; yields the kernel's
-    ``(W, L, visited)`` for each batch."""
+    at a time and within ``BATCH_BYTES``; yields ``read(W, L, visited)`` of
+    the kernel's output for each batch.
+
+    A batch draws its increments step-major, ``BLOCK_BYTES`` of uniforms at
+    a time (``_step_increments``).  They are freed when the kernel returns
+    and the word array when ``read`` does, so no two batches overlap."""
     _, cum, table = _support_table(mu)
     width = cfg.steps * table.shape[1] + 2
     size = _batch_paths(cfg.steps, table.shape[1], batch_paths)
     for start in range(0, cfg.paths, size):
         count = min(size, cfg.paths - start)
-        u = _batch_uniforms(cfg.seed, start, count, cfg.steps)
-        increments = _increments(cum, u)
-        del u
-        yield _evolve(increments, table, width, tgt_flat, tgt_off)
+        yield read(
+            *_evolve(
+                _step_increments(cum, cfg.seed, start, count, cfg.steps).T,
+                table, width, tgt_flat, tgt_off,
+            )
+        )
 
 
 def _run(
@@ -316,33 +375,37 @@ def _run(
         [_CODE[ch] for t in targets for ch in t.letters], dtype=np.int8
     )
     tgt_off = np.cumsum([0] + [len(t.letters) for t in targets]).astype(np.int64)
+    identity = [j for j, t in enumerate(targets) if t.is_identity()]
+
+    def read(W, L, visited):
+        visited[:, identity] = True  # the start position counts as visited
+        # Read the depth-d cylinder off the prefix ending at the d-th 'a'.
+        # Reduced words alternate 'a' with 'b'/'B', so that prefix ends
+        # within the first 2d letters, and a word with fewer than d letters
+        # 'a' among them has no more.
+        P = W[:, : 2 * cfg.depth]
+        cols = np.arange(P.shape[1])
+        a_count = np.cumsum((P == 0) & (cols < L[:, None]), axis=1, dtype=np.int32)
+        resolved_mask = a_count[:, -1] >= cfg.depth
+        P = P[resolved_mask]
+        pos = np.argmax(a_count[resolved_mask] >= cfg.depth, axis=1)
+        P[cols > pos[:, None]] = -1
+        # Count equal prefixes as single items over their row bytes.
+        uniq, counts = np.unique(P.view(np.dtype((np.void, P.shape[1]))), return_counts=True)
+        leaves = [
+            ("".join(_LETTER[c] for c in row if c >= 0), int(n))
+            for row, n in zip(uniq.view(np.int8).reshape(-1, P.shape[1]), counts)
+        ]
+        return visited.sum(axis=0), leaves, int(W.shape[0] - resolved_mask.sum())
+
     visit_counts = np.zeros(len(targets), dtype=np.int64)
     leaf_counts: dict[str, int] = {}
     unresolved = 0
-
-    for W, L, visited in _batches(mu, cfg, batch_paths, tgt_flat, tgt_off):
-        count = W.shape[0]
-        for j, t in enumerate(targets):
-            if t.is_identity():
-                visited[:, j] = True  # the start position counts as visited
-        visit_counts += visited.sum(axis=0)
-
-        # Read the depth-d cylinder off the prefix ending at the d-th 'a';
-        # no word reaches past the longest one.
-        used = W[:, : max(int(L.max()), 1)]
-        in_word = np.arange(used.shape[1]) < L[:, None]
-        a_count = np.cumsum((used == 0) & in_word, axis=1, dtype=np.int32)
-        resolved_mask = a_count[:, -1] >= cfg.depth
-        unresolved += int(count - resolved_mask.sum())
-        if resolved_mask.any():
-            pos = np.argmax(a_count >= cfg.depth, axis=1)
-            P = W[:, : 2 * cfg.depth].copy()
-            P[np.arange(P.shape[1]) > pos[:, None]] = -1
-            uniq, counts = np.unique(P[resolved_mask], axis=0, return_counts=True)
-            for row, n in zip(uniq, counts):
-                key = "".join(_LETTER[c] for c in row if c >= 0)
-                leaf_counts[key] = leaf_counts.get(key, 0) + int(n)
-
+    for visits, leaves, short in _batches(mu, cfg, batch_paths, tgt_flat, tgt_off, read):
+        visit_counts += visits
+        for key, n in leaves:
+            leaf_counts[key] = leaf_counts.get(key, 0) + n
+        unresolved += short
     return visit_counts, leaf_counts, unresolved
 
 
@@ -528,7 +591,7 @@ def estimate_alpha(
     k = cfg.depth
     tally = np.zeros(k + 1, dtype=np.int64)  # resolved paths by count of 'b'
 
-    for W, L, _ in _batches(mu, cfg, batch_paths, *no_targets):
+    def read(W, L, _):
         # Reduced words alternate 'a' with 'b'/'B', so the first k letters
         # 'b'/'B' lie within the first 2k + 1 letters.
         P = W[:, : 2 * k + 1]
@@ -537,7 +600,10 @@ def estimate_alpha(
         first = letters & (np.cumsum(letters, axis=1) <= k)
         resolved_mask = first.sum(axis=1) == k
         b_count = ((P == 1) & first).sum(axis=1)
-        tally += np.bincount(b_count[resolved_mask], minlength=k + 1)
+        return np.bincount(b_count[resolved_mask], minlength=k + 1)
+
+    for counts in _batches(mu, cfg, batch_paths, *no_targets, read):
+        tally += counts
 
     resolved = int(tally.sum())
     unresolved = cfg.paths - resolved

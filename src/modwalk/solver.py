@@ -369,7 +369,10 @@ class NNParams:
             raise ValueError(f"|delta| must be at most 1 - af, got {self.delta}")
 
     def combine(self, other: "NNParams", t: RationalLike) -> "NNParams":
+        """Convex combination ``t * self + (1-t) * other``."""
         t = Fraction(t)
+        if not 0 < t < 1:
+            raise ValueError(f"need 0 < t < 1, got {t}")
         return NNParams(
             t * self.af + (1 - t) * other.af, t * self.delta + (1 - t) * other.delta
         )

@@ -240,6 +240,13 @@ class TestExample:
         assert code == 0
         assert json.loads(out)["alpha_gap"] > 1e-3
 
+    @pytest.mark.parametrize("t", ["0", "1", "2"])
+    def test_combination_weight_outside_unit_interval_exit_2(self, capsys, t):
+        for name in ("ex0", "ex1"):
+            code, out, err = run(capsys, "example", name, "--t", t)
+            assert code == 2 and out == ""
+            assert "need 0 < t < 1" in err
+
     def test_ex1_with_simulation(self, capsys):
         code, out, _ = run(
             capsys,

@@ -1,0 +1,163 @@
+"""The streamed simulator batch against the one it replaces.
+
+The references below are the word-evolution kernel and the cylinder
+readout that ``montecarlo`` used before each batch drew its uniforms in
+blocks, read its letters from a packed step-major code table and read
+cylinders off the first ``2d`` columns only.  Final lengths, in-word cells,
+target visits and leaf counts must be equal to theirs.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import modwalk.montecarlo as montecarlo
+from modwalk import GroupMeasure, SimConfig, parse_word
+
+
+# ---------------------------------------------------------------------------
+# References: the batch as it was.
+
+
+def reference_evolve(increments, table, width, tgt_flat, tgt_off):
+    B, steps = increments.shape
+    K = tgt_off.size - 1
+    stride = width + 1
+    W = np.full(B * stride, -1, dtype=np.int8)
+    base = np.arange(B, dtype=np.int64) * stride
+    top_at = base.copy()
+    visited = np.zeros((B, K), dtype=np.bool_)
+    targets = [tgt_flat[tgt_off[k] : tgt_off[k + 1]] for k in range(K)]
+    letters = np.empty((steps, table.shape[1], B), dtype=np.int8)
+    for p in range(table.shape[1]):
+        letters[:, p] = table[:, p][increments.T]
+    always = (table >= 0).all(axis=0)
+    for t in range(steps):
+        for p, c in enumerate(letters[t]):
+            top = W[top_at]
+            s = top + c
+            cancel = (s == 3) | ((top | c) == 0)
+            merge = (top == c) & (top > 0)
+            append = ~(cancel | merge)
+            W[top_at + append] = np.where(merge, top ^ 3, c)
+            top_at += append if always[p] else append & (c >= 0)
+            top_at -= cancel
+        if K:
+            L = top_at - base
+            for k, tgt in enumerate(targets):
+                idx = np.flatnonzero(L == tgt.size)
+                hit = np.ones(idx.size, dtype=np.bool_)
+                for j, letter in enumerate(tgt):
+                    hit &= W[base[idx] + 1 + j] == letter
+                visited[idx[hit], k] = True
+    return W.reshape(B, stride)[:, 1:], top_at - base, visited
+
+
+def reference_run(mu, cfg, targets, batch_paths):
+    """Whole-batch uniforms, the reference kernel and the full-width readout."""
+    tgt_flat = np.array([montecarlo._CODE[ch] for t in targets for ch in t.letters], dtype=np.int8)
+    tgt_off = np.cumsum([0] + [len(t.letters) for t in targets]).astype(np.int64)
+    _, cum, table = montecarlo._support_table(mu)
+    width = cfg.steps * table.shape[1] + 2
+    visit_counts = np.zeros(len(targets), dtype=np.int64)
+    leaf_counts = {}
+    unresolved = 0
+    for start in range(0, cfg.paths, batch_paths):
+        count = min(batch_paths, cfg.paths - start)
+        u = montecarlo._batch_uniforms(cfg.seed, start, count, cfg.steps)
+        W, L, visited = reference_evolve(
+            montecarlo._increments(cum, u), table, width, tgt_flat, tgt_off
+        )
+        for j, t in enumerate(targets):
+            if t.is_identity():
+                visited[:, j] = True
+        visit_counts += visited.sum(axis=0)
+        used = W[:, : max(int(L.max()), 1)]
+        in_word = np.arange(used.shape[1]) < L[:, None]
+        a_count = np.cumsum((used == 0) & in_word, axis=1, dtype=np.int32)
+        resolved_mask = a_count[:, -1] >= cfg.depth
+        unresolved += int(count - resolved_mask.sum())
+        if resolved_mask.any():
+            pos = np.argmax(a_count >= cfg.depth, axis=1)
+            P = W[:, : 2 * cfg.depth].copy()
+            P[np.arange(P.shape[1]) > pos[:, None]] = -1
+            uniq, counts = np.unique(P[resolved_mask], axis=0, return_counts=True)
+            for row, n in zip(uniq, counts):
+                key = "".join("abB"[c] for c in row if c >= 0)
+                leaf_counts[key] = leaf_counts.get(key, 0) + int(n)
+    return visit_counts, leaf_counts, unresolved
+
+
+# ---------------------------------------------------------------------------
+# Walks: support widths 1, 3, 5 and 40, the identity, and 65 atoms.
+
+
+def _reduced_words(max_len):
+    for n in range(1, max_len + 1):
+        for letters in itertools.product("abB", repeat=n):
+            w = "".join(letters)
+            if all((x == "a") != (y == "a") for x, y in zip(w, w[1:])):
+                yield w
+
+
+def _measure(words, seed):
+    rng = random.Random(seed)
+    weights = [Fraction(rng.randint(1, 9)) for _ in words]
+    total = sum(weights)
+    return GroupMeasure.from_json_dict({w: q / total for w, q in zip(words, weights)})
+
+
+WALKS = {
+    "width1": _measure(["a", "b", "B"], 1),
+    "width3": _measure(["b", "ba", "ab", "aba", "B", "Ba", "aB", "aBa", "a"], 3),
+    "width5": _measure(["a", "b", "babab", "aBaBa", "Ba"], 5),
+    "width40": _measure(["a", "B", "ba", "ab" * 20], 40),
+    "identity": _measure(["", "a", "b", "Ba"], 7),
+    "atoms65": _measure(list(_reduced_words(7))[:65], 65),
+}
+TARGETS = [parse_word(w) for w in ("", "a", "ba", "aBa", "baBa")]  # lengths 0-4
+
+
+def test_walks_cover_the_cases():
+    widths = {name: montecarlo._support_table(mu)[2].shape[1] for name, mu in WALKS.items()}
+    assert [widths[n] for n in ("width1", "width3", "width5", "width40")] == [1, 3, 5, 40]
+    assert montecarlo._code_bytes(40) == 10  # codes span many bytes
+    assert parse_word("") in WALKS["identity"].support()
+    assert len(WALKS["atoms65"].support()) == 65  # above the threshold-count side
+
+
+@pytest.mark.parametrize("name", sorted(WALKS))
+def test_kernel_matches_reference(name):
+    mu = WALKS[name]
+    _, cum, table = montecarlo._support_table(mu)
+    steps, paths = 150, 97
+    increments = montecarlo._increments(cum, montecarlo._batch_uniforms(3, 11, paths, steps))
+    width = steps * table.shape[1] + 2
+    tgt_flat = np.array([montecarlo._CODE[ch] for t in TARGETS for ch in t.letters], dtype=np.int8)
+    tgt_off = np.cumsum([0] + [len(t) for t in TARGETS]).astype(np.int64)
+    W0, L0, v0 = reference_evolve(increments, table, width, tgt_flat, tgt_off)
+    # both the row-major input of a caller and the step-major one of _batches
+    for inc in (increments, np.ascontiguousarray(increments.T).T):
+        W, L, visited = montecarlo._evolve(inc, table, width, tgt_flat, tgt_off)
+        assert np.array_equal(L, L0)
+        in_word = np.arange(width) < L[:, None]
+        assert np.array_equal(W[in_word], W0[in_word])
+        assert np.array_equal(visited, v0)
+    # every nonempty target is hit by some path, so its checks were exercised
+    assert v0[:, 1:].any(axis=0).sum() >= 2
+
+
+@pytest.mark.parametrize("depth", [1, 3, 8, 16, 35])
+@pytest.mark.parametrize("name", sorted(WALKS))
+def test_run_matches_reference(name, depth):
+    mu = WALKS[name]
+    cfg = SimConfig(paths=100, steps=20 * depth + 100, seed=depth, depth=depth)
+    got = montecarlo._run(mu, cfg, TARGETS, 64)
+    visits, leaves, unresolved = reference_run(mu, cfg, TARGETS, 64)
+    assert np.array_equal(got[0], visits)
+    assert got[1] == leaves
+    assert got[2] == unresolved
+    assert unresolved < cfg.paths // 2  # most paths reach the readout's depth

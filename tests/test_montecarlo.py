@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -153,7 +154,8 @@ class TestBatchLayout:
         for letters in (1, 3):
             n = montecarlo._batch_paths(steps, letters, 16384)
             assert 1 <= n < 16384
-            assert n * steps * (8 + 8 + 2 + 2 * letters) <= budget
+            # per step: int16 increments, a code byte per four letters, words
+            assert n * steps * (2 + 1 + letters) <= budget
             # the benchmark's 400-step runs keep the full default batch
             assert montecarlo._batch_paths(400, letters, 16384) == 16384
         assert montecarlo._batch_paths(steps, 1000, 16384) == 1  # floor of one path
@@ -170,10 +172,54 @@ class TestBatchLayout:
             return evolve(increments, *args)
 
         monkeypatch.setattr(montecarlo, "_evolve", recording_evolve)
-        monkeypatch.setattr(montecarlo, "BATCH_BYTES", 40 * 6_500)
+        monkeypatch.setattr(montecarlo, "BATCH_BYTES", 40 * 1_330)
         capped = simulate(SYMMETRIC_NN, cfg, targets=[parse_word("ba")])
         assert sizes == [40] * 7 + [20]
         assert capped.to_json() == full.to_json()
+
+    @pytest.mark.parametrize("block_bytes, block_sizes", [(1, [1] * 300), (1 << 40, [128, 128, 44])])
+    def test_draw_blocks_keep_the_rng_contract(self, monkeypatch, block_bytes, block_sizes):
+        # Blocks of one path each, and one block per batch of 128 paths.
+        mu = ex1_fixture().combination.to_group_measure()
+        cfg = SimConfig(paths=300, steps=200, seed=11, depth=5)
+        targets = [parse_word("a"), parse_word("ba")]
+        report = simulate(mu, cfg, targets=targets, batch_paths=128).to_json()
+        alpha = estimate_alpha(mu, cfg, batch_paths=128)
+        sizes = []
+        uniforms = montecarlo._batch_uniforms
+
+        def recording_uniforms(seed, start, count, steps):
+            sizes.append(count)
+            return uniforms(seed, start, count, steps)
+
+        monkeypatch.setattr(montecarlo, "_batch_uniforms", recording_uniforms)
+        monkeypatch.setattr(montecarlo, "BLOCK_BYTES", block_bytes)
+        assert simulate(mu, cfg, targets=targets, batch_paths=128).to_json() == report
+        assert sizes == block_sizes
+        assert estimate_alpha(mu, cfg, batch_paths=128) == alpha
+
+    def test_simulate_peaks_within_the_batch_budget(self, monkeypatch):
+        # tracemalloc sees numpy's buffers.  The kernel holds at most
+        # BATCH_BYTES; drawing holds a batch's increments plus one block of
+        # uniforms and its counts, at most 2.25 * BLOCK_BYTES (18 bytes per
+        # 8 of uniforms above 64 atoms); 64 KiB covers readout and report.
+        # Two batches alive at once would overshoot by a word array.
+        mu = GroupMeasure.uniform(
+            parse_word(w) for w in ("b", "ba", "ab", "aba", "B", "Ba", "aB", "aBa", "a")
+        )
+        cfg = SimConfig(paths=3000, steps=400, seed=1, depth=3)
+        monkeypatch.setattr(montecarlo, "BATCH_BYTES", 1 << 20)
+        monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 16 << 10)
+        assert montecarlo._batch_paths(cfg.steps, 3, 16384) < cfg.paths // 4  # several batches
+        simulate(mu, SimConfig(paths=10, steps=400, seed=1, depth=3))  # first-call allocations
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            simulate(mu, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= montecarlo.BATCH_BYTES + 2.25 * montecarlo.BLOCK_BYTES + (64 << 10)
 
 
 class TestEstimates:
