@@ -22,7 +22,6 @@ from modwalk import (
     example_ex1,
     example_ex2,
     harmonic_params,
-    letter_test_power,
 )
 
 print("== ex0: convex combinations leave a level set ==")
@@ -42,13 +41,12 @@ print("  Monte Carlo confirmation by the letter test (1e5 paths): under every")
 print("  (1/2, p) the b/B letters of the limit word are fair coins, so one")
 print("  z-score of the b-fraction against 1/2 tests the whole Minkowski class:")
 cfg = SimConfig(paths=100_000, steps=800, seed=42, depth=35)
-est = estimate_alpha(r1.combination.to_group_measure(), cfg)
-power = letter_test_power(r1.alpha, 0.5, est.letters, est.resolved)
-print(f"  alpha estimate {est.estimate:.5f} +- {est.stderr:.5f}"
-      f" from the first {est.letters} b/B letters of {est.resolved} resolved paths")
-print(f"  vs solved alpha: z = {est.z(r1.alpha):+.2f} (|z| <= 4 is consistent)")
-print(f"  vs alpha = 1/2:  z = {est.z(0.5):+.2f} (|z| > 4 rejects every (1/2, p);"
-      f" power {power:.3f} at this sample size)")
+test = estimate_alpha(r1.combination.to_group_measure(), cfg).as_dict(0.5, r1.alpha)
+print(f"  alpha estimate {test['estimate']:.5f} +- {test['stderr']:.5f}"
+      f" from the first {test['letters']} b/B letters of {test['resolved']} resolved paths")
+print(f"  vs solved alpha: z = {test['z_vs_harmonic']:+.2f} (|z| <= 4 is consistent)")
+print(f"  vs alpha = 1/2:  z = {test['z_vs_class']:+.2f} (|z| > 4 rejects every (1/2, p);"
+      f" power {test['power']:.3f} at this sample size)")
 
 print()
 print("== ex2: convolution with the conjugate walk ==")

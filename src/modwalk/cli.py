@@ -26,12 +26,7 @@ from .mediant import (
     lr_to_interval,
     rational_to_lr,
 )
-from .montecarlo import (
-    SimConfig,
-    UnresolvedPathsError,
-    compare_with_analytic,
-    simulate,
-)
+from .montecarlo import SimConfig, UnresolvedPathsError, estimate_alpha, simulate
 from .solver import (
     DegenerateStepError,
     SolverContradictionError,
@@ -58,18 +53,24 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})") from exc
 
 
-def _step_from_json(text: str) -> StepOnS:
-    data = json.loads(text)
+def _reject_constant(name: str):
+    raise ValueError(f"weights must be finite numbers, got {name}")
+
+
+def _json_object(text: str, what: str) -> dict:
+    # Numbers parse to exact Fractions, as quoted weights do.
+    data = json.loads(text, parse_float=Fraction, parse_constant=_reject_constant)
     if not isinstance(data, dict):
-        raise ValueError("step distribution must be a JSON object")
-    return StepOnS.from_json_dict(data)
+        raise ValueError(f"{what} must be a JSON object")
+    return data
+
+
+def _step_from_json(text: str) -> StepOnS:
+    return StepOnS.from_json_dict(_json_object(text, "step distribution"))
 
 
 def _measure_from_json(text: str) -> GroupMeasure:
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("measure must be a JSON object")
-    m = GroupMeasure.from_json_dict(data)
+    m = GroupMeasure.from_json_dict(_json_object(text, "measure"))
     if not m.is_probability():
         raise ValueError(f"measure must have total mass 1, got {m.total_mass}")
     return m
@@ -223,45 +224,28 @@ def _cmd_measure(args) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _grid_rejection(report, alpha: float) -> dict:
-    best_p, best_z = None, None
-    for k in range(1, 100):
-        p = k / 100
-        table = compare_with_analytic(report, DenjoyParams(alpha, p))
-        if best_z is None or table.max_abs_z < best_z:
-            best_p, best_z = p, table.max_abs_z
-    return {"alpha": alpha, "min_over_p_of_max_abs_z": best_z, "weakest_p": best_p}
-
-
 def _cmd_example(args) -> str:
     if args.name == "ex0":
         report = example_ex0(ts=(args.t,))
-        payload = report.as_dict()
-        mixed = report.pair[0].combine(report.pair[1], args.t)
-        compound_measure = nn_step(mixed).to_group_measure()
-        target_alpha = report.alpha_common
+        step = nn_step(report.pair[0].combine(report.pair[1], args.t))
+        class_alpha = report.alpha_common
     elif args.name == "ex1":
         report = example_ex1(args.bbar, args.bbar2, args.t)
-        payload = report.as_dict()
-        compound_measure = report.combination.to_group_measure()
-        target_alpha = 0.5
+        step = report.combination
+        class_alpha = 0.5
     else:
         report = example_ex2(args.bbar)
-        payload = report.as_dict()
-        compound_measure = report.mu_prime.to_group_measure()
-        target_alpha = 0.5
+        step = report.mu_prime
+        class_alpha = 0.5
+    payload = report.as_dict()
     if args.simulate:
         cfg = SimConfig(paths=args.paths, steps=args.steps, seed=_seed(args), depth=args.depth)
-        sim = simulate(compound_measure, cfg)
-        mu_prime_params = harmonic_params(StepOnS.from_group_measure(compound_measure))
-        own = compare_with_analytic(sim, mu_prime_params)
+        est = estimate_alpha(step.to_group_measure(), cfg)
         payload["simulation"] = {
             "paths": cfg.paths,
             "steps": cfg.steps,
             "seed": cfg.seed,
-            "depth": cfg.depth,
-            "vs_harmonic_max_abs_z": own.max_abs_z,
-            "class_rejection": _grid_rejection(sim, target_alpha),
+            **est.as_dict(class_alpha, harmonic_params(step).alpha),
         }
     return json.dumps(payload, indent=2, sort_keys=True)
 

@@ -570,6 +570,21 @@ class AlphaEstimate:
             return 0.0 if gap == 0.0 else math.copysign(math.inf, gap)
         return gap / self.stderr
 
+    def as_dict(self, class_alpha: float, own_alpha: float) -> dict:
+        """The letter-test report: z-scores against the class ``class_alpha``
+        and the walk's own ``own_alpha``, and the power of rejecting the
+        class at this sample size if ``own_alpha`` is the truth."""
+        return {
+            "letters": self.letters,
+            "resolved": self.resolved,
+            "estimate": self.estimate,
+            "stderr": self.stderr,
+            "class_alpha": float(class_alpha),
+            "z_vs_class": self.z(class_alpha),
+            "z_vs_harmonic": self.z(own_alpha),
+            "power": letter_test_power(own_alpha, class_alpha, self.letters, self.resolved),
+        }
+
 
 def estimate_alpha(
     mu: GroupMeasure, cfg: SimConfig, batch_paths: int = 16384

@@ -178,24 +178,16 @@ class PassageTriple:
             raise ValueError(f"y + ybar must equal 1, defect {defect}")
 
 
-def _relation_factors(
-    mu: StepOnS,
-) -> tuple[tuple[Fraction, Fraction], ...]:
-    # The membership relation reads (a1 t + a0)(b1 t + b0) = (c1 t + c0)(d1 t + d0)
-    # in the unknown t; at t = y it is the consistency condition of the
-    # stationarity system.
-    af, bf, bb, bp, bbp = mu.as_tuple()
-    return (
-        (1 + bb, -(bb + bp)),
-        (bp - af, af + bb),
-        (af - bbp, bbp + bf),
-        (-(1 + bf), 1 - bbp),
-    )
-
-
 def y_equation_coefficients(mu: StepOnS) -> tuple[Fraction, Fraction, Fraction]:
     """Exact coefficients ``(A, B, C)`` of the quadratic satisfied by ``y``."""
-    (a1, a0), (b1, b0), (c1, c0), (d1, d0) = _relation_factors(mu)
+    # The membership relation reads (a1 t + a0)(b1 t + b0) = (c1 t + c0)(d1 t + d0)
+    # in the unknown t; at t = y it is the consistency condition of the
+    # stationarity system.  A t^2 + B t + C is its left side minus its right.
+    af, bf, bb, bp, bbp = mu.as_tuple()
+    a1, a0 = 1 + bb, -(bb + bp)
+    b1, b0 = bp - af, af + bb
+    c1, c0 = af - bbp, bbp + bf
+    d1, d0 = -(1 + bf), 1 - bbp
     A = a1 * b1 - c1 * d1
     B = a1 * b0 + a0 * b1 - (c1 * d0 + c0 * d1)
     C = a0 * b0 - c0 * d0
@@ -210,8 +202,8 @@ def denjoy_membership_residual(mu: StepOnS, alpha: Scalar) -> Scalar:
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    (a1, a0), (b1, b0), (c1, c0), (d1, d0) = _relation_factors(mu)
-    return (a1 * alpha + a0) * (b1 * alpha + b0) - (c1 * alpha + c0) * (d1 * alpha + d0)
+    A, B, C = y_equation_coefficients(mu)
+    return (A * alpha + B) * alpha + C
 
 
 def minkowski_residual(mu: StepOnS) -> Fraction:

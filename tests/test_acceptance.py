@@ -27,7 +27,6 @@ from modwalk import (
     example_ex2,
     harmonic_params,
     hausdorff_constants,
-    letter_test_power,
     lr_to_interval,
     minkowski_residual,
     nn_solve,
@@ -117,17 +116,16 @@ def test_criterion_04b_ex1_monte_carlo():
     r = example_ex1(Fraction(1, 3), Fraction(1, 2), Fraction(1, 2))
     cfg = SimConfig(paths=100_000, steps=800, seed=1, depth=35)
     t0 = time.perf_counter()
-    est = estimate_alpha(r.combination.to_group_measure(), cfg)
+    test = estimate_alpha(r.combination.to_group_measure(), cfg).as_dict(0.5, r.alpha)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"runtime {elapsed:.1f}s exceeds 60s"
-    z_half, z_own = est.z(0.5), est.z(r.alpha)
-    power = letter_test_power(r.alpha, 0.5, est.letters, est.resolved)
+    z_half, z_own, power = test["z_vs_class"], test["z_vs_harmonic"], test["power"]
     ok = abs(z_half) > 4.0 and abs(z_own) <= 4.0 and power >= 0.99
     report(
         "4b",
         ok,
-        f"letter test over the first {est.letters} b/B letters of {est.resolved} "
-        f"resolved paths: alpha estimate {est.estimate:.5f} +- {est.stderr:.5f}, "
+        f"letter test over the first {test['letters']} b/B letters of {test['resolved']} "
+        f"resolved paths: alpha estimate {test['estimate']:.5f} +- {test['stderr']:.5f}, "
         f"z vs 1/2 = {z_half:.2f} (|z| > 4 rejects every (1/2, p)), "
         f"z vs solved alpha {r.alpha:.6f} = {z_own:.2f} (<= 4); "
         f"power of the 4-SE test {power:.3f} (>= 0.99) ({elapsed:.1f}s)",

@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import pytest
 
+from modwalk import EX0_PAIR, SimConfig, estimate_alpha, example_ex1, example_ex2, nn_step
 from modwalk.cli import main
 
 
@@ -48,6 +50,12 @@ class TestSolve:
         assert run(capsys, "solve", "--mu", "not json")[0] == 2
         assert run(capsys, "solve", "--mu", '{"a":"1/2","b":"1/4"}')[0] == 2
         assert run(capsys, "solve", "--mu", '{"a":"1/2","zz":"1/2"}')[0] == 2
+
+    def test_json_number_weights_match_quoted(self, capsys):
+        numbers = run(capsys, "solve", "--mu", '{"a":0.2,"b":0.4,"bb":0.4}')
+        quoted = run(capsys, "solve", "--mu", '{"a":"0.2","b":"0.4","bb":"0.4"}')
+        assert numbers[0] == 0
+        assert numbers == quoted
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
     def test_invalid_tol_exit_2(self, capsys, tol):
@@ -269,9 +277,38 @@ class TestExample:
         assert code == 0
         payload = json.loads(out)
         validate(payload, "example.schema.json")
+        assert abs(payload["simulation"]["z_vs_harmonic"]) <= 4
+
+    @pytest.mark.parametrize(
+        "name, step",
+        [
+            ("ex0", lambda: nn_step(EX0_PAIR[0].combine(EX0_PAIR[1], Fraction(1, 2)))),
+            ("ex1", lambda: example_ex1(Fraction(1, 3), Fraction(1, 2)).combination),
+            ("ex2", lambda: example_ex2(Fraction(1, 3)).mu_prime),
+        ],
+        ids=["ex0", "ex1", "ex2"],
+    )
+    def test_simulation_is_the_letter_test(self, capsys, name, step):
+        code, out, _ = run(
+            capsys, "example", name, "--bbar", "1/3", "--bbar2", "1/2", "--simulate",
+            "--paths", "2000", "--steps", "320", "--depth", "2", "--seed", "1",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        validate(payload, "example.schema.json")
         sim = payload["simulation"]
-        assert sim["vs_harmonic_max_abs_z"] < 6
-        assert sim["class_rejection"]["weakest_p"] > 0
+        cfg = SimConfig(paths=2000, steps=320, seed=1, depth=2)
+        est = estimate_alpha(step().to_group_measure(), cfg)
+        assert (sim["estimate"], sim["stderr"], sim["resolved"], sim["letters"]) == (
+            est.estimate, est.stderr, est.resolved, est.letters
+        )
+
+    def test_schema_rejects_leftover_simulation_keys(self):
+        schema = load_schema("example.schema.json")
+        sim = dict.fromkeys(schema["properties"]["simulation"]["required"], 0)
+        validate({"simulation": sim}, "example.schema.json")
+        with pytest.raises(jsonschema.ValidationError):
+            validate({"simulation": {**sim, "class_rejection": {}}}, "example.schema.json")
 
 
 class TestExitCodes:
@@ -285,3 +322,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", "--mu", '{"a":"1/3","b":"1/3","bb":"1/3"}')
         assert code == 4
         assert "contradiction" in err
+
+    @pytest.mark.parametrize("value", ["1e999", "Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("solve", "--mu", '{"a":%s,"b":0}'), ("simulate", "--paths", "64", "--mu", '{"a":%s}')],
+        ids=["solve", "simulate"],
+    )
+    def test_non_finite_weight_exit_2(self, capsys, argv, value):
+        *head, mu = argv
+        code, out, err = run(capsys, *head, mu % value)
+        assert code == 2 and out == ""
+        assert "invalid input" in err

@@ -1,8 +1,9 @@
 """The closed-form exact layers against the walks they replace.
 
-The references below are the node-by-node Stern-Brocot descent and the
+The references below are the node-by-node Stern-Brocot descent, the
 bisection loops that ``mediant`` and ``solver`` used before those layers
-were computed in closed form; every output must be ``==`` to theirs.
+were computed in closed form, and the factored membership relation the
+solver's quadratic was expanded from; every output must be ``==`` to theirs.
 """
 
 import itertools
@@ -27,6 +28,7 @@ from modwalk import (
     question_mark,
     rational_to_cf,
     rational_to_lr,
+    denjoy_membership_residual,
     residual,
     solve_master,
 )
@@ -102,6 +104,17 @@ def reference_solve_master(mu: StepOnS, tol: float) -> PassageTriple:
     if max(abs(float(r)) for r in residual(mu, triple)) > tol:
         raise SolverContradictionError("residuals exceed tolerance at the located root")
     return triple
+
+
+def reference_membership_residual(mu: StepOnS, alpha):
+    af, bf, bb, bp, bbp = mu.as_tuple()
+    (a1, a0), (b1, b0), (c1, c0), (d1, d0) = (
+        (1 + bb, -(bb + bp)),
+        (bp - af, af + bb),
+        (af - bbp, bbp + bf),
+        (-(1 + bf), 1 - bbp),
+    )
+    return (a1 * alpha + a0) * (b1 * alpha + b0) - (c1 * alpha + c0) * (d1 * alpha + d0)
 
 
 def reference_hyperbola_point(bbarf, bits: int) -> StepOnS:
@@ -211,6 +224,14 @@ class TestSolver:
                 signs.add(A > 0)
             assert outcome(solve_master, mu, tol) == outcome(reference_solve_master, mu, tol), mu
         assert signs == {True, False}  # the bisection branch ran with both leading signs
+
+    def test_membership_residual(self):
+        rng = random.Random(7)
+        for _ in range(1000):
+            mu = random_step(rng)
+            for alpha in (Fraction(1, 2), Fraction(rng.randint(1, 999), 1000)):
+                expected = reference_membership_residual(mu, alpha)
+                assert denjoy_membership_residual(mu, alpha) == expected, (mu, alpha)
 
     @pytest.mark.parametrize("bits", [1, 8, 64])
     @pytest.mark.parametrize(
