@@ -224,17 +224,30 @@ def _cmd_measure(args) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+# The parameters each example reads, with their defaults.
+_EXAMPLE_FLAGS = {
+    "ex0": {"t": Fraction(1, 2)},
+    "ex1": {"bbar": Fraction(1, 2), "bbar2": Fraction(1, 3), "t": Fraction(1, 2)},
+    "ex2": {"bbar": Fraction(1, 2)},
+}
+
+
 def _cmd_example(args) -> str:
+    given = {f: getattr(args, f) for f in ("bbar", "bbar2", "t") if getattr(args, f) is not None}
+    stray = [f"--{f}" for f in given if f not in _EXAMPLE_FLAGS[args.name]]
+    if stray:
+        raise ValueError(f"{args.name} does not read {', '.join(stray)}")
+    given = {**_EXAMPLE_FLAGS[args.name], **given}
     if args.name == "ex0":
-        report = example_ex0(ts=(args.t,))
-        step = nn_step(report.pair[0].combine(report.pair[1], args.t))
+        report = example_ex0(ts=(given["t"],))
+        step = nn_step(report.pair[0].combine(report.pair[1], given["t"]))
         class_alpha = report.alpha_common
     elif args.name == "ex1":
-        report = example_ex1(args.bbar, args.bbar2, args.t)
+        report = example_ex1(given["bbar"], given["bbar2"], given["t"])
         step = report.combination
         class_alpha = 0.5
     else:
-        report = example_ex2(args.bbar)
+        report = example_ex2(given["bbar"])
         step = report.mu_prime
         class_alpha = 0.5
     payload = report.as_dict()
@@ -299,9 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example", help="compound-walk counterexample reports")
     p.add_argument("name", choices=("ex0", "ex1", "ex2"))
-    p.add_argument("--t", type=_fraction, default=Fraction(1, 2))
-    p.add_argument("--bbar", type=_fraction, default=Fraction(1, 2))
-    p.add_argument("--bbar2", type=_fraction, default=Fraction(1, 3))
+    p.add_argument("--t", type=_fraction, help="ex0, ex1 (default 1/2)")
+    p.add_argument("--bbar", type=_fraction, help="ex1, ex2 (default 1/2)")
+    p.add_argument("--bbar2", type=_fraction, help="ex1 (default 1/3)")
     p.add_argument("--simulate", action="store_true")
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--steps", type=int, default=400)

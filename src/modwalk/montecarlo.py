@@ -12,16 +12,18 @@ Randomness contract, version 1 (pinned so seeds reproduce across
 platforms and across any batching of the work): path ``i`` draws its
 uniform doubles from numpy's ``Philox`` bit generator keyed directly by
 the 64-bit ``seed`` and advanced by ``i * 2**20`` before the first draw.
-Batches, and the blocks in which a batch draws its uniforms, only decide
-which paths are simulated together, so merged counts cannot depend on the
-batch layout, and rerunning a path with a larger step budget extends the
-same trajectory.
+Processes, the batches of each process and the blocks in which a batch
+draws its uniforms only decide which paths are simulated together, so
+merged counts cannot depend on the layout, and rerunning a path with a
+larger step budget extends the same trajectory.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -55,6 +57,12 @@ RNG_CONTRACT = "philox-per-path-v1"
 Z_THRESHOLD = 4.0  # standard errors at which the z tests reject
 BATCH_BYTES = 256 << 20  # memory budget of one batch of paths
 BLOCK_BYTES = 4 << 20  # uniforms drawn at a time within a batch
+# Processes a run's paths are split across; 1 where there is no os.fork.
+CPUS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    else 1
+)
 
 _CODE = {"a": 0, "b": 1, "B": 2}
 _LETTER = "abB"
@@ -345,24 +353,94 @@ def sample_path(
 
 
 def _batches(mu: GroupMeasure, cfg: SimConfig, batch_paths: int, tgt_flat, tgt_off, read):
-    """Run ``cfg.paths`` paths under RNG contract v1, at most ``batch_paths``
-    at a time and within ``BATCH_BYTES``; yields ``read(W, L, visited)`` of
-    the kernel's output for each batch.
+    """Run ``cfg.paths`` paths under RNG contract v1; yields ``read(W, L,
+    visited)`` of the kernel's output for each batch, in path order.
+
+    The paths are cut into up to ``CPUS`` contiguous shares, one per
+    process: this process runs the first share, and each other share runs
+    in a forked child that sends its reads back through a pipe.  All
+    processes together batch at most ``batch_paths`` paths and
+    ``BATCH_BYTES`` at a time (above a floor of one path each), and a run
+    that fits in one batch forks nothing.  A child's exception is raised
+    here, and a run that stops early kills and reaps its children.
 
     A batch draws its increments step-major, ``BLOCK_BYTES`` of uniforms at
     a time (``_step_increments``).  They are freed when the kernel returns
-    and the word array when ``read`` does, so no two batches overlap."""
+    and the word array when ``read`` does, so no two batches of one process
+    overlap."""
     _, cum, table = _support_table(mu)
     width = cfg.steps * table.shape[1] + 2
     size = _batch_paths(cfg.steps, table.shape[1], batch_paths)
-    for start in range(0, cfg.paths, size):
-        count = min(size, cfg.paths - start)
-        yield read(
-            *_evolve(
-                _step_increments(cum, cfg.seed, start, count, cfg.steps).T,
-                table, width, tgt_flat, tgt_off,
+    n = min(CPUS, -(-cfg.paths // size))
+    size = max(1, size // n)
+    cuts = [cfg.paths * j // n for j in range(n + 1)]
+
+    def share(lo, hi):
+        for start in range(lo, hi, size):
+            count = min(size, hi - start)
+            yield read(
+                *_evolve(
+                    _step_increments(cum, cfg.seed, start, count, cfg.steps).T,
+                    table, width, tgt_flat, tgt_off,
+                )
             )
-        )
+
+    children = []  # (pid, read end of its pipe), in share order
+    try:
+        for j in range(1, n):
+            children.append(_fork(share(cuts[j], cuts[j + 1])))
+        yield from share(cuts[0], cuts[1])
+        while children:
+            pid, fd = children[0]
+            with open(fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            children.pop(0)
+            os.close(fd)
+            os.waitpid(pid, 0)
+            if not data:
+                raise RuntimeError(f"simulator process {pid} died without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            yield from value
+    finally:
+        if children:
+            from signal import SIGKILL
+
+            for pid, fd in children:
+                os.kill(pid, SIGKILL)
+                os.close(fd)
+                os.waitpid(pid, 0)
+
+
+def _fork(reads):
+    """Fork a child that runs the generator ``reads`` and pickles the list
+    of its items, or the exception it raised, into a pipe; returns the
+    child's pid and the pipe's read end.  The child calls only numpy's
+    element-wise and sorting routines; the one other thread of a modwalk
+    process is the BLAS pool, which they never use."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    code = 1
+    try:
+        os.close(r)
+        try:
+            data = pickle.dumps((True, list(reads)))
+            code = 0
+        except BaseException as exc:
+            data = pickle.dumps((False, exc))
+        with open(w, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(code)
 
 
 def _run(
@@ -596,7 +674,8 @@ def estimate_alpha(
     ``P(b) = alpha`` whatever ``p`` is, so a single z-score against ``1/2``
     tests membership in the whole Minkowski class.  Paths whose final word
     holds fewer than ``cfg.depth`` such letters are unresolved and dropped;
-    an unresolved fraction above 1% raises :class:`UnresolvedPathsError`.
+    an unresolved fraction above 1% raises :class:`UnresolvedPathsError`,
+    and fewer than two resolved paths raise ``ValueError``.
     Paths are tallied by their integer count of ``b``, so the result obeys
     RNG contract v1 exactly whatever ``batch_paths`` is.
     """
@@ -627,14 +706,14 @@ def estimate_alpha(
             f"{unresolved} of {cfg.paths} paths ended with fewer than {k} letters"
             " 'b'/'B'; raise steps or lower depth"
         )
+    if resolved < 2:
+        raise ValueError(
+            f"the letter test needs two resolved paths for a standard error, got {resolved}"
+        )
     s1 = sum(j * int(n) for j, n in enumerate(tally))
     s2 = sum(j * j * int(n) for j, n in enumerate(tally))
-    if resolved > 1:
-        var = (resolved * s2 - s1 * s1) / (resolved * (resolved - 1))
-        stderr = math.sqrt(var / resolved) / k
-    else:
-        stderr = math.inf
-    return AlphaEstimate(s1 / (k * resolved), stderr, resolved, k)
+    var = (resolved * s2 - s1 * s1) / (resolved * (resolved - 1))
+    return AlphaEstimate(s1 / (k * resolved), math.sqrt(var / resolved) / k, resolved, k)
 
 
 def letter_test_power(alpha: float, alpha0: float, k: int, n: int) -> float:

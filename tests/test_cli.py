@@ -280,17 +280,21 @@ class TestExample:
         assert abs(payload["simulation"]["z_vs_harmonic"]) <= 4
 
     @pytest.mark.parametrize(
-        "name, step",
+        "name, flags, step",
         [
-            ("ex0", lambda: nn_step(EX0_PAIR[0].combine(EX0_PAIR[1], Fraction(1, 2)))),
-            ("ex1", lambda: example_ex1(Fraction(1, 3), Fraction(1, 2)).combination),
-            ("ex2", lambda: example_ex2(Fraction(1, 3)).mu_prime),
+            ("ex0", (), lambda: nn_step(EX0_PAIR[0].combine(EX0_PAIR[1], Fraction(1, 2)))),
+            (
+                "ex1",
+                ("--bbar", "1/3", "--bbar2", "1/2"),
+                lambda: example_ex1(Fraction(1, 3), Fraction(1, 2)).combination,
+            ),
+            ("ex2", ("--bbar", "1/3"), lambda: example_ex2(Fraction(1, 3)).mu_prime),
         ],
         ids=["ex0", "ex1", "ex2"],
     )
-    def test_simulation_is_the_letter_test(self, capsys, name, step):
+    def test_simulation_is_the_letter_test(self, capsys, name, flags, step):
         code, out, _ = run(
-            capsys, "example", name, "--bbar", "1/3", "--bbar2", "1/2", "--simulate",
+            capsys, "example", name, *flags, "--simulate",
             "--paths", "2000", "--steps", "320", "--depth", "2", "--seed", "1",
         )
         assert code == 0
@@ -302,6 +306,24 @@ class TestExample:
         assert (sim["estimate"], sim["stderr"], sim["resolved"], sim["letters"]) == (
             est.estimate, est.stderr, est.resolved, est.letters
         )
+
+    @pytest.mark.parametrize(
+        "argv, stray",
+        [(("ex0", "--bbar", "9/10"), "--bbar"), (("ex2", "--t", "1/3"), "--t")],
+        ids=["ex0-bbar", "ex2-t"],
+    )
+    def test_flag_the_example_does_not_read_exit_2(self, capsys, argv, stray):
+        code, out, err = run(capsys, "example", *argv)
+        assert code == 2 and out == ""
+        assert f"does not read {stray}" in err
+
+    def test_single_path_simulation_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "example", "ex1", "--simulate", "--paths", "1", "--steps", "400"
+        )
+        assert code == 2
+        assert "Infinity" not in out
+        assert "two resolved paths" in err
 
     def test_schema_rejects_leftover_simulation_keys(self):
         schema = load_schema("example.schema.json")

@@ -1,3 +1,4 @@
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -173,6 +174,7 @@ class TestBatchLayout:
 
         monkeypatch.setattr(montecarlo, "_evolve", recording_evolve)
         monkeypatch.setattr(montecarlo, "BATCH_BYTES", 40 * 1_330)
+        monkeypatch.setattr(montecarlo, "CPUS", 1)  # calls are recorded here only
         capped = simulate(SYMMETRIC_NN, cfg, targets=[parse_word("ba")])
         assert sizes == [40] * 7 + [20]
         assert capped.to_json() == full.to_json()
@@ -194,6 +196,7 @@ class TestBatchLayout:
 
         monkeypatch.setattr(montecarlo, "_batch_uniforms", recording_uniforms)
         monkeypatch.setattr(montecarlo, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(montecarlo, "CPUS", 1)  # calls are recorded here only
         assert simulate(mu, cfg, targets=targets, batch_paths=128).to_json() == report
         assert sizes == block_sizes
         assert estimate_alpha(mu, cfg, batch_paths=128) == alpha
@@ -220,6 +223,65 @@ class TestBatchLayout:
         finally:
             tracemalloc.stop()
         assert peak <= montecarlo.BATCH_BYTES + 2.25 * montecarlo.BLOCK_BYTES + (64 << 10)
+
+
+class TestProcesses:
+    MU = GroupMeasure.from_json_dict({"a": "1/5", "b": "1/5", "ba": "2/5", "aB": "1/5"})
+    CFG = SimConfig(paths=1001, steps=200, seed=3, depth=3)
+    TARGETS = [parse_word(w) for w in ("", "a", "ba", "aB")]
+
+    def no_children(self):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_results_do_not_depend_on_the_process_count(self, monkeypatch):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "CPUS", cpus)
+            runs.append((
+                simulate(self.MU, self.CFG, targets=self.TARGETS, batch_paths=128).to_json(),
+                estimate_alpha(self.MU, self.CFG, batch_paths=128),
+                len(forks),
+            ))
+        assert [forked for *_, forked in runs] == [0, 2, 6]  # cpus - 1 per run
+        assert runs[1][:2] == runs[0][:2] and runs[2][:2] == runs[0][:2]
+        self.no_children()
+
+    def test_child_exception_reaches_the_parent(self, monkeypatch):
+        # Two processes: the child's share starts at path 1001 // 2.
+        monkeypatch.setattr(montecarlo, "CPUS", 2)
+        step_increments = montecarlo._step_increments
+
+        def failing(cum, seed, start, count, steps):
+            if start == self.CFG.paths // 2:
+                raise LookupError("raised in the child")
+            return step_increments(cum, seed, start, count, steps)
+
+        monkeypatch.setattr(montecarlo, "_step_increments", failing)
+        with pytest.raises(LookupError, match="raised in the child"):
+            simulate(self.MU, self.CFG, batch_paths=128)
+        self.no_children()
+
+    def test_closing_early_leaves_no_child(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "CPUS", 3)
+        no_targets = (np.zeros(0, dtype=np.int8), np.zeros(1, dtype=np.int64))
+        batches = montecarlo._batches(
+            self.MU, self.CFG, 128, *no_targets, lambda W, L, visited: L.size
+        )
+        assert next(batches) == 42  # 128 // 3 paths per batch
+        batches.close()
+        self.no_children()
+
+    def test_one_batch_forks_nothing(self, monkeypatch):
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(montecarlo, "CPUS", 3)
+        monkeypatch.setattr(os, "fork", fork)
+        report = simulate(self.MU, self.CFG, targets=self.TARGETS, batch_paths=self.CFG.paths)
+        assert report.paths_used == self.CFG.paths
 
 
 class TestEstimates:
@@ -349,6 +411,11 @@ class TestLetterTest:
         est = estimate_alpha(mu, cfg)
         assert est.resolved == resolved and est.letters == cfg.depth
         assert est.estimate == b_total / (cfg.depth * resolved)
+
+    def test_single_path_has_no_stderr(self):
+        cfg = SimConfig(paths=1, steps=400, seed=1, depth=3)
+        with pytest.raises(ValueError, match="two resolved paths"):
+            estimate_alpha(ex1_fixture().combination.to_group_measure(), cfg)
 
     def test_unresolved_paths_error(self):
         # 20 steps cannot build a word holding 35 letters b/B
