@@ -180,14 +180,36 @@ def rn_derivative(d: DenjoyParams, g: GroupWord, c: Cylinder) -> Scalar:
     return numerator / cylinder_mass(d, c)
 
 
+_Monomial = tuple[bool, int, int]  # (starts with a, #b, #B) of a cylinder's mass
+
+
 @functools.lru_cache(maxsize=32)
-def _pullback_monomials(letters: str, depth: int) -> tuple[tuple[tuple[bool, int, int], ...], ...]:
+def _pullback_monomials(letters: str, depth: int) -> tuple[tuple[_Monomial, ...], ...]:
     """Mass monomials ``(starts with a, #b, #B)`` of the pieces of ``h^-1 C`` (``h`` spelled
-    ``letters``) for each ``C`` in ``cylinders_up_to_depth(depth)``; they do not depend on params."""
+    ``letters``), sorted, for each ``C`` in ``cylinders_up_to_depth(depth)``; they do not
+    depend on params."""
     h_inv = inverse(GroupWord(letters))
     return tuple(
-        tuple((s[0] == "a", s.count("b"), s.count("B")) for s in map(str, act_on_cylinder(h_inv, c)))
+        tuple(sorted((s[0] == "a", s.count("b"), s.count("B")) for s in map(str, act_on_cylinder(h_inv, c))))
         for c in cylinders_up_to_depth(depth)
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _distinct_rows(
+    support: tuple[str, ...], depth: int
+) -> tuple[tuple[tuple[int, _Monomial], ...], tuple[tuple[int, ...], ...]]:
+    """The distinct rows of the residuals over ``cylinders_up_to_depth(depth)``.
+
+    A cylinder's row holds its pullback monomials under the identity (table 0) and
+    under each word spelled in ``support`` (table ``i + 1``); a residual depends on
+    its cylinder only through its row.  Returns the distinct ``(table, monomial)``
+    terms and each distinct row as the indices of its terms, one per piece."""
+    rows = set(zip(*(_pullback_monomials(h, depth) for h in ("", *support))))
+    terms = sorted({(t, m) for row in rows for t, pieces in enumerate(row) for m in pieces})
+    index = {term: k for k, term in enumerate(terms)}
+    return tuple(terms), tuple(
+        sorted(tuple(index[t, m] for t, pieces in enumerate(row) for m in pieces) for row in rows)
     )
 
 
@@ -196,27 +218,29 @@ def check_stationarity(d: DenjoyParams, mu: GroupMeasure, depth: int = 8) -> flo
 
     Exact, float params taken at their binary values: with ``alpha = n/q``, ``p = pn/pq``
     and ``W`` the lcm of the weight denominators, each residual is one integer over
-    ``W pq q^K`` (``K`` the most ``b``/``B`` letters in a piece), rounded once."""
+    ``W pq q^K`` (``K`` the most ``b``/``B`` letters in a piece).  Cylinders with equal
+    rows (``_distinct_rows``: 108 of 765 at depth 8 on the support ``{a, b, B, ba, Ba}``)
+    have equal residuals, so each row is summed once, and only the largest numerator is
+    divided: rounding is monotone, so that is the largest rounded residual."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not mu.is_probability():
         raise ValueError("mu must be a probability measure")
     n, q = Fraction(d.alpha).as_integer_ratio()
     pn, pq = Fraction(d.p).as_integer_ratio()
-    W = math.lcm(*(w.denominator for w in mu.weights.values()))
-    tables = [(-W, _pullback_monomials("", depth))]  # the identity table holds nu(C) itself
-    tables += [(int(w * W), _pullback_monomials(h.letters, depth)) for h, w in mu.weights.items()]
-    monomials = {m for _, table in tables for pieces in table for m in pieces}
+    weights = sorted((h.letters, w) for h, w in mu.weights.items())
+    W = math.lcm(*(w.denominator for _, w in weights))
+    factors = (-W, *(w.numerator * (W // w.denominator) for _, w in weights))  # table 0 holds nu(C)
+    terms, rows = _distinct_rows(tuple(h for h, _ in weights), depth)
+    monomials = {m for _, m in terms}
     K = max(i + j for _, i, j in monomials)
     mass = {
         (first, i, j): (pn if first else pq - pn) * n**i * (q - n) ** j * q ** (K - i - j)
         for first, i, j in monomials
     }
-    den = W * pq * q**K
-    return max(
-        abs(sum(weight * mass[m] for weight, table in tables for m in table[k]) / den)
-        for k in range(len(tables[0][1]))
-    )
+    values = [factors[t] * mass[m] for t, m in terms]
+    worst = max(abs(sum(map(values.__getitem__, row))) for row in rows)
+    return worst / (W * pq * q**K)
 
 
 def hausdorff_constants() -> tuple[float, DenjoyParams]:

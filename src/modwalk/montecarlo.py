@@ -50,6 +50,7 @@ __all__ = [
     "compare_with_analytic",
     "estimate_alpha",
     "letter_test_power",
+    "paths_for_power",
 ]
 
 PATH_STRIDE = 1 << 20  # counter positions reserved per path
@@ -732,3 +733,33 @@ def letter_test_power(alpha: float, alpha0: float, k: int, n: int) -> float:
     shift = float(alpha - alpha0) / math.sqrt(float(alpha * (1 - alpha)) / (k * n))
     cdf = NormalDist().cdf
     return cdf(shift - Z_THRESHOLD) + cdf(-shift - Z_THRESHOLD)
+
+
+def paths_for_power(alpha: float, alpha0: float, k: int, power: float) -> int:
+    """Least ``n`` with ``letter_test_power(alpha, alpha0, k, n) >= power``.
+
+    The closed form of the normal approximation with its far tail dropped,
+    ``n = alpha (1 - alpha) (Z_THRESHOLD + Phi^-1(power))^2 / (k (alpha - alpha0)^2)``,
+    starts the search; ``letter_test_power`` rises with ``n``, so doubling
+    that start until it reaches ``power`` and then bisecting finds the least
+    ``n``.  ``power`` must lie between the test's size and 1, and ``alpha``
+    must differ from ``alpha0``.
+    """
+    size = letter_test_power(alpha, alpha, k, 1)  # also validates alpha and k
+    gap = float(alpha - alpha0)
+    if gap == 0:
+        raise ValueError("alpha must differ from alpha0 as a float: the test has only its size")
+    if not size < power < 1:
+        raise ValueError(f"power must lie in ({size:.3g}, 1), got {power}")
+    a, z = float(alpha), Z_THRESHOLD + NormalDist().inv_cdf(power)
+    hi = max(1, math.ceil(a * (1 - a) * z * z / (k * gap * gap)))
+    while letter_test_power(alpha, alpha0, k, hi) < power:
+        hi *= 2
+    lo = 0  # every n <= lo falls short of power
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if letter_test_power(alpha, alpha0, k, mid) >= power:
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -9,7 +9,10 @@ member with ``alpha = y`` and ``p = x/(1+x)``.  The ``y`` variable solves
 a quadratic with exact rational coefficients.  Rational roots are returned
 exactly; an irrational root is returned as the midpoint of the dyadic
 bisection enclosure that brackets it, computed in closed form from one
-integer square root (``_bisection_midpoint``).
+integer square root (``_bisection_midpoint``).  The solver works on one
+integer core: the weights and the quadratic are taken over the common
+denominator of the weights (``_y_equation_integers``), and a solve stays
+on integers until it builds the ``Fraction``s it returns.
 
 Also here: the Denjoy/Minkowski membership residuals, the closed-form
 nearest-neighbour solution, the level-set function of nearest-neighbour
@@ -178,20 +181,36 @@ class PassageTriple:
             raise ValueError(f"y + ybar must equal 1, defect {defect}")
 
 
-def y_equation_coefficients(mu: StepOnS) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact coefficients ``(A, B, C)`` of the quadratic satisfied by ``y``."""
+def _integer_weights(mu: StepOnS) -> tuple[int, ...]:
+    """``D``, the lcm of the weight denominators, then the five weights times
+    ``D``: integers that sum to ``D``."""
+    weights = mu.as_tuple()
+    D = lcm(*(w.denominator for w in weights))
+    return (D, *(w.numerator * (D // w.denominator) for w in weights))
+
+
+def _y_equation_integers(mu: StepOnS) -> tuple[int, int, int, int]:
+    """``(D, A, B, C)``: ``D`` as in ``_integer_weights`` and ``D^2`` times the
+    coefficients of the quadratic ``A t^2 + B t + C`` satisfied by ``y``."""
     # The membership relation reads (a1 t + a0)(b1 t + b0) = (c1 t + c0)(d1 t + d0)
     # in the unknown t; at t = y it is the consistency condition of the
-    # stationarity system.  A t^2 + B t + C is its left side minus its right.
-    af, bf, bb, bp, bbp = mu.as_tuple()
-    a1, a0 = 1 + bb, -(bb + bp)
+    # stationarity system.  A t^2 + B t + C is its left side minus its right,
+    # each factor taken times D.
+    D, af, bf, bb, bp, bbp = _integer_weights(mu)
+    a1, a0 = D + bb, -(bb + bp)
     b1, b0 = bp - af, af + bb
     c1, c0 = af - bbp, bbp + bf
-    d1, d0 = -(1 + bf), 1 - bbp
+    d1, d0 = -(D + bf), D - bbp
     A = a1 * b1 - c1 * d1
     B = a1 * b0 + a0 * b1 - (c1 * d0 + c0 * d1)
     C = a0 * b0 - c0 * d0
-    return A, B, C
+    return D, A, B, C
+
+
+def y_equation_coefficients(mu: StepOnS) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact coefficients ``(A, B, C)`` of the quadratic satisfied by ``y``."""
+    D, A, B, C = _y_equation_integers(mu)
+    return Fraction(A, D * D), Fraction(B, D * D), Fraction(C, D * D)
 
 
 def denjoy_membership_residual(mu: StepOnS, alpha: Scalar) -> Scalar:
@@ -211,41 +230,35 @@ def minkowski_residual(mu: StepOnS) -> Fraction:
     return denjoy_membership_residual(mu, Fraction(1, 2))
 
 
-def _exact_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
+def _exact_isqrt(n: int) -> int | None:
+    """The square root of ``n`` if ``n`` is a perfect square, else ``None``."""
+    if n < 0:
         return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
+    root = isqrt(n)
+    return root if root * root == n else None
 
 
-def _bisection_midpoint(
-    coeffs: tuple[Fraction, Fraction, Fraction],
-    lo: Fraction,
-    hi: Fraction,
-    width: Fraction,
-) -> Fraction:
-    """Midpoint of the enclosure that bisecting ``[lo, hi]`` to ``width`` ends on.
+def _bisection_midpoint(coeffs: tuple[int, int, int], hi: Fraction, width: Fraction) -> Fraction:
+    """Midpoint of the enclosure that bisecting ``[0, hi]`` to ``width`` ends on.
 
-    ``f(t) = a t^2 + b t + c`` (``a != 0``) must satisfy ``f(lo) < 0 < f(hi)``
-    and have an irrational root between.  Bisection keeping that sign change
-    halves ``n`` times, the least ``n >= 0`` with ``(hi - lo) / 2^n <= width``,
-    and ends on the grid cell ``[t_k, t_{k+1}]``, ``t_j = lo + j (hi - lo) / 2^n``,
-    where ``f`` changes sign.  Here ``f(t_j)`` is cleared to an integer
-    quadratic ``g(j)``; one integer square root of its discriminant places
-    ``k`` to within one, and the exact signs ``g(k) < 0 < g(k+1)`` confirm it.
+    ``f(t) = a t^2 + b t + c`` (integers, ``a != 0``) must satisfy
+    ``f(0) < 0 < f(hi)`` and have an irrational root between.  Bisection
+    keeping that sign change halves ``n`` times, the least ``n >= 0`` with
+    ``hi / 2^n <= width``, and ends on the grid cell ``[t_k, t_{k+1}]``,
+    ``t_j = j hi / 2^n``, where ``f`` changes sign.  With ``hi = u/v`` and
+    ``E = v 2^n``, ``E^2 f(t_j)`` is the integer quadratic
+    ``g(j) = a u^2 j^2 + b u E j + c E^2``; one integer square root of its
+    discriminant places ``k`` to within one, and the exact signs
+    ``g(k) < 0 < g(k+1)`` confirm it.
     """
     a, b, c = coeffs
-    span = hi - lo
-    ratio = span / width
-    n = max(0, ratio.numerator.bit_length() - ratio.denominator.bit_length())
-    if ratio.denominator << n < ratio.numerator:
+    u, v = hi.numerator, hi.denominator
+    span, cell = u * width.denominator, v * width.numerator  # hi / width = span / cell
+    n = max(0, span.bit_length() - cell.bit_length())
+    if cell << n < span:
         n += 1
-    h = span / (1 << n)
-    ga, gb, gc = a * h * h, (2 * a * lo + b) * h, (a * lo + b) * lo + c
-    scale = lcm(ga.denominator, gb.denominator, gc.denominator)
-    ia, ib, ic = (v.numerator * (scale // v.denominator) for v in (ga, gb, gc))
+    E = v << n
+    ia, ib, ic = a * u * u, b * u * E, c * E * E
 
     def g(j: int) -> int:
         return (ia * j + ib) * j + ic
@@ -256,7 +269,7 @@ def _bisection_midpoint(
         k -= 1
     while g(k + 1) <= 0:
         k += 1
-    return lo + span * Fraction(2 * k + 1, 2 << n)
+    return Fraction((2 * k + 1) * u, 2 * E)
 
 
 def membership_alpha_roots(mu: StepOnS) -> tuple[float, ...]:
@@ -287,27 +300,28 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PassageTriple:
     ``y`` is the midpoint of the dyadic enclosure of width at most
     ``tol / 8`` that bisecting the guaranteed sign change on ``(0, 1)``
     reaches, computed directly; all three residuals must stay below ``tol``.
+
+    Everything runs on the integers of ``_y_equation_integers``: the
+    discriminant over ``D^4`` is a rational square exactly when its integer
+    numerator is a perfect square, and with ``y = Y/M`` and ``x = X/N`` the
+    residuals are three integers over ``D M N``, so one correctly rounded
+    division decides the tolerance as the float residuals would.
     """
     if not (tol > 0 and isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    A, B, C = y_equation_coefficients(mu)
-
-    def f(t: Fraction) -> Fraction:
-        return (A * t + B) * t + C
-
-    lo, hi = Fraction(0), Fraction(1)
-    if not (f(lo) < 0 < f(hi)):
+    _, A, B, C = _y_equation_integers(mu)
+    if not C < 0 < A + B + C:  # D^2 f(0) and D^2 f(1)
         raise NoRootInCube(
             f"no sign change of the y-equation on (0,1) for weights {mu.as_tuple()}"
         )
 
     y: Fraction
     if A == 0:
-        y = -C / B
+        y = Fraction(-C, B)
     else:
-        sq = _exact_sqrt(B * B - 4 * A * C)
+        sq = _exact_isqrt(B * B - 4 * A * C)
         if sq is not None:
-            candidates = {(-B + sq) / (2 * A), (-B - sq) / (2 * A)}
+            candidates = {Fraction(-B + sq, 2 * A), Fraction(-B - sq, 2 * A)}
             inside = sorted(r for r in candidates if 0 < r < 1)
             if not inside:
                 raise NoRootInCube("rational roots all fall outside (0,1)")
@@ -315,13 +329,21 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PassageTriple:
                 raise MultipleRoots(f"two roots {inside} inside (0,1)")
             y = inside[0]
         else:
-            y = _bisection_midpoint((A, B, C), lo, hi, Fraction(tol) / 8)
+            y = _bisection_midpoint((A, B, C), Fraction(1), Fraction(tol) / 8)
 
-    ybar = 1 - y
-    denom = 1 - mu.bprime * ybar - mu.bbarprime * y
-    x = (1 - mu.bf * y - mu.bbarf * ybar - mu.bprime - mu.bbarprime) / denom
-    triple = PassageTriple(x, y, ybar)
-    if max(abs(float(r)) for r in residual(mu, triple)) > tol:
+    D, af, bf, bb, bp, bbp = _integer_weights(mu)
+    Y, M = y.numerator, y.denominator
+    Yb = M - Y  # ybar = Yb / M
+    x = Fraction(D * M - bf * Y - bb * Yb - (bp + bbp) * M, D * M - bp * Yb - bbp * Y)
+    triple = PassageTriple(x, y, 1 - y)
+    X, N = x.numerator, x.denominator
+    MN = M * N
+    numerators = (  # D M N times the residuals of ``residual``
+        af * MN + bf * Yb * N + bb * Y * N + bp * X * Yb + bbp * X * Y - D * M * X,
+        af * X * Y + bf * X * M + bb * Yb * N + bp * MN + bbp * X * Yb - D * Y * N,
+        af * X * Yb + bf * Y * N + bb * X * M + bp * X * Y + bbp * MN - D * Yb * N,
+    )
+    if max(map(abs, numerators)) / (D * MN) > tol:
         raise SolverContradictionError("residuals exceed tolerance at the located root")
     return triple
 
@@ -429,20 +451,18 @@ def hyperbola_point(bbarf: RationalLike, bits: int = 64) -> StepOnS:
     if not 0 < bb < 1:
         raise ValueError(f"need 0 < bbarf < 1, got {bb}")
 
-    sq = _exact_sqrt(3 * bb**2 + 1)
+    u, v = bb.numerator, bb.denominator
+    sq = _exact_isqrt(3 * u * u + v * v)  # v^2 (3 bbarf^2 + 1)
     if sq is not None:
-        bf = ((bb + 1) - sq) / 2
+        bf = Fraction(u + v - sq, 2 * v)
     else:
-        def q(t: Fraction) -> Fraction:
-            return 2 * t * t - 2 * (bb + 1) * t + (bb - bb * bb)
-
-        lo, hi = Fraction(0), (1 - bb) / 2
-        if not (q(lo) > 0 > q(hi)):
+        # v^2 times minus the branch quadratic 2 t^2 - 2 (bbarf+1) t + bbarf - bbarf^2,
+        # which rises through the root, as the helper requires
+        a, b, c = -2 * v * v, 2 * (u + v) * v, u * (u - v)
+        hi = Fraction(v - u, 2 * v)
+        if not c < 0 < (a * hi + b) * hi + c:
             raise NoRootInCube(f"no branch root for bbarf = {bb}")
-        # -q rises through the root, as the helper requires
-        bf = _bisection_midpoint(
-            (Fraction(-2), 2 * (bb + 1), bb * bb - bb), lo, hi, Fraction(1, 2**bits)
-        )
+        bf = _bisection_midpoint((a, b, c), hi, Fraction(1, 2**bits))
     return StepOnS(1 - 2 * bf - bb, bf, bb, bf, Fraction(0))
 
 

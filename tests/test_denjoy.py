@@ -246,6 +246,65 @@ class TestStationarity:
         assert denjoy._pullback_monomials.cache_info().maxsize is not None
 
 
+def _walks():
+    """An S-walk, the same walk made lazy, criterion 07's 9-atom walk and a
+    walk outside the family, each with params on and off its harmonic ones."""
+    mu = StepOnS(Fraction(1, 5), Fraction(2, 5), Fraction(1, 10), Fraction(1, 5), Fraction(1, 10))
+    steps = {h: w * Fraction(3, 5) for h, w in mu.to_group_measure().weights.items()}
+    lazy = GroupMeasure({IDENTITY: Fraction(2, 5), **steps})
+    nine = GroupMeasure.uniform(
+        parse_word(w) for w in ("b", "ba", "ab", "aba", "B", "Ba", "aB", "aBa", "a")
+    )
+    outside = GroupMeasure.uniform(parse_word(w) for w in ("a", "bab", "B", "aBa"))
+    off = DenjoyParams(Fraction(2, 7), Fraction(3, 11))
+    half = DenjoyParams(Fraction(1, 2), Fraction(1, 2))
+    return {
+        "S": (mu.to_group_measure(), (harmonic_params(mu), off)),
+        "lazy": (lazy, (harmonic_params(mu), off)),
+        "nine-atom": (nine, (half, off)),
+        "outside": (outside, (half, off)),
+    }
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("name", ["S", "lazy", "nine-atom", "outside"])
+    def test_matches_reference_to_depth_6(self, name):
+        mu, params = _walks()[name]
+        for d in params:
+            for depth in range(1, 7):
+                assert check_stationarity(d, mu, depth) == _check_stationarity_reference(d, mu, depth)
+
+    def test_matches_reference_at_depth_8_cold_and_warm(self):
+        # float params are taken at their binary values, so the reference
+        # run on those values as Fractions gives the same float
+        mu, (harmonic, off) = _walks()["S"]
+        _, hausdorff = hausdorff_constants()
+        for d in (harmonic, off, hausdorff):
+            exact = DenjoyParams(Fraction(d.alpha), Fraction(d.p))
+            expected = _check_stationarity_reference(exact, mu, 8)
+            denjoy._distinct_rows.cache_clear()
+            denjoy._pullback_monomials.cache_clear()
+            cold = check_stationarity(d, mu, 8)
+            warm = check_stationarity(d, mu, 8)
+            assert repr(cold) == repr(warm) == repr(expected)
+
+    def test_weight_order_does_not_matter(self):
+        mu, (harmonic, off) = _walks()["nine-atom"]
+        reordered = GroupMeasure(dict(reversed(list(mu.weights.items()))))
+        denjoy._distinct_rows.cache_clear()
+        for d in (harmonic, off):
+            assert check_stationarity(d, reordered, 6) == check_stationarity(d, mu, 6)
+        assert denjoy._distinct_rows.cache_info().currsize == 1  # one entry per support
+
+    def test_full_support_has_108_rows_at_depth_8(self):
+        _, rows = denjoy._distinct_rows(("B", "Ba", "a", "b", "ba"), 8)
+        assert len(rows) == 108
+        assert len(denjoy._pullback_monomials("", 8)) == len(list(cylinders_up_to_depth(8))) == 765
+
+    def test_row_cache_is_bounded(self):
+        assert denjoy._distinct_rows.cache_info().maxsize is not None
+
+
 class TestHausdorff:
     def test_constants(self):
         dim, params = hausdorff_constants()

@@ -4,9 +4,13 @@ The references below are the node-by-node Stern-Brocot descent, the
 bisection loops that ``mediant`` and ``solver`` used before those layers
 were computed in closed form, and the factored membership relation the
 solver's quadratic was expanded from; every output must be ``==`` to theirs.
+The solver's references build on the ``Fraction`` forms of the quadratic's
+coefficients, the residuals and the exact square root, copied here so they
+stay independent of the solver's integer core.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +20,7 @@ from modwalk import (
     ExtRational,
     LRCode,
     MediantInterval,
+    MultipleRoots,
     NoRootInCube,
     PassageTriple,
     ROOT_INTERVAL,
@@ -32,7 +37,7 @@ from modwalk import (
     residual,
     solve_master,
 )
-from modwalk.solver import _exact_sqrt, y_equation_coefficients
+from modwalk.solver import y_equation_coefficients
 
 from helpers import random_step
 
@@ -68,8 +73,55 @@ def reference_question_mark(right_stem: str, depth: int) -> Fraction:
     return Fraction(int(bits.replace("L", "0").replace("R", "1"), 2), 1 << len(bits))
 
 
+def reference_y_equation_coefficients(mu: StepOnS) -> tuple[Fraction, Fraction, Fraction]:
+    af, bf, bb, bp, bbp = mu.as_tuple()
+    a1, a0 = 1 + bb, -(bb + bp)
+    b1, b0 = bp - af, af + bb
+    c1, c0 = af - bbp, bbp + bf
+    d1, d0 = -(1 + bf), 1 - bbp
+    A = a1 * b1 - c1 * d1
+    B = a1 * b0 + a0 * b1 - (c1 * d0 + c0 * d1)
+    C = a0 * b0 - c0 * d0
+    return A, B, C
+
+
+def reference_residual(mu: StepOnS, t: PassageTriple) -> tuple[Fraction, Fraction, Fraction]:
+    af, bf, bb, bp, bbp = mu.as_tuple()
+    x, y, yb = t.x, t.y, t.ybar
+    r1 = af + bf * yb + bb * y + bp * x * yb + bbp * x * y - x
+    r2 = af * x * y + bf * x + bb * yb + bp + bbp * x * yb - y
+    r3 = af * x * yb + bf * y + bb * x + bp * x * y + bbp - yb
+    return (r1, r2, r3)
+
+
+def reference_exact_sqrt(q: Fraction) -> Fraction | None:
+    if q < 0:
+        return None
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def reference_branch(mu: StepOnS) -> str:
+    A, B, C = reference_y_equation_coefficients(mu)
+    if A == 0:
+        return "linear"
+    return "rational" if reference_exact_sqrt(B * B - 4 * A * C) is not None else "irrational"
+
+
 def reference_solve_master(mu: StepOnS, tol: float) -> PassageTriple:
-    A, B, C = y_equation_coefficients(mu)
+    triple = reference_triple(mu, tol)
+    if max(abs(float(r)) for r in reference_residual(mu, triple)) > tol:
+        raise SolverContradictionError("residuals exceed tolerance at the located root")
+    return triple
+
+
+def reference_triple(mu: StepOnS, tol: float) -> PassageTriple:
+    """The solver's triple before its residual check."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
+    A, B, C = reference_y_equation_coefficients(mu)
 
     def f(t: Fraction) -> Fraction:
         return (A * t + B) * t + C
@@ -80,9 +132,13 @@ def reference_solve_master(mu: StepOnS, tol: float) -> PassageTriple:
     if A == 0:
         y = -C / B
     else:
-        sq = _exact_sqrt(B * B - 4 * A * C)
+        sq = reference_exact_sqrt(B * B - 4 * A * C)
         if sq is not None:
             inside = sorted(r for r in {(-B + sq) / (2 * A), (-B - sq) / (2 * A)} if 0 < r < 1)
+            if not inside:
+                raise NoRootInCube("rational roots all fall outside (0,1)")
+            if len(inside) > 1:
+                raise MultipleRoots("two roots inside (0,1)")
             y = inside[0]
         else:
             width = Fraction(tol) / 8
@@ -100,10 +156,7 @@ def reference_solve_master(mu: StepOnS, tol: float) -> PassageTriple:
     ybar = 1 - y
     denom = 1 - mu.bprime * ybar - mu.bbarprime * y
     x = (1 - mu.bf * y - mu.bbarf * ybar - mu.bprime - mu.bbarprime) / denom
-    triple = PassageTriple(x, y, ybar)
-    if max(abs(float(r)) for r in residual(mu, triple)) > tol:
-        raise SolverContradictionError("residuals exceed tolerance at the located root")
-    return triple
+    return PassageTriple(x, y, ybar)
 
 
 def reference_membership_residual(mu: StepOnS, alpha):
@@ -119,7 +172,7 @@ def reference_membership_residual(mu: StepOnS, alpha):
 
 def reference_hyperbola_point(bbarf, bits: int) -> StepOnS:
     bb = Fraction(bbarf)
-    sq = _exact_sqrt(3 * bb**2 + 1)
+    sq = reference_exact_sqrt(3 * bb**2 + 1)
     if sq is not None:
         bf = ((bb + 1) - sq) / 2
     else:
@@ -212,18 +265,92 @@ class TestEncodings:
 # ---------------------------------------------------------------------------
 # Solver.
 
+def unchecked_step(*weights: Fraction) -> StepOnS:
+    """A ``StepOnS`` built without its validation, so weights may be negative."""
+    mu = object.__new__(StepOnS)
+    for name, w in zip(("af", "bf", "bbarf", "bprime", "bbarprime"), weights):
+        object.__setattr__(mu, name, w)
+    return mu
+
+
+def unchecked_walks() -> list[StepOnS]:
+    """Weights of either sign summing to 1."""
+    rng = random.Random(99)
+    walks = []
+    for _ in range(1000):
+        raw = [Fraction(rng.randint(-20, 20)) for _ in range(5)]
+        if sum(raw):
+            walks.append(unchecked_step(*(w / sum(raw) for w in raw)))
+    return walks
+
+
+def criterion_01_walks() -> list[StepOnS]:
+    rng = random.Random(1001)
+    return [random_step(rng) for _ in range(1000)]
+
+
 class TestSolver:
     @pytest.mark.parametrize("tol", [1e-15, 1e-3, 0.5, 10.0])
     def test_solve_master(self, tol):
-        rng = random.Random(2024)
-        signs = set()
-        for _ in range(1000):
-            mu = random_step(rng)
-            A, B, C = y_equation_coefficients(mu)
-            if A and _exact_sqrt(B * B - 4 * A * C) is None:
-                signs.add(A > 0)
-            assert outcome(solve_master, mu, tol) == outcome(reference_solve_master, mu, tol), mu
-        assert signs == {True, False}  # the bisection branch ran with both leading signs
+        branches = set()
+        for mu in criterion_01_walks():
+            A, B, C = reference_y_equation_coefficients(mu)
+            assert y_equation_coefficients(mu) == (A, B, C), mu
+            branches.add((reference_branch(mu), A > 0))
+            got = outcome(solve_master, mu, tol)
+            assert got == outcome(reference_solve_master, mu, tol), mu
+            if isinstance(got, PassageTriple):
+                assert residual(mu, got) == reference_residual(mu, got), mu
+        # every branch ran, the bisection with both leading signs
+        assert {"linear", "rational"} < {b for b, _ in branches}
+        assert {("irrational", True), ("irrational", False)} <= set(branches)
+
+    def test_symmetric_walk_takes_the_linear_branch(self):
+        mu = StepOnS(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), 0, 0)
+        assert reference_branch(mu) == "linear"
+        assert solve_master(mu) == reference_solve_master(mu, 1e-15)
+
+    @pytest.mark.parametrize("bbarf", ["4/11", "3/13", "1/3", "1/2"])
+    def test_hyperbola_walks(self, bbarf):
+        # exact branch points (4/11, 3/13) and bisected ones
+        mu = hyperbola_point(bbarf)
+        assert mu == reference_hyperbola_point(bbarf, 64)
+        assert outcome(solve_master, mu, 1e-15) == outcome(reference_solve_master, mu, 1e-15)
+
+    def test_failures_on_the_same_inputs(self):
+        # the sign test, the triple's bounds and the residual check each
+        # fail on some of these walks
+        seen = set()
+        for mu in unchecked_walks():
+            for tol in (1e-15, 0.5):
+                got = outcome(solve_master, mu, tol)
+                assert got == outcome(reference_solve_master, mu, tol), mu.as_tuple()
+                seen.add(got if isinstance(got, type) else PassageTriple)
+        assert {NoRootInCube, SolverContradictionError, ValueError, PassageTriple} <= seen
+        # a quadratic that changes sign on (0, 1) has one root there, so the
+        # MultipleRoots check is never reached behind the sign test
+        assert MultipleRoots not in seen
+
+    def test_tolerance_decides_at_the_float_residual(self):
+        # every tol in [1/2, 1) bisects to the same cell, so the triple is
+        # fixed while tol crosses its largest float residual r
+        crossed = 0
+        for mu in unchecked_walks():
+            triple = outcome(reference_triple, mu, 0.5)
+            if not isinstance(triple, PassageTriple) or reference_branch(mu) != "irrational":
+                continue
+            r = max(abs(float(v)) for v in reference_residual(mu, triple))
+            if 0.5 < r < 1:
+                crossed += 1
+                assert outcome(solve_master, mu, r) == triple
+                assert outcome(solve_master, mu, math.nextafter(r, 0)) is SolverContradictionError
+        assert crossed
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-15, math.inf, math.nan])
+    def test_bad_tolerance(self, tol):
+        mu = criterion_01_walks()[0]
+        assert outcome(solve_master, mu, tol) is ValueError
+        assert outcome(reference_solve_master, mu, tol) is ValueError
 
     def test_membership_residual(self):
         rng = random.Random(7)

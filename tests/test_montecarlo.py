@@ -16,12 +16,16 @@ from modwalk import (
     UnresolvedPathsError,
     compare_with_analytic,
     estimate_alpha,
+    example_ex0,
     example_ex1,
+    example_ex2,
     harmonic_params,
     letter_test_power,
     nn_solve,
+    nn_step,
     NNParams,
     parse_word,
+    paths_for_power,
     sample_path,
     simulate,
 )
@@ -442,6 +446,53 @@ class TestLetterTest:
         assert letter_test_power(alpha, 0.5, 15, cfg.paths) < 0.6
         with pytest.raises(ValueError):
             letter_test_power(1.0, 0.5, cfg.depth, cfg.paths)
+
+
+def example_alphas() -> dict[str, tuple[Fraction, float]]:
+    """The harmonic and the class alpha of each example at the CLI defaults."""
+    ex0 = example_ex0(ts=(Fraction(1, 2),))
+    ex0_step = nn_step(ex0.pair[0].combine(ex0.pair[1], Fraction(1, 2)))
+    return {
+        "ex0": (harmonic_params(ex0_step).alpha, ex0.alpha_common),
+        "ex1": (harmonic_params(ex1_fixture().combination).alpha, 0.5),  # t = 1/2: either order
+        "ex2": (harmonic_params(example_ex2(Fraction(1, 2)).mu_prime).alpha, 0.5),
+    }
+
+
+class TestPathsForPower:
+    # paths for power 0.99 at k = 3, 15 and 35 letters, as tabled in the ROADMAP
+    TABLE = {
+        "ex0": (50_200, 10_040, 4_303),
+        "ex1": (1_147_830, 229_566, 98_386),
+        "ex2": (32, 7, 3),
+    }
+
+    @pytest.mark.parametrize("name", ["ex0", "ex1", "ex2"])
+    def test_reproduces_the_table(self, name):
+        alpha, alpha0 = example_alphas()[name]
+        assert tuple(paths_for_power(alpha, alpha0, k, 0.99) for k in (3, 15, 35)) == self.TABLE[name]
+
+    def test_lands_between_n_minus_1_and_n(self):
+        rng = random.Random(4)
+        cases = [
+            (rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99), rng.randint(1, 40), rng.uniform(0.01, 0.999))
+            for _ in range(200)
+        ]
+        # a gap of 1e-12 needs ~3e24 paths, where one path more moves no float
+        for alpha, alpha0, k, power in cases + [(0.5 + 1e-12, 0.5, 3, 0.99)]:
+            n = paths_for_power(alpha, alpha0, k, power)
+            assert letter_test_power(alpha, alpha0, k, n) >= power
+            assert n == 1 or letter_test_power(alpha, alpha0, k, n - 1) < power
+
+    def test_rejects_what_no_count_reaches(self):
+        size = letter_test_power(0.5, 0.5, 3, 1)
+        for alpha, alpha0, power in ((0.3, 0.3, 0.9), (0.3, 0.5, size), (0.3, 0.5, 1.0), (0.3, 0.5, 0.0)):
+            with pytest.raises(ValueError):
+                paths_for_power(alpha, alpha0, 3, power)
+        with pytest.raises(ValueError):
+            paths_for_power(1.0, 0.5, 3, 0.9)
+        with pytest.raises(ValueError):
+            paths_for_power(0.3, 0.5, 0, 0.9)
 
 
 class TestEmptyReport:
