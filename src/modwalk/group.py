@@ -11,6 +11,7 @@ identities can be tested exactly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -48,7 +49,14 @@ _LETTER_MATRIX: dict[str, Matrix] = {
 WeightLike = Union[Fraction, int, str]
 
 
+# Admissible words: 'a' alternates with 'b'/'B'.
+_ADMISSIBLE = re.compile("[bB]?(?:a[bB])*a?")
+
+
 def _check_letters(letters: str) -> None:
+    if _ADMISSIBLE.fullmatch(letters):
+        return
+    # Find the first fault to name it.
     prev = ""
     for ch in letters:
         if ch not in _LETTERS:

@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 PATH_STRIDE = 1 << 20  # counter positions reserved per path
+_LIMB = (1 << 64) - 1  # one 64-bit limb of Philox's 256-bit counter
 RNG_CONTRACT = "philox-per-path-v1"
 Z_THRESHOLD = 4.0  # standard errors at which the z tests reject
 BATCH_BYTES = 256 << 20  # memory budget of one batch of paths
@@ -192,19 +193,36 @@ def _path_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def _batch_uniforms(seed: int, start: int, count: int, steps: int) -> np.ndarray:
-    # One bit generator walks the batch.  Each counter step yields four
-    # doubles, and advance() also drops the buffered rest of the last block,
-    # so after path i's draws the advance lands exactly on the state of
-    # _path_generator(seed, i + 1).
+def _batch_uniforms(
+    seed: int, start: int, count: int, steps: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    # Row j holds the uniforms of path start + j; they go into ``out`` when
+    # it is given, so that a caller can reuse one buffer.  One bit generator
+    # walks the batch.  advance(i * PATH_STRIDE) on a fresh generator leaves
+    # the counter at i * PATH_STRIDE, the key and an empty buffer, so path i
+    # assigns exactly that state (the state of _path_generator(seed, i))
+    # before its draws.  The assignment reads one reused dict of Python
+    # ints, about a quarter of the cost of advance().
     bg = np.random.Philox(key=seed)
-    bg.advance(start * PATH_STRIDE)
+    counter = [0, 0, 0, 0]  # 64-bit limbs, least significant first
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": [int(k) for k in bg.state["state"]["key"]]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     gen = np.random.Generator(bg)
-    rest = PATH_STRIDE - math.ceil(steps / 4)
-    out = np.empty((count, steps), dtype=np.float64)
-    for row in out:
+    if out is None:
+        out = np.empty((count, steps), dtype=np.float64)
+    for i, row in enumerate(out, start):
+        c = i * PATH_STRIDE
+        counter[0] = c & _LIMB
+        if c > _LIMB:  # the upper limbs stay 0 below path 2**44
+            counter[1:] = [c >> s & _LIMB for s in (64, 128, 192)]
+        bg.state = state
         gen.random(out=row)
-        bg.advance(rest)
     return out
 
 
@@ -219,27 +237,33 @@ def _code_bytes(letters: int) -> int:
 
 def _batch_paths(steps: int, letters: int, cap: int) -> int:
     """Paths per batch: at most ``cap`` and, above a floor of one path,
-    within ``BATCH_BYTES``.  Per step a path holds 2 bytes of increments,
-    one code byte per four letters of the longest support word, and
-    ``letters`` cells of word array; on top of that come 3 word cells of
-    slack and ``_PATH_VECTOR_BYTES`` of the step loop's per-path vectors.
-    The uniforms are drawn ``BLOCK_BYTES`` at a time outside this budget."""
-    per_path = steps * (2 + _code_bytes(letters) + letters) + 3 + _PATH_VECTOR_BYTES
+    within ``BATCH_BYTES``.  Per step a path holds one code byte per four
+    letters of the longest support word and ``letters`` cells of word
+    array; on top of that come 3 word cells of slack and
+    ``_PATH_VECTOR_BYTES`` of the step loop's per-path vectors.  The
+    uniforms are drawn ``BLOCK_BYTES`` at a time outside this budget."""
+    per_path = steps * (_code_bytes(letters) + letters) + 3 + _PATH_VECTOR_BYTES
     return max(1, min(cap, BATCH_BYTES // per_path))
 
 
-def _step_increments(
-    cum: np.ndarray, seed: int, start: int, count: int, steps: int
+def _step_codes(
+    cum: np.ndarray, table: np.ndarray, seed: int, start: int, count: int, steps: int
 ) -> np.ndarray:
-    """Atom indices of paths ``start`` to ``start + count - 1`` as a
-    step-major ``(steps, count)`` array.  Uniforms are drawn and counted in
-    blocks of at most ``BLOCK_BYTES`` (and at least one path), so no
-    batch-sized float64 array exists; each path keeps its own stream."""
-    out = np.empty((steps, count), dtype=np.int16)
+    """Packed letter codes (``_packed_codes``) of the increments of paths
+    ``start`` to ``start + count - 1`` as a step-major ``(code bytes,
+    steps, count)`` array.  Uniforms are drawn, counted and looked up in
+    blocks of at most ``BLOCK_BYTES`` (and at least one path) into one
+    reused buffer, so no batch-sized float64 or index array exists, and
+    the heap is not cut up by a large buffer per block; each path keeps
+    its own stream."""
+    packed = _packed_codes(table)
+    out = np.empty((packed.shape[0], steps, count), dtype=np.int8)
     block = max(1, BLOCK_BYTES // (8 * steps))
+    u = np.empty((min(block, count), steps), dtype=np.float64)
     for lo in range(0, count, block):
         hi = min(lo + block, count)
-        out[:, lo:hi] = _increments(cum, _batch_uniforms(seed, start + lo, hi - lo, steps)).T
+        block_u = _batch_uniforms(seed, start + lo, hi - lo, steps, u[: hi - lo])
+        out[:, :, lo:hi] = packed[:, _increments(cum, block_u).T]
     return out
 
 
@@ -271,19 +295,17 @@ def _packed_codes(table: np.ndarray) -> np.ndarray:
 # are exactly those with top + c == 3 or top == c == 0; equal nonzero letters
 # merge to the third code 3 - c == c ^ 3; anything else appends.
 
-def _evolve(increments, table, width, tgt_flat, tgt_off):
-    """Multiply each row's increments (indices into ``table``) on the right.
+def _evolve(codes, table, width, tgt_flat, tgt_off):
+    """Multiply each path by its increments (rows of ``table``) on the right.
 
-    ``increments`` is ``(paths, steps)``; the transposed view of a
-    step-major array, as ``_batches`` passes it, saves a copy.  Each step
-    reads its letters from the packed code table (``_packed_codes``),
-    gathered once for the whole batch in step-major order.
+    ``codes[g, t, i]`` is byte ``g`` of the packed code (``_packed_codes``)
+    of path ``i``'s increment at step ``t``, as ``_step_codes`` draws it.
 
     Returns ``(W, L, visited)``: path ``i`` ends at the reduced word
     ``W[i, :L[i]]`` (cells past ``L[i]`` are scratch), and ``visited[i, k]``
     says whether it sat on target ``k`` after some step.
     """
-    B, steps = increments.shape
+    _, steps, B = codes.shape
     K = tgt_off.size - 1
     stride = width + 1
     # Flat rows of 1 + width cells.  Cell 0 of each row is a -1 sentinel, so
@@ -294,8 +316,6 @@ def _evolve(increments, table, width, tgt_flat, tgt_off):
     visited = np.zeros((B, K), dtype=np.bool_)
     targets = [tgt_flat[tgt_off[k] : tgt_off[k + 1]] for k in range(K)]
     longest = max((tgt.size for tgt in targets), default=0)
-    # codes[g, t]: byte g of every path's increment code at time t
-    codes = _packed_codes(table)[:, np.ascontiguousarray(increments.T)]
     always = (table >= 0).all(axis=0)
     c = np.empty(B, dtype=np.int8)
     three = np.int8(3)
@@ -365,10 +385,10 @@ def _batches(mu: GroupMeasure, cfg: SimConfig, batch_paths: int, tgt_flat, tgt_o
     that fits in one batch forks nothing.  A child's exception is raised
     here, and a run that stops early kills and reaps its children.
 
-    A batch draws its increments step-major, ``BLOCK_BYTES`` of uniforms at
-    a time (``_step_increments``).  They are freed when the kernel returns
-    and the word array when ``read`` does, so no two batches of one process
-    overlap."""
+    A batch draws the packed codes of its increments step-major,
+    ``BLOCK_BYTES`` of uniforms at a time (``_step_codes``).  They are freed
+    when the kernel returns and the word array when ``read`` does, so no two
+    batches of one process overlap."""
     _, cum, table = _support_table(mu)
     width = cfg.steps * table.shape[1] + 2
     size = _batch_paths(cfg.steps, table.shape[1], batch_paths)
@@ -381,7 +401,7 @@ def _batches(mu: GroupMeasure, cfg: SimConfig, batch_paths: int, tgt_flat, tgt_o
             count = min(size, hi - start)
             yield read(
                 *_evolve(
-                    _step_increments(cum, cfg.seed, start, count, cfg.steps).T,
+                    _step_codes(cum, table, cfg.seed, start, count, cfg.steps),
                     table, width, tgt_flat, tgt_off,
                 )
             )
@@ -488,16 +508,6 @@ def _run(
     return visit_counts, leaf_counts, unresolved
 
 
-def _ancestor(prefix: str, depth: int) -> str:
-    seen = 0
-    for i, ch in enumerate(prefix):
-        if ch == "a":
-            seen += 1
-            if seen == depth:
-                return prefix[: i + 1]
-    raise ValueError(f"prefix {prefix!r} is shallower than depth {depth}")
-
-
 def simulate(
     mu: GroupMeasure,
     cfg: SimConfig,
@@ -515,6 +525,11 @@ def simulate(
     the frequency table (at every depth, so parents stay the exact sums of
     their children); an unresolved fraction above
     ``max_unresolved_fraction`` raises :class:`UnresolvedPathsError`.
+
+    The tally adds each leaf's count to its prefixes in one scan and builds
+    one ``Cylinder`` per distinct prefix.  The report itself still holds up
+    to about ``paths * depth`` cylinders when most paths have their own
+    depth-``depth`` leaf.
     """
     targets = sorted(set(targets), key=GroupWord.sort_key)
     if batch_paths < 1:
@@ -535,11 +550,16 @@ def simulate(
         )
     resolved = cfg.paths - unresolved
 
-    counts: dict[Cylinder, int] = {}
+    # A leaf ends at its depth-th 'a'; the cylinder at each depth is the
+    # prefix ending at that depth's 'a'.
+    prefix_counts: dict[str, int] = {}
     for leaf, n in leaf_counts.items():
-        for depth in range(1, cfg.depth + 1):
-            cyl = Cylinder.of(_ancestor(leaf, depth))
-            counts[cyl] = counts.get(cyl, 0) + n
+        end = 0
+        for _ in range(cfg.depth):
+            end = leaf.index("a", end) + 1
+            prefix = leaf[:end]
+            prefix_counts[prefix] = prefix_counts.get(prefix, 0) + n
+    counts = {Cylinder.of(prefix): n for prefix, n in prefix_counts.items()}
     freq = {}
     for cyl, n in counts.items():
         est = n / resolved

@@ -321,13 +321,10 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PassageTriple:
     else:
         sq = _exact_isqrt(B * B - 4 * A * C)
         if sq is not None:
-            candidates = {Fraction(-B + sq, 2 * A), Fraction(-B - sq, 2 * A)}
-            inside = sorted(r for r in candidates if 0 < r < 1)
-            if not inside:
-                raise NoRootInCube("rational roots all fall outside (0,1)")
-            if len(inside) > 1:
-                raise MultipleRoots(f"two roots {inside} inside (0,1)")
-            y = inside[0]
+            # f(0) < 0 < f(1) puts exactly one root in (0, 1): the larger
+            # root when A > 0 (0 lies between the roots), the smaller when
+            # A < 0 (1 does); either way it is (-B + sq) / 2A.
+            y = Fraction(-B + sq, 2 * A)
         else:
             y = _bisection_midpoint((A, B, C), Fraction(1), Fraction(tol) / 8)
 
@@ -459,9 +456,8 @@ def hyperbola_point(bbarf: RationalLike, bits: int = 64) -> StepOnS:
         # v^2 times minus the branch quadratic 2 t^2 - 2 (bbarf+1) t + bbarf - bbarf^2,
         # which rises through the root, as the helper requires
         a, b, c = -2 * v * v, 2 * (u + v) * v, u * (u - v)
+        # it is v^2 bbarf (bbarf - 1) < 0 at 0 and v^2 (1 - bbarf^2) / 2 > 0 at hi
         hi = Fraction(v - u, 2 * v)
-        if not c < 0 < (a * hi + b) * hi + c:
-            raise NoRootInCube(f"no branch root for bbarf = {bb}")
         bf = _bisection_midpoint((a, b, c), hi, Fraction(1, 2**bits))
     return StepOnS(1 - 2 * bf - bb, bf, bb, bf, Fraction(0))
 

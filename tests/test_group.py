@@ -20,6 +20,7 @@ from modwalk import (
     word_length,
     word_to_matrix,
 )
+from modwalk.group import _check_letters
 
 from helpers import random_word
 
@@ -60,6 +61,32 @@ class TestWords:
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_word(bad)
+
+    @settings(derandomize=True, max_examples=500)
+    @given(
+        st.text(alphabet="abBx\n", max_size=12)
+        | st.text(alphabet="abB", max_size=12)
+        | words.map(str)
+    )
+    def test_letter_check_matches_the_loop(self, letters):
+        # The validation as it was: one loop over the letters.
+        def loop(letters):
+            prev = ""
+            for ch in letters:
+                if ch not in "abB":
+                    raise ValueError(f"invalid letter {ch!r}: words use 'a', 'b', 'B'")
+                if prev and (prev == "a") == (ch == "a"):
+                    raise ValueError(f"non-admissible pair {prev + ch!r} in {letters!r}")
+                prev = ch
+
+        def outcome(check):
+            try:
+                check(letters)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        assert outcome(_check_letters) == outcome(loop)
 
     @settings(derandomize=True, max_examples=200)
     @given(words, words, words)

@@ -139,13 +139,13 @@ def test_kernel_matches_reference(name):
     tgt_flat = np.array([montecarlo._CODE[ch] for t in TARGETS for ch in t.letters], dtype=np.int8)
     tgt_off = np.cumsum([0] + [len(t) for t in TARGETS]).astype(np.int64)
     W0, L0, v0 = reference_evolve(increments, table, width, tgt_flat, tgt_off)
-    # both the row-major input of a caller and the step-major one of _batches
-    for inc in (increments, np.ascontiguousarray(increments.T).T):
-        W, L, visited = montecarlo._evolve(inc, table, width, tgt_flat, tgt_off)
-        assert np.array_equal(L, L0)
-        in_word = np.arange(width) < L[:, None]
-        assert np.array_equal(W[in_word], W0[in_word])
-        assert np.array_equal(visited, v0)
+    # the step-major packed codes that _step_codes draws
+    codes = montecarlo._packed_codes(table)[:, increments.T]
+    W, L, visited = montecarlo._evolve(codes, table, width, tgt_flat, tgt_off)
+    assert np.array_equal(L, L0)
+    in_word = np.arange(width) < L[:, None]
+    assert np.array_equal(W[in_word], W0[in_word])
+    assert np.array_equal(visited, v0)
     # every nonempty target is hit by some path, so its checks were exercised
     assert v0[:, 1:].any(axis=0).sum() >= 2
 

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import os
 import random
 import tracemalloc
@@ -32,6 +34,15 @@ from modwalk import (
 from modwalk.montecarlo import _path_generator
 
 SYMMETRIC_NN = GroupMeasure.from_json_dict({"a": "1/3", "b": "1/3", "B": "1/3"})
+
+
+def _reduced_words(count):
+    """The first ``count`` nonempty reduced words, shortest first."""
+    words, level = [], ["a", "b", "B"]
+    while len(words) < count:
+        words += level
+        level = [w + x for w in level for x in ("bB" if w[-1] == "a" else "a")]
+    return words[:count]
 
 
 def small_cfg(**kw):
@@ -88,7 +99,7 @@ class TestSamplePath:
             montecarlo._support_table(mu)[1], u, side="right"
         ).astype(np.int16)
         W, L, visited = montecarlo._evolve(
-            increments, table, cfg.steps * table.shape[1] + 2,
+            montecarlo._packed_codes(table)[:, increments.T], table, cfg.steps * table.shape[1] + 2,
             np.array([montecarlo._CODE[ch] for t in targets for ch in t.letters], dtype=np.int8),
             np.cumsum([0] + [len(t) for t in targets]).astype(np.int64),
         )
@@ -136,10 +147,34 @@ class TestDeterminism:
 class TestBatchLayout:
     @pytest.mark.parametrize("steps", [1, 5, 403])
     def test_uniforms_follow_path_generators(self, steps):
-        start, count = 37, 6
-        u = montecarlo._batch_uniforms(12, start, count, steps)
-        for i, row in enumerate(u):
-            assert np.array_equal(row, _path_generator(12, start + i).random(steps))
+        # From 2**44 - 1 on, the paths' counters carry into the second limb.
+        for start, count in ((37, 6), (2**44 - 1, 3)):
+            u = montecarlo._batch_uniforms(12, start, count, steps)
+            for i, row in enumerate(u):
+                assert np.array_equal(row, _path_generator(12, start + i).random(steps))
+            into = np.full((count, steps), np.nan)
+            assert montecarlo._batch_uniforms(12, start, count, steps, into) is into
+            assert np.array_equal(into, u)
+
+    @pytest.mark.parametrize("block_bytes", [1, 1 << 40])
+    @pytest.mark.parametrize("words", [
+        ("ba",),
+        ("b", "ba", "ab", "aba", "B", "Ba", "aB", "aBa", "a"),
+        _reduced_words(65),
+    ])
+    def test_step_codes_gather_the_increments(self, monkeypatch, words, block_bytes):
+        # 1, 9 and 65 atoms; 65 take the searchsorted branch of _increments.
+        mu = GroupMeasure.uniform(parse_word(w) for w in words)
+        _, cum, table = montecarlo._support_table(mu)
+        assert cum.size == len(words)
+        seed, start, count, steps = 4, 29, 70, 45
+        increments = montecarlo._increments(
+            cum, montecarlo._batch_uniforms(seed, start, count, steps)
+        ).T  # the step-major layout the kernel used to gather from
+        monkeypatch.setattr(montecarlo, "BLOCK_BYTES", block_bytes)
+        codes = montecarlo._step_codes(cum, table, seed, start, count, steps)
+        assert codes.dtype == np.int8
+        assert np.array_equal(codes, montecarlo._packed_codes(table)[:, increments])
 
     @pytest.mark.parametrize("atoms", [1, 3, 9, 64, 65])
     def test_increments_match_searchsorted(self, atoms):
@@ -159,8 +194,8 @@ class TestBatchLayout:
         for letters in (1, 3):
             n = montecarlo._batch_paths(steps, letters, 16384)
             assert 1 <= n < 16384
-            # per step: int16 increments, a code byte per four letters, words
-            assert n * steps * (2 + 1 + letters) <= budget
+            # per step: a code byte per four letters, words
+            assert n * steps * (1 + letters) <= budget
             # the benchmark's 400-step runs keep the full default batch
             assert montecarlo._batch_paths(400, letters, 16384) == 16384
         assert montecarlo._batch_paths(steps, 1000, 16384) == 1  # floor of one path
@@ -172,12 +207,12 @@ class TestBatchLayout:
         sizes = []
         evolve = montecarlo._evolve
 
-        def recording_evolve(increments, *args):
-            sizes.append(increments.shape[0])
-            return evolve(increments, *args)
+        def recording_evolve(codes, *args):
+            sizes.append(codes.shape[2])
+            return evolve(codes, *args)
 
         monkeypatch.setattr(montecarlo, "_evolve", recording_evolve)
-        monkeypatch.setattr(montecarlo, "BATCH_BYTES", 40 * 1_330)
+        monkeypatch.setattr(montecarlo, "BATCH_BYTES", 40 * 690)  # 683 bytes per path
         monkeypatch.setattr(montecarlo, "CPUS", 1)  # calls are recorded here only
         capped = simulate(SYMMETRIC_NN, cfg, targets=[parse_word("ba")])
         assert sizes == [40] * 7 + [20]
@@ -194,9 +229,9 @@ class TestBatchLayout:
         sizes = []
         uniforms = montecarlo._batch_uniforms
 
-        def recording_uniforms(seed, start, count, steps):
+        def recording_uniforms(seed, start, count, steps, out):
             sizes.append(count)
-            return uniforms(seed, start, count, steps)
+            return uniforms(seed, start, count, steps, out)
 
         monkeypatch.setattr(montecarlo, "_batch_uniforms", recording_uniforms)
         monkeypatch.setattr(montecarlo, "BLOCK_BYTES", block_bytes)
@@ -207,9 +242,10 @@ class TestBatchLayout:
 
     def test_simulate_peaks_within_the_batch_budget(self, monkeypatch):
         # tracemalloc sees numpy's buffers.  The kernel holds at most
-        # BATCH_BYTES; drawing holds a batch's increments plus one block of
-        # uniforms and its counts, at most 2.25 * BLOCK_BYTES (18 bytes per
-        # 8 of uniforms above 64 atoms); 64 KiB covers readout and report.
+        # BATCH_BYTES, the batch's codes included; drawing adds one block of
+        # uniforms with its atom indices and their codes, 12 bytes per 8 of
+        # uniforms on this walk, within 2.25 * BLOCK_BYTES; 64 KiB covers
+        # readout and report.
         # Two batches alive at once would overshoot by a word array.
         mu = GroupMeasure.uniform(
             parse_word(w) for w in ("b", "ba", "ab", "aba", "B", "Ba", "aB", "aBa", "a")
@@ -256,14 +292,14 @@ class TestProcesses:
     def test_child_exception_reaches_the_parent(self, monkeypatch):
         # Two processes: the child's share starts at path 1001 // 2.
         monkeypatch.setattr(montecarlo, "CPUS", 2)
-        step_increments = montecarlo._step_increments
+        step_codes = montecarlo._step_codes
 
-        def failing(cum, seed, start, count, steps):
+        def failing(cum, table, seed, start, count, steps):
             if start == self.CFG.paths // 2:
                 raise LookupError("raised in the child")
-            return step_increments(cum, seed, start, count, steps)
+            return step_codes(cum, table, seed, start, count, steps)
 
-        monkeypatch.setattr(montecarlo, "_step_increments", failing)
+        monkeypatch.setattr(montecarlo, "_step_codes", failing)
         with pytest.raises(LookupError, match="raised in the child"):
             simulate(self.MU, self.CFG, batch_paths=128)
         self.no_children()
@@ -338,6 +374,38 @@ class TestEstimates:
         with pytest.warns(UserWarning, match="generate"):
             with pytest.raises(UnresolvedPathsError):
                 simulate(mu, small_cfg(paths=300))
+
+    def test_deep_tally_matches_the_ancestor_scan(self):
+        # The tally as it was: one ancestor scan and one Cylinder per leaf
+        # and depth.
+        def ancestor(prefix, depth):
+            seen = 0
+            for i, ch in enumerate(prefix):
+                if ch == "a":
+                    seen += 1
+                    if seen == depth:
+                        return prefix[: i + 1]
+            raise ValueError(f"prefix {prefix!r} is shallower than depth {depth}")
+
+        mu = GroupMeasure.uniform(
+            parse_word(w) for w in ("b", "ba", "ab", "aba", "B", "Ba", "aB", "aBa", "a")
+        )
+        cfg = SimConfig(paths=2000, steps=500, seed=4, depth=20)
+        report = simulate(mu, cfg, targets=[parse_word("ba")])
+        _, leaf_counts, _ = montecarlo._run(mu, cfg, [parse_word("ba")], 16384)
+        counts = {}
+        for leaf, n in leaf_counts.items():
+            for depth in range(1, cfg.depth + 1):
+                cyl = Cylinder.of(ancestor(leaf, depth))
+                counts[cyl] = counts.get(cyl, 0) + n
+        freq = {}
+        for cyl, n in counts.items():
+            est = n / report.resolved
+            freq[cyl] = (est, math.sqrt(est * (1 - est) / report.resolved))
+        old = dataclasses.replace(report, cylinder_freq=freq, cylinder_counts=counts)
+        assert report.to_json() == old.to_json()
+        assert list(report.cylinder_counts) == list(counts)  # same insertion order
+        assert len(counts) > 10 * len(leaf_counts)  # deep prefixes are mostly distinct
 
 
 class TestCompare:
