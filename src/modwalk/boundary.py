@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .group import GroupWord, reduce_concat, word_length
+from .group import GroupWord, reduce_concat
 
 __all__ = [
     "Cylinder",
@@ -105,7 +105,7 @@ def gromov_product(u: GroupWord, v: GroupWord) -> int:
 
 def cylinder_diameter(c: Cylinder) -> float:
     """Diameter ``e^-|g|`` of the shadow of ``g`` in the ultrametric ``e^-(.|.)``."""
-    return math.exp(-word_length(c.prefix))
+    return math.exp(-len(c.prefix))
 
 
 def _compact(prefixes: set[str]) -> set[str]:
@@ -134,12 +134,12 @@ def act_on_cylinder(h: GroupWord, c: Cylinder) -> tuple[Cylinder, ...]:
     """
     if h.is_identity():
         return (c,)
-    target = word_length(h) + 2
+    target = len(h) + 2
     stack = [c]
     images: set[str] = set()
     while stack:
         cyl = stack.pop()
-        if word_length(cyl.prefix) < target:
+        if len(cyl.prefix) < target:
             stack.extend(cyl.children())
         else:
             images.add(reduce_concat(h, cyl.prefix).letters)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -36,7 +37,6 @@ from .solver import (
     example_ex1,
     example_ex2,
     harmonic_params,
-    membership_alpha_roots,
     minkowski_residual,
     nn_step,
     residual,
@@ -124,6 +124,8 @@ def _cmd_solve(args) -> str:
 
 
 def _cmd_classify(args) -> str:
+    if not (args.tol >= 0 and math.isfinite(args.tol)):
+        raise ValueError(f"tol must be nonnegative and finite, got {args.tol}")
     mu = _step_from_json(args.mu)
     defect = denjoy_membership_residual(mu, args.alpha)
     params = harmonic_params(mu)
@@ -135,7 +137,6 @@ def _cmd_classify(args) -> str:
         "tol": args.tol,
         "harmonic_alpha": float(params.alpha),
         "harmonic_p": float(params.p),
-        "roots_in_unit_interval": list(membership_alpha_roots(mu)),
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -201,7 +202,8 @@ def _cmd_encode(args) -> str:
     else:
         text = args.cf.strip()
         digits = json.loads(text) if text.startswith("[") else [int(d) for d in text.split(",") if d.strip()]
-        if not isinstance(digits, list) or not all(isinstance(d, int) for d in digits):
+        # bool is an int subclass: true and false are not digits
+        if not isinstance(digits, list) or not all(type(d) is int for d in digits):
             raise ValueError("--cf takes a JSON array of integers or a comma list")
         word = cf_to_lr(digits)
         payload = {"cf": digits, "lr": word}

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Union
 
 from .boundary import Cylinder, act_on_cylinder, cylinders_up_to_depth
-from .group import GroupMeasure, GroupWord, inverse, word_length
+from .group import GroupMeasure, GroupWord, inverse
 from .mediant import _stem_runs
 
 __all__ = [
@@ -169,7 +169,7 @@ def rn_derivative(d: DenjoyParams, g: GroupWord, c: Cylinder) -> Scalar:
     be deep enough that the pullback is a single cylinder, which makes the
     ratio independent of further refinement.
     """
-    if word_length(c.prefix) <= word_length(g) + 1:
+    if len(c.prefix) <= len(g) + 1:
         raise ValueError(
             f"cylinder {c} is too shallow for the action of {g.letters!r}"
         )

@@ -23,7 +23,6 @@ __all__ = [
     "IDENTITY",
     "reduce_concat",
     "inverse",
-    "word_length",
     "parse_word",
     "word_to_matrix",
     "swap_b_letters",
@@ -132,8 +131,17 @@ def inverse(w: GroupWord) -> GroupWord:
     return GroupWord("".join(_INVERSE_LETTER[ch] for ch in reversed(w.letters)))
 
 
-def word_length(w: GroupWord) -> int:
-    return len(w.letters)
+def _provably_degenerate(words: Iterable[GroupWord]) -> bool:
+    """Sufficient (not complete) conditions for a support to fail to
+    generate the group as a semigroup: stuck in the order-2 factor, stuck in
+    the order-3 factor, or trapped in the free semigroup of words that start
+    with b/B and end with a (products never cancel there)."""
+    letters = [w.letters for w in words]
+    if all(s in ("", "a") for s in letters):
+        return True
+    if all("a" not in s for s in letters):
+        return True
+    return all(s and s[0] != "a" and s[-1] == "a" for s in letters)
 
 
 def parse_word(s: str) -> GroupWord:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .boundary import Cylinder
 from .denjoy import DenjoyParams, cylinder_mass
-from .group import GroupMeasure, GroupWord
+from .group import GroupMeasure, GroupWord, _provably_degenerate
 
 __all__ = [
     "RNG_CONTRACT",
@@ -57,6 +57,7 @@ PATH_STRIDE = 1 << 20  # counter positions reserved per path
 _LIMB = (1 << 64) - 1  # one 64-bit limb of Philox's 256-bit counter
 RNG_CONTRACT = "philox-per-path-v1"
 Z_THRESHOLD = 4.0  # standard errors at which the z tests reject
+BATCH_PATHS = 16384  # paths in one batch at most
 BATCH_BYTES = 256 << 20  # memory budget of one batch of paths
 BLOCK_BYTES = 4 << 20  # uniforms drawn at a time within a batch
 # Processes a run's paths are split across; 1 where there is no os.fork.
@@ -158,33 +159,19 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
 
-def _provably_degenerate(words) -> bool:
-    # Sufficient (not complete) conditions for the support to fail to
-    # generate the group as a semigroup: stuck in the order-2 factor, stuck
-    # in the order-3 factor, or trapped in the free semigroup of words that
-    # start with b/B and end with a (products never cancel there).
-    letters = [w.letters for w in words]
-    if all(s in ("", "a") for s in letters):
-        return True
-    if all("a" not in s for s in letters):
-        return True
-    if all(s and s[0] != "a" and s[-1] == "a" for s in letters):
-        return True
-    return False
-
-
 def _support_table(mu: GroupMeasure):
+    """The support words in sort order and their cumulative weights."""
     if not mu.is_probability():
         raise ValueError("mu must be a probability measure")
     words = sorted(mu.support(), key=GroupWord.sort_key)
     cum = np.cumsum(np.array([float(mu(w)) for w in words], dtype=np.float64))
     cum[-1] = 1.0  # guard float rounding of the total mass
-    width = max((len(w) for w in words), default=1) or 1
-    table = np.full((len(words), width), -1, dtype=np.int8)
-    for i, w in enumerate(words):
-        for j, ch in enumerate(w.letters):
-            table[i, j] = _CODE[ch]
-    return words, cum, table
+    return words, cum
+
+
+def _letters(words) -> int:
+    """Letter slots per increment: the longest support word, at least one."""
+    return max(len(w) for w in words) or 1
 
 
 def _path_generator(seed: int, index: int) -> np.random.Generator:
@@ -235,28 +222,27 @@ def _code_bytes(letters: int) -> int:
     return (letters + 3) // 4
 
 
-def _batch_paths(steps: int, letters: int, cap: int) -> int:
-    """Paths per batch: at most ``cap`` and, above a floor of one path,
-    within ``BATCH_BYTES``.  Per step a path holds one code byte per four
-    letters of the longest support word and ``letters`` cells of word
+def _batch_paths(steps: int, letters: int) -> int:
+    """Paths per batch: at most ``BATCH_PATHS`` and, above a floor of one
+    path, within ``BATCH_BYTES``.  Per step a path holds one code byte per
+    four letters of the longest support word and ``letters`` cells of word
     array; on top of that come 3 word cells of slack and
     ``_PATH_VECTOR_BYTES`` of the step loop's per-path vectors.  The
     uniforms are drawn ``BLOCK_BYTES`` at a time outside this budget."""
     per_path = steps * (_code_bytes(letters) + letters) + 3 + _PATH_VECTOR_BYTES
-    return max(1, min(cap, BATCH_BYTES // per_path))
+    return max(1, min(BATCH_PATHS, BATCH_BYTES // per_path))
 
 
 def _step_codes(
-    cum: np.ndarray, table: np.ndarray, seed: int, start: int, count: int, steps: int
+    cum: np.ndarray, packed: np.ndarray, seed: int, start: int, count: int, steps: int
 ) -> np.ndarray:
-    """Packed letter codes (``_packed_codes``) of the increments of paths
-    ``start`` to ``start + count - 1`` as a step-major ``(code bytes,
-    steps, count)`` array.  Uniforms are drawn, counted and looked up in
-    blocks of at most ``BLOCK_BYTES`` (and at least one path) into one
-    reused buffer, so no batch-sized float64 or index array exists, and
-    the heap is not cut up by a large buffer per block; each path keeps
+    """Packed letter codes (``packed``, from ``_packed_codes``) of the
+    increments of paths ``start`` to ``start + count - 1`` as a step-major
+    ``(code bytes, steps, count)`` array.  Uniforms are drawn, counted and
+    looked up in blocks of at most ``BLOCK_BYTES`` (and at least one path)
+    into one reused buffer, so no batch-sized float64 or index array exists,
+    and the heap is not cut up by a large buffer per block; each path keeps
     its own stream."""
-    packed = _packed_codes(table)
     out = np.empty((packed.shape[0], steps, count), dtype=np.int8)
     block = max(1, BLOCK_BYTES // (8 * steps))
     u = np.empty((min(block, count), steps), dtype=np.float64)
@@ -280,14 +266,14 @@ def _increments(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _packed_codes(table: np.ndarray) -> np.ndarray:
-    """``(bytes, atoms)`` code table: letter ``p`` of an atom sits in byte
-    ``p // 4`` at bits ``2 (p % 4)``, stored as its code plus one, so that 0
-    marks a letter the atom does not have."""
-    atoms, letters = table.shape
-    packed = np.zeros((_code_bytes(letters), atoms), dtype=np.uint8)
-    for p in range(letters):
-        packed[p // 4] |= (table[:, p] + 1).astype(np.uint8) << (2 * (p % 4))
+def _packed_codes(words) -> np.ndarray:
+    """``(bytes, atoms)`` code table of the support ``words``: letter ``p``
+    of an atom sits in byte ``p // 4`` at bits ``2 (p % 4)``, stored as its
+    code plus one, so that 0 marks a letter the atom does not have."""
+    packed = np.zeros((_code_bytes(_letters(words)), len(words)), dtype=np.uint8)
+    for i, w in enumerate(words):
+        for p, ch in enumerate(w.letters):
+            packed[p // 4, i] |= (_CODE[ch] + 1) << (2 * (p % 4))
     return packed.view(np.int8)
 
 
@@ -295,32 +281,33 @@ def _packed_codes(table: np.ndarray) -> np.ndarray:
 # are exactly those with top + c == 3 or top == c == 0; equal nonzero letters
 # merge to the third code 3 - c == c ^ 3; anything else appends.
 
-def _evolve(codes, table, width, tgt_flat, tgt_off):
-    """Multiply each path by its increments (rows of ``table``) on the right.
+def _evolve(codes, shortest, letters, targets):
+    """Multiply each path by its increments on the right.
 
     ``codes[g, t, i]`` is byte ``g`` of the packed code (``_packed_codes``)
-    of path ``i``'s increment at step ``t``, as ``_step_codes`` draws it.
+    of path ``i``'s increment at step ``t``, as ``_step_codes`` draws it;
+    the support words have ``shortest`` to ``letters`` letters.  Each of
+    ``targets`` is an int8 array of letter codes.
 
     Returns ``(W, L, visited)``: path ``i`` ends at the reduced word
     ``W[i, :L[i]]`` (cells past ``L[i]`` are scratch), and ``visited[i, k]``
     says whether it sat on target ``k`` after some step.
     """
     _, steps, B = codes.shape
-    K = tgt_off.size - 1
-    stride = width + 1
-    # Flat rows of 1 + width cells.  Cell 0 of each row is a -1 sentinel, so
-    # W[top_at] is the top letter, or the sentinel of an empty word.
+    K = len(targets)
+    stride = steps * letters + 3
+    # Flat rows: cell 0 is a -1 sentinel, so W[top_at] is the top letter or
+    # the sentinel of an empty word; then room for steps * letters letters
+    # and two cells of scratch.
     W = np.full(B * stride, -1, dtype=np.int8)
     base = np.arange(B, dtype=np.int64) * stride
     top_at = base.copy()
     visited = np.zeros((B, K), dtype=np.bool_)
-    targets = [tgt_flat[tgt_off[k] : tgt_off[k + 1]] for k in range(K)]
     longest = max((tgt.size for tgt in targets), default=0)
-    always = (table >= 0).all(axis=0)
     c = np.empty(B, dtype=np.int8)
     three = np.int8(3)
     for t in range(steps):
-        for p, present in enumerate(always):
+        for p in range(letters):
             np.right_shift(codes[p // 4, t], 2 * (p % 4), out=c)
             np.bitwise_and(c, 3, out=c)
             c -= 1  # letter code, or -1 if absent
@@ -331,7 +318,7 @@ def _evolve(codes, table, width, tgt_flat, tgt_off):
             # An append writes above the top and a merge over it; a cancel or
             # an absent letter writes scratch above the new length.
             value = c ^ (merge.view(np.int8) * three)
-            if present:
+            if p < shortest:  # every atom has letter p
                 top_at += append
                 W[top_at] = value
             else:
@@ -361,7 +348,7 @@ def sample_path(
 
     The start position (the identity, time 0) counts as visited.
     """
-    words, cum, _ = _support_table(mu)
+    words, cum = _support_table(mu)
     targets = frozenset(targets)
     visited = {t for t in targets if t.is_identity()}
     position = GroupWord.identity()
@@ -373,14 +360,15 @@ def sample_path(
     return position, frozenset(visited)
 
 
-def _batches(mu: GroupMeasure, cfg: SimConfig, batch_paths: int, tgt_flat, tgt_off, read):
+def _batches(mu: GroupMeasure, cfg: SimConfig, targets, read):
     """Run ``cfg.paths`` paths under RNG contract v1; yields ``read(W, L,
-    visited)`` of the kernel's output for each batch, in path order.
+    visited)`` of the kernel's output (``_evolve`` on ``targets``) for each
+    batch, in path order.
 
     The paths are cut into up to ``CPUS`` contiguous shares, one per
     process: this process runs the first share, and each other share runs
     in a forked child that sends its reads back through a pipe.  All
-    processes together batch at most ``batch_paths`` paths and
+    processes together batch at most ``BATCH_PATHS`` paths and
     ``BATCH_BYTES`` at a time (above a floor of one path each), and a run
     that fits in one batch forks nothing.  A child's exception is raised
     here, and a run that stops early kills and reaps its children.
@@ -389,9 +377,10 @@ def _batches(mu: GroupMeasure, cfg: SimConfig, batch_paths: int, tgt_flat, tgt_o
     ``BLOCK_BYTES`` of uniforms at a time (``_step_codes``).  They are freed
     when the kernel returns and the word array when ``read`` does, so no two
     batches of one process overlap."""
-    _, cum, table = _support_table(mu)
-    width = cfg.steps * table.shape[1] + 2
-    size = _batch_paths(cfg.steps, table.shape[1], batch_paths)
+    words, cum = _support_table(mu)
+    packed = _packed_codes(words)
+    shortest, letters = min(map(len, words)), _letters(words)
+    size = _batch_paths(cfg.steps, letters)
     n = min(CPUS, -(-cfg.paths // size))
     size = max(1, size // n)
     cuts = [cfg.paths * j // n for j in range(n + 1)]
@@ -401,8 +390,8 @@ def _batches(mu: GroupMeasure, cfg: SimConfig, batch_paths: int, tgt_flat, tgt_o
             count = min(size, hi - start)
             yield read(
                 *_evolve(
-                    _step_codes(cum, table, cfg.seed, start, count, cfg.steps),
-                    table, width, tgt_flat, tgt_off,
+                    _step_codes(cum, packed, cfg.seed, start, count, cfg.steps),
+                    shortest, letters, targets,
                 )
             )
 
@@ -464,16 +453,8 @@ def _fork(reads):
         os._exit(code)
 
 
-def _run(
-    mu: GroupMeasure,
-    cfg: SimConfig,
-    targets: Sequence[GroupWord],
-    batch_paths: int,
-):
-    tgt_flat = np.array(
-        [_CODE[ch] for t in targets for ch in t.letters], dtype=np.int8
-    )
-    tgt_off = np.cumsum([0] + [len(t.letters) for t in targets]).astype(np.int64)
+def _run(mu: GroupMeasure, cfg: SimConfig, targets: Sequence[GroupWord]):
+    codes = [np.array([_CODE[ch] for ch in t.letters], dtype=np.int8) for t in targets]
     identity = [j for j, t in enumerate(targets) if t.is_identity()]
 
     def read(W, L, visited):
@@ -500,7 +481,7 @@ def _run(
     visit_counts = np.zeros(len(targets), dtype=np.int64)
     leaf_counts: dict[str, int] = {}
     unresolved = 0
-    for visits, leaves, short in _batches(mu, cfg, batch_paths, tgt_flat, tgt_off, read):
+    for visits, leaves, short in _batches(mu, cfg, codes, read):
         visit_counts += visits
         for key, n in leaves:
             leaf_counts[key] = leaf_counts.get(key, 0) + n
@@ -512,7 +493,6 @@ def simulate(
     mu: GroupMeasure,
     cfg: SimConfig,
     targets: Iterable[GroupWord] = (),
-    batch_paths: int = 16384,
     max_unresolved_fraction: float = 0.01,
 ) -> SimReport:
     """Full run: passage estimates for ``targets`` plus cylinder frequencies
@@ -532,8 +512,6 @@ def simulate(
     depth-``depth`` leaf.
     """
     targets = sorted(set(targets), key=GroupWord.sort_key)
-    if batch_paths < 1:
-        raise ValueError("batch_paths must be >= 1")
     degenerate = _provably_degenerate(mu.support())
     if degenerate:
         warnings.warn(
@@ -541,7 +519,7 @@ def simulate(
             " estimates describe this restricted walk only",
             stacklevel=2,
         )
-    visit_counts, leaf_counts, unresolved = _run(mu, cfg, targets, batch_paths)
+    visit_counts, leaf_counts, unresolved = _run(mu, cfg, targets)
 
     if unresolved > max_unresolved_fraction * cfg.paths:
         raise UnresolvedPathsError(
@@ -600,36 +578,11 @@ class ZScoreRow:
 class ZTable:
     rows: tuple[ZScoreRow, ...]
     max_abs_z: float
-    threshold: float
-    passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "cylinder": str(r.cylinder),
-                    "estimate": r.estimate,
-                    "expected": r.expected,
-                    "stderr": r.stderr,
-                    "z": r.z,
-                }
-                for r in self.rows
-            ],
-            "max_abs_z": self.max_abs_z,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
+    passed: bool  # max_abs_z within Z_THRESHOLD
 
 
-def compare_with_analytic(
-    report: SimReport,
-    params: DenjoyParams,
-    threshold: float = Z_THRESHOLD,
-    depth: int | None = None,
-) -> ZTable:
+def compare_with_analytic(report: SimReport, params: DenjoyParams) -> ZTable:
     """Per-cylinder z-scores of the report against a measure of the family."""
-    if depth is not None and depth != report.depth:
-        raise ValueError(f"depth mismatch: report has {report.depth}, expected {depth}")
     if report.degenerate_support:
         raise ValueError(
             "the simulated walk had a provably degenerate support; its limit"
@@ -647,7 +600,7 @@ def compare_with_analytic(
             z = (est - expected) / se
         worst = max(worst, abs(z))
         rows.append(ZScoreRow(cyl, est, expected, se, z))
-    return ZTable(tuple(rows), worst, threshold, worst <= threshold)
+    return ZTable(tuple(rows), worst, worst <= Z_THRESHOLD)
 
 
 @dataclass(frozen=True, slots=True)
@@ -685,9 +638,7 @@ class AlphaEstimate:
         }
 
 
-def estimate_alpha(
-    mu: GroupMeasure, cfg: SimConfig, batch_paths: int = 16384
-) -> AlphaEstimate:
+def estimate_alpha(mu: GroupMeasure, cfg: SimConfig) -> AlphaEstimate:
     """Estimate ``alpha`` from the first ``cfg.depth`` ``b``/``B`` letters of
     each path's final word.
 
@@ -695,14 +646,12 @@ def estimate_alpha(
     ``P(b) = alpha`` whatever ``p`` is, so a single z-score against ``1/2``
     tests membership in the whole Minkowski class.  Paths whose final word
     holds fewer than ``cfg.depth`` such letters are unresolved and dropped;
-    an unresolved fraction above 1% raises :class:`UnresolvedPathsError`,
-    and fewer than two resolved paths raise ``ValueError``.
-    Paths are tallied by their integer count of ``b``, so the result obeys
-    RNG contract v1 exactly whatever ``batch_paths`` is.
+    an unresolved fraction above 1% raises :class:`UnresolvedPathsError`.
+    Fewer than two resolved paths, or resolved paths that all hold the same
+    count of ``b``, leave no standard error to test with and raise
+    ``ValueError``.  Paths are tallied by their integer count of ``b``, so
+    the result obeys RNG contract v1 exactly whatever the batch layout is.
     """
-    if batch_paths < 1:
-        raise ValueError("batch_paths must be >= 1")
-    no_targets = (np.zeros(0, dtype=np.int8), np.zeros(1, dtype=np.int64))
     k = cfg.depth
     tally = np.zeros(k + 1, dtype=np.int64)  # resolved paths by count of 'b'
 
@@ -717,7 +666,7 @@ def estimate_alpha(
         b_count = ((P == 1) & first).sum(axis=1)
         return np.bincount(b_count[resolved_mask], minlength=k + 1)
 
-    for counts in _batches(mu, cfg, batch_paths, *no_targets, read):
+    for counts in _batches(mu, cfg, (), read):
         tally += counts
 
     resolved = int(tally.sum())
@@ -733,7 +682,13 @@ def estimate_alpha(
         )
     s1 = sum(j * int(n) for j, n in enumerate(tally))
     s2 = sum(j * j * int(n) for j, n in enumerate(tally))
-    var = (resolved * s2 - s1 * s1) / (resolved * (resolved - 1))
+    spread = resolved * s2 - s1 * s1  # resolved^2 times the paths' variance
+    if spread == 0:
+        raise ValueError(
+            f"the letter test has no standard error: all {resolved} resolved paths"
+            f" hold {s1 // resolved} letters 'b' among their first {k} 'b'/'B'"
+        )
+    var = spread / (resolved * (resolved - 1))
     return AlphaEstimate(s1 / (k * resolved), math.sqrt(var / resolved) / k, resolved, k)
 
 

@@ -30,6 +30,7 @@ from typing import Mapping, Sequence, Union
 from .denjoy import DenjoyParams, Scalar
 from .group import (
     GroupMeasure,
+    _provably_degenerate,
     conjugate,
     convolve,
     parse_word,
@@ -51,7 +52,6 @@ __all__ = [
     "harmonic_params",
     "denjoy_membership_residual",
     "minkowski_residual",
-    "membership_alpha_roots",
     "nn_step",
     "nn_solve",
     "phi",
@@ -96,7 +96,8 @@ class StepOnS:
 
     Weights are exact rationals summing to 1.  Non-degeneracy (the support
     generates the group as a semigroup) amounts to the support not being
-    contained in ``{a}``, ``{b, B}``, or ``{ba, Ba}``.
+    contained in ``{a}``, ``{b, B}``, or ``{ba, Ba}``; on this set that is
+    exactly the test of ``group._provably_degenerate``.
     """
 
     af: Fraction
@@ -113,8 +114,7 @@ class StepOnS:
             object.__setattr__(self, name, value)
         if sum(self.as_tuple()) != 1:
             raise ValueError(f"weights must sum to 1, got {sum(self.as_tuple())}")
-        support = {i for i, w in enumerate(self.as_tuple()) if w}
-        if support <= {0} or support <= {1, 2} or support <= {3, 4}:
+        if _provably_degenerate(w for w, m in zip(S_WORDS, self.as_tuple()) if m):
             raise DegenerateStepError(
                 "support contained in {a}, {b, B}, or {ba, Ba} does not generate"
             )
@@ -272,26 +272,6 @@ def _bisection_midpoint(coeffs: tuple[int, int, int], hi: Fraction, width: Fract
     return Fraction((2 * k + 1) * u, 2 * E)
 
 
-def membership_alpha_roots(mu: StepOnS) -> tuple[float, ...]:
-    """All real roots of the membership relation inside ``(0, 1)``.
-
-    Uniqueness of the stationary measure promises a single root (the
-    harmonic ``alpha``); everything found is reported so callers can detect
-    a contradiction instead of silently picking one.
-    """
-    A, B, C = (float(c) for c in y_equation_coefficients(mu))
-    if A == 0:
-        roots = [-C / B] if B else []
-    else:
-        disc = B * B - 4 * A * C
-        if disc < 0:
-            roots = []
-        else:
-            root = disc**0.5
-            roots = [(-B + root) / (2 * A), (-B - root) / (2 * A)]
-    return tuple(sorted(r for r in set(roots) if 0 < r < 1))
-
-
 def solve_master(mu: StepOnS, tol: float = 1e-15) -> PassageTriple:
     """Unique solution of the stationarity system in the open unit cube.
 
@@ -355,9 +335,9 @@ def residual(mu: StepOnS, t: PassageTriple) -> tuple[Scalar, Scalar, Scalar]:
     return (r1, r2, r3)
 
 
-def harmonic_params(mu: StepOnS, tol: float = 1e-15) -> DenjoyParams:
+def harmonic_params(mu: StepOnS) -> DenjoyParams:
     """Parameters of the harmonic measure: ``alpha = y`` and ``p = x/(1+x) < 1/2``."""
-    t = solve_master(mu, tol)
+    t = solve_master(mu)
     return DenjoyParams(t.y, t.x / (1 + t.x))
 
 
@@ -465,6 +445,10 @@ def hyperbola_point(bbarf: RationalLike, bits: int = 64) -> StepOnS:
 # ---------------------------------------------------------------------------
 # Counterexample reports: equivalent endpoints whose compounds leave the class.
 
+# Float alphas closer than this count as one class: endpoints must agree
+# within it, and a combination must miss their class by more.
+_ALPHA_GAP = 1e-12
+
 # Frozen level-set pair on phi = 1/8: the chord through (1/2, 1/2) with
 # slope -3/4 meets the level set again at (157/206, 31/206); both points
 # are exact rational members, certified below by evaluating phi.
@@ -503,13 +487,12 @@ class Ex0Report:
 
 def example_ex0(
     ts: Sequence[RationalLike] = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),
-    tol: float = 1e-15,
 ) -> Ex0Report:
     """Certify the frozen level-set pair and the failure of its combinations.
 
     Both endpoints lie exactly on the same nonzero level set, hence share
     ``alpha``; each tested combination must miss the common ``alpha`` by
-    more than ``1000 * tol``.
+    more than ``1e-12``.
     """
     first, second = EX0_PAIR
     if phi(first) != EX0_LEVEL or phi(second) != EX0_LEVEL:
@@ -518,7 +501,7 @@ def example_ex0(
     _, _, params2 = nn_solve(second)
     alpha1, alpha2 = float(params1.alpha), float(params2.alpha)
     gap_end = abs(alpha1 - alpha2)
-    if gap_end > 1e-12:
+    if gap_end > _ALPHA_GAP:
         raise SolverContradictionError("endpoints disagree on alpha")
     combos = []
     for t in ts:
@@ -526,7 +509,7 @@ def example_ex0(
         mixed = first.combine(second, t)
         _, _, params_mix = nn_solve(mixed)
         gap = abs(float(params_mix.alpha) - alpha1)
-        if gap <= 1000 * tol:
+        if gap <= _ALPHA_GAP:
             raise SolverContradictionError(
                 f"combination t={t} failed to leave the class (gap {gap})"
             )
@@ -562,9 +545,9 @@ def example_ex1(
     bbar1: RationalLike,
     bbar2: RationalLike,
     t: RationalLike = Fraction(1, 2),
-    tol: float = 1e-15,
 ) -> Ex1Report:
-    """Convex combination of two hyperbola points leaves the Minkowski class.
+    """Convex combination of two hyperbola points leaves the Minkowski class:
+    its ``alpha`` misses ``1/2`` by more than ``1e-12``.
 
     The report carries the combined step distribution, ready to hand to the
     simulator for an independent confirmation.
@@ -576,9 +559,9 @@ def example_ex1(
         raise SolverContradictionError("hyperbola endpoints are not filling")
     t = Fraction(t)
     mixed = mu1.combine(mu2, t)
-    params = harmonic_params(mixed, tol)
+    params = harmonic_params(mixed)
     gap = abs(float(params.alpha) - 0.5)
-    if gap <= 1000 * tol:
+    if gap <= _ALPHA_GAP:
         raise SolverContradictionError(f"combination stayed Minkowski (gap {gap})")
     return Ex1Report(
         (mu1, mu2), (r1, r2), t, mixed, float(params.alpha), float(params.p), gap

@@ -18,7 +18,6 @@ from modwalk import (
     parse_word,
     reduce_concat,
     root_partition,
-    word_length,
 )
 
 from helpers import random_word
@@ -44,12 +43,12 @@ def _compact_reference(prefixes: set[str]) -> set[str]:
 
 
 def _refined_images(h: GroupWord, c: Cylinder) -> set[str]:
-    target = word_length(h) + 2
+    target = len(h) + 2
     stack = [c]
     images: set[str] = set()
     while stack:
         cyl = stack.pop()
-        if word_length(cyl.prefix) < target:
+        if len(cyl.prefix) < target:
             stack.extend(cyl.children())
         else:
             images.add(reduce_concat(h, cyl.prefix).letters)

@@ -15,6 +15,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _non_finite(name):
+    raise AssertionError(f"stdout carries the non-finite number {name}")
+
+
+def parse(text):
+    """A JSON payload from stdout; NaN and Infinity fail the test."""
+    return json.loads(text, parse_constant=_non_finite)
+
+
 def load_schema(name):
     text = resources.files("modwalk").joinpath(f"schemas/{name}").read_text()
     return json.loads(text)
@@ -30,7 +39,7 @@ class TestSolve:
             capsys, "solve", "--mu", '{"a":"1/3","b":"1/3","bb":"1/3"}'
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = parse(out)
         validate(payload, "solve.schema.json")
         assert payload["alpha"] == 0.5
         assert payload["p"] == 0.4
@@ -77,7 +86,7 @@ class TestSolve:
         mu = hyperbola_point(Fraction(1, 2))
         code, out, _ = run(capsys, "solve", "--mu", json.dumps(mu.to_json_dict()))
         assert code == 0
-        payload = json.loads(out)
+        payload = parse(out)
         assert abs(payload["minkowski_residual"]) <= 1e-12
         assert abs(payload["alpha"] - 0.5) <= 1e-12
 
@@ -88,18 +97,34 @@ class TestClassify:
             capsys, "classify", "--mu", '{"a":"1/3","b":"1/3","bb":"1/3"}', "--alpha", "1/2"
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = parse(out)
         validate(payload, "classify.schema.json")
         assert payload["is_member"] is True
         assert payload["residual"] == 0
-        assert payload["roots_in_unit_interval"] == [0.5]
 
     def test_non_membership(self, capsys):
         code, out, _ = run(
             capsys, "classify", "--mu", '{"a":"1/3","b":"1/2","bb":"1/6"}', "--alpha", "1/2"
         )
-        payload = json.loads(out)
+        payload = parse(out)
         assert code == 0 and payload["is_member"] is False
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-0.5"])
+    def test_invalid_tol_exit_2(self, capsys, tol):
+        mu = '{"a":"1/3","b":"1/3","bb":"1/3"}'
+        code, out, err = run(capsys, "classify", "--mu", mu, "--alpha", "1/2", "--tol", tol)
+        assert code == 2 and out == ""
+        assert "tol" in err
+
+    def test_zero_tol_is_the_exact_test(self, capsys):
+        member = '{"a":"1/3","b":"1/3","bb":"1/3"}'
+        code, out, _ = run(capsys, "classify", "--mu", member, "--alpha", "1/2", "--tol", "0")
+        payload = parse(out)
+        validate(payload, "classify.schema.json")
+        assert code == 0 and payload["is_member"] is True and payload["tol"] == 0
+        other = '{"a":"1/3","b":"1/2","bb":"1/6"}'
+        code, out, _ = run(capsys, "classify", "--mu", other, "--alpha", "1/2", "--tol", "0")
+        assert code == 0 and parse(out)["is_member"] is False
 
 
 class TestSimulate:
@@ -121,7 +146,7 @@ class TestSimulate:
         )
         code, out, _ = run(capsys, *args)
         assert code == 0
-        payload = json.loads(out)
+        payload = parse(out)
         validate(payload, "simulate.schema.json")
         assert payload["seed"] == 9
         assert set(payload["passage"]) == {"a", "ba"}
@@ -148,7 +173,7 @@ class TestSimulate:
             "2",
         )
         assert code == 0
-        assert json.loads(out)["seed"] == 123
+        assert parse(out)["seed"] == 123
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_unresolved_exit_5(self, capsys):
@@ -172,7 +197,7 @@ class TestQmark:
     def test_example(self, capsys):
         code, out, _ = run(capsys, "qmark", "--x", "1/3", "--depth", "64")
         assert code == 0
-        payload = json.loads(out)
+        payload = parse(out)
         validate(payload, "qmark.schema.json")
         assert payload["dyadic"] == "1/4"
         assert payload["decimal"] == 0.25
@@ -185,7 +210,7 @@ class TestEncode:
     def test_rational(self, capsys):
         code, out, _ = run(capsys, "encode", "--rational", "2/5")
         assert code == 0
-        payload = json.loads(out)
+        payload = parse(out)
         validate(payload, "encode.schema.json")
         assert payload["stem"] == "LLR"
         assert payload["interval"] == {"left": "1/3", "right": "1/2"}
@@ -195,14 +220,20 @@ class TestEncode:
 
     def test_round_trips(self, capsys):
         _, out, _ = run(capsys, "encode", "--rational", "9/4")
-        first = json.loads(out)
+        first = parse(out)
         _, out, _ = run(capsys, "encode", "--cf", json.dumps(first["cf"]))
-        second = json.loads(out)
+        second = parse(out)
         validate(second, "encode.schema.json")
         assert second["value"] == "9/4"
         _, out, _ = run(capsys, "encode", "--lr", first["stem"])
-        third = json.loads(out)
+        third = parse(out)
         assert third["mediant"] == "9/4"
+
+    @pytest.mark.parametrize("cf", ["[1, true]", "[false]", "[1, 2.0]"])
+    def test_cf_digits_must_be_integers_exit_2(self, capsys, cf):
+        code, out, err = run(capsys, "encode", "--cf", cf)
+        assert code == 2 and out == ""
+        assert "--cf" in err
 
     def test_requires_exactly_one_input(self, capsys):
         assert run(capsys, "encode")[0] == 2
@@ -216,7 +247,7 @@ class TestMeasure:
             capsys, "measure", "--alpha", "1/2", "--p", "1/3", "--cylinder", "aba"
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = parse(out)
         validate(payload, "measure.schema.json")
         assert payload["mass_exact"] == "1/6"
 
@@ -225,14 +256,14 @@ class TestMeasure:
             capsys, "measure", "--alpha", "1/2", "--p", "1/3", "--cylinder", "ab"
         )
         assert code == 0
-        assert json.loads(out)["cylinder"] == "aba"
+        assert parse(out)["cylinder"] == "aba"
 
 
 class TestExample:
     def test_ex2_report(self, capsys):
         code, out, _ = run(capsys, "example", "ex2", "--bbar", "1/2")
         assert code == 0
-        payload = json.loads(out)
+        payload = parse(out)
         validate(payload, "example.schema.json")
         assert abs(payload["minkowski_residual"]) > 1e-3
         assert payload["witness_2b_minus_bb"] != "0"
@@ -240,13 +271,13 @@ class TestExample:
     def test_ex0_and_ex1(self, capsys):
         code, out, _ = run(capsys, "example", "ex0")
         assert code == 0
-        payload = json.loads(out)
+        payload = parse(out)
         assert payload["combinations"][0]["alpha_gap"] > 1e-3
         code, out, _ = run(
             capsys, "example", "ex1", "--bbar", "1/3", "--bbar2", "1/2", "--t", "1/2"
         )
         assert code == 0
-        assert json.loads(out)["alpha_gap"] > 1e-3
+        assert parse(out)["alpha_gap"] > 1e-3
 
     @pytest.mark.parametrize("t", ["0", "1", "2"])
     def test_combination_weight_outside_unit_interval_exit_2(self, capsys, t):
@@ -275,7 +306,7 @@ class TestExample:
             "1",
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = parse(out)
         validate(payload, "example.schema.json")
         assert abs(payload["simulation"]["z_vs_harmonic"]) <= 4
 
@@ -298,7 +329,7 @@ class TestExample:
             "--paths", "2000", "--steps", "320", "--depth", "2", "--seed", "1",
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = parse(out)
         validate(payload, "example.schema.json")
         sim = payload["simulation"]
         cfg = SimConfig(paths=2000, steps=320, seed=1, depth=2)
@@ -324,6 +355,16 @@ class TestExample:
         assert code == 2
         assert "Infinity" not in out
         assert "two resolved paths" in err
+
+    @pytest.mark.parametrize("seed", ["2", "3", "4", "5", "6"])
+    def test_equal_letter_counts_exit_2(self, capsys, seed):
+        # Both paths' first b/B letter is the same: no standard error.
+        code, out, err = run(
+            capsys, "example", "ex2", "--simulate",
+            "--paths", "2", "--depth", "1", "--steps", "120", "--seed", seed,
+        )
+        assert code == 2 and out == ""
+        assert "no standard error" in err
 
     def test_schema_rejects_leftover_simulation_keys(self):
         schema = load_schema("example.schema.json")

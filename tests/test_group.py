@@ -17,7 +17,6 @@ from modwalk import (
     strip_identity_renormalize,
     swap_b_letters,
     translate_right,
-    word_length,
     word_to_matrix,
 )
 from modwalk.group import _check_letters
@@ -49,9 +48,9 @@ class TestWords:
         assert inverse(parse_word("ba")) == parse_word("aB")
 
     def test_length_examples(self):
-        assert word_length(IDENTITY) == 0
-        assert word_length(parse_word("ba")) == 2
-        assert word_length(parse_word("aBa")) == 3
+        assert len(IDENTITY) == 0
+        assert len(parse_word("ba")) == 2
+        assert len(parse_word("aBa")) == 3
 
     def test_parse_format_round_trip(self):
         for text in ("", "aBa", "bab", "Bababa"):
@@ -100,7 +99,7 @@ class TestWords:
     @settings(derandomize=True, max_examples=200)
     @given(words, words)
     def test_length_subadditive(self, u, v):
-        assert word_length(reduce_concat(u, v)) <= word_length(u) + word_length(v)
+        assert len(reduce_concat(u, v)) <= len(u) + len(v)
 
     def test_swap_is_automorphism(self):
         rng = random.Random(5)
@@ -136,8 +135,7 @@ class TestMatrices:
                 ext
                 for w in level
                 for ch in "abB"
-                if word_length(ext := reduce_concat(w, GroupWord(ch)))
-                == word_length(w) + 1
+                if len(ext := reduce_concat(w, GroupWord(ch))) == len(w) + 1
             ]
             level = sorted(set(level), key=GroupWord.sort_key)
             words_so_far.extend(level)

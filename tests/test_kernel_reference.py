@@ -3,8 +3,10 @@
 The references below are the word-evolution kernel and the cylinder
 readout that ``montecarlo`` used before each batch drew its uniforms in
 blocks, read its letters from a packed step-major code table and read
-cylinders off the first ``2d`` columns only.  Final lengths, in-word cells,
-target visits and leaf counts must be equal to theirs.
+cylinders off the first ``2d`` columns only.  They keep that batch's
+input formats: a ``-1``-padded letter table of the support and the targets
+as one flat code array with offsets.  Final lengths, in-word cells, target
+visits and leaf counts must be equal to theirs.
 """
 
 import itertools
@@ -20,6 +22,22 @@ from modwalk import GroupMeasure, SimConfig, parse_word
 
 # ---------------------------------------------------------------------------
 # References: the batch as it was.
+
+
+def reference_table(words):
+    """Row ``i`` holds the letter codes of ``words[i]``, padded with -1."""
+    table = np.full((len(words), max(len(w) for w in words) or 1), -1, dtype=np.int8)
+    for i, w in enumerate(words):
+        for j, ch in enumerate(w.letters):
+            table[i, j] = montecarlo._CODE[ch]
+    return table
+
+
+def reference_targets(targets):
+    """``(tgt_flat, tgt_off)``: the targets' codes end to end, and offsets."""
+    tgt_flat = np.array([montecarlo._CODE[ch] for t in targets for ch in t.letters], dtype=np.int8)
+    tgt_off = np.cumsum([0] + [len(t.letters) for t in targets]).astype(np.int64)
+    return tgt_flat, tgt_off
 
 
 def reference_evolve(increments, table, width, tgt_flat, tgt_off):
@@ -58,9 +76,9 @@ def reference_evolve(increments, table, width, tgt_flat, tgt_off):
 
 def reference_run(mu, cfg, targets, batch_paths):
     """Whole-batch uniforms, the reference kernel and the full-width readout."""
-    tgt_flat = np.array([montecarlo._CODE[ch] for t in targets for ch in t.letters], dtype=np.int8)
-    tgt_off = np.cumsum([0] + [len(t.letters) for t in targets]).astype(np.int64)
-    _, cum, table = montecarlo._support_table(mu)
+    tgt_flat, tgt_off = reference_targets(targets)
+    words, cum = montecarlo._support_table(mu)
+    table = reference_table(words)
     width = cfg.steps * table.shape[1] + 2
     visit_counts = np.zeros(len(targets), dtype=np.int64)
     leaf_counts = {}
@@ -122,7 +140,9 @@ TARGETS = [parse_word(w) for w in ("", "a", "ba", "aBa", "baBa")]  # lengths 0-4
 
 
 def test_walks_cover_the_cases():
-    widths = {name: montecarlo._support_table(mu)[2].shape[1] for name, mu in WALKS.items()}
+    widths = {
+        name: reference_table(montecarlo._support_table(mu)[0]).shape[1] for name, mu in WALKS.items()
+    }
     assert [widths[n] for n in ("width1", "width3", "width5", "width40")] == [1, 3, 5, 40]
     assert montecarlo._code_bytes(40) == 10  # codes span many bytes
     assert parse_word("") in WALKS["identity"].support()
@@ -132,16 +152,18 @@ def test_walks_cover_the_cases():
 @pytest.mark.parametrize("name", sorted(WALKS))
 def test_kernel_matches_reference(name):
     mu = WALKS[name]
-    _, cum, table = montecarlo._support_table(mu)
+    words, cum = montecarlo._support_table(mu)
+    table = reference_table(words)
     steps, paths = 150, 97
     increments = montecarlo._increments(cum, montecarlo._batch_uniforms(3, 11, paths, steps))
     width = steps * table.shape[1] + 2
-    tgt_flat = np.array([montecarlo._CODE[ch] for t in TARGETS for ch in t.letters], dtype=np.int8)
-    tgt_off = np.cumsum([0] + [len(t) for t in TARGETS]).astype(np.int64)
-    W0, L0, v0 = reference_evolve(increments, table, width, tgt_flat, tgt_off)
+    W0, L0, v0 = reference_evolve(increments, table, width, *reference_targets(TARGETS))
     # the step-major packed codes that _step_codes draws
-    codes = montecarlo._packed_codes(table)[:, increments.T]
-    W, L, visited = montecarlo._evolve(codes, table, width, tgt_flat, tgt_off)
+    codes = montecarlo._packed_codes(words)[:, increments.T]
+    targets = [np.array([montecarlo._CODE[ch] for ch in t.letters], dtype=np.int8) for t in TARGETS]
+    shortest = min(len(w) for w in words)
+    W, L, visited = montecarlo._evolve(codes, shortest, table.shape[1], targets)
+    assert W.shape == (paths, width)
     assert np.array_equal(L, L0)
     in_word = np.arange(width) < L[:, None]
     assert np.array_equal(W[in_word], W0[in_word])
@@ -152,10 +174,11 @@ def test_kernel_matches_reference(name):
 
 @pytest.mark.parametrize("depth", [1, 3, 8, 16, 35])
 @pytest.mark.parametrize("name", sorted(WALKS))
-def test_run_matches_reference(name, depth):
+def test_run_matches_reference(monkeypatch, name, depth):
     mu = WALKS[name]
     cfg = SimConfig(paths=100, steps=20 * depth + 100, seed=depth, depth=depth)
-    got = montecarlo._run(mu, cfg, TARGETS, 64)
+    monkeypatch.setattr(montecarlo, "BATCH_PATHS", 64)
+    got = montecarlo._run(mu, cfg, TARGETS)
     visits, leaves, unresolved = reference_run(mu, cfg, TARGETS, 64)
     assert np.array_equal(got[0], visits)
     assert got[1] == leaves

@@ -93,15 +93,13 @@ class TestSamplePath:
         mu = GroupMeasure.from_json_dict({"a": "1/5", "b": "1/5", "ba": "2/5", "aB": "1/5"})
         cfg = small_cfg(paths=40, steps=140, seed=99, allow_short_steps=False)
         targets = [parse_word(w) for w in ("a", "ba", "aB", "aba")]
-        words, _, table = montecarlo._support_table(mu)
+        words, cum = montecarlo._support_table(mu)
         u = montecarlo._batch_uniforms(cfg.seed, 0, cfg.paths, cfg.steps)
-        increments = np.searchsorted(
-            montecarlo._support_table(mu)[1], u, side="right"
-        ).astype(np.int16)
+        increments = np.searchsorted(cum, u, side="right").astype(np.int16)
         W, L, visited = montecarlo._evolve(
-            montecarlo._packed_codes(table)[:, increments.T], table, cfg.steps * table.shape[1] + 2,
-            np.array([montecarlo._CODE[ch] for t in targets for ch in t.letters], dtype=np.int8),
-            np.cumsum([0] + [len(t) for t in targets]).astype(np.int64),
+            montecarlo._packed_codes(words)[:, increments.T],
+            min(map(len, words)), montecarlo._letters(words),
+            [np.array([montecarlo._CODE[ch] for ch in t.letters], dtype=np.int8) for t in targets],
         )
         for i in range(cfg.paths):
             expected, seen = sample_path(mu, cfg.steps, _path_generator(cfg.seed, i), targets)
@@ -119,10 +117,12 @@ class TestDeterminism:
         assert r1.to_json() == r2.to_json()
         assert r1.to_csv() == r2.to_csv()
 
-    def test_batch_count_invariance(self):
+    def test_batch_count_invariance(self, monkeypatch):
         cfg = small_cfg()
-        r1 = simulate(SYMMETRIC_NN, cfg, targets=[parse_word("ba")], batch_paths=4096)
-        r2 = simulate(SYMMETRIC_NN, cfg, targets=[parse_word("ba")], batch_paths=97)
+        monkeypatch.setattr(montecarlo, "BATCH_PATHS", 4096)
+        r1 = simulate(SYMMETRIC_NN, cfg, targets=[parse_word("ba")])
+        monkeypatch.setattr(montecarlo, "BATCH_PATHS", 97)
+        r2 = simulate(SYMMETRIC_NN, cfg, targets=[parse_word("ba")])
         assert r1.to_json() == r2.to_json()
 
     def test_visits_monotone_in_steps(self):
@@ -165,16 +165,17 @@ class TestBatchLayout:
     def test_step_codes_gather_the_increments(self, monkeypatch, words, block_bytes):
         # 1, 9 and 65 atoms; 65 take the searchsorted branch of _increments.
         mu = GroupMeasure.uniform(parse_word(w) for w in words)
-        _, cum, table = montecarlo._support_table(mu)
-        assert cum.size == len(words)
+        support, cum = montecarlo._support_table(mu)
+        assert cum.size == len(support) == len(words)
+        packed = montecarlo._packed_codes(support)
         seed, start, count, steps = 4, 29, 70, 45
         increments = montecarlo._increments(
             cum, montecarlo._batch_uniforms(seed, start, count, steps)
         ).T  # the step-major layout the kernel used to gather from
         monkeypatch.setattr(montecarlo, "BLOCK_BYTES", block_bytes)
-        codes = montecarlo._step_codes(cum, table, seed, start, count, steps)
+        codes = montecarlo._step_codes(cum, packed, seed, start, count, steps)
         assert codes.dtype == np.int8
-        assert np.array_equal(codes, montecarlo._packed_codes(table)[:, increments])
+        assert np.array_equal(codes, packed[:, increments])
 
     @pytest.mark.parametrize("atoms", [1, 3, 9, 64, 65])
     def test_increments_match_searchsorted(self, atoms):
@@ -188,18 +189,20 @@ class TestBatchLayout:
         assert got.dtype == np.int16
         assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
 
-    def test_batch_size_bounds_memory(self):
+    def test_batch_size_bounds_memory(self, monkeypatch):
         # Sizing arithmetic only: nothing of this size is allocated.
         budget, steps = montecarlo.BATCH_BYTES, montecarlo.PATH_STRIDE - 1
+        assert montecarlo.BATCH_PATHS == 16384
         for letters in (1, 3):
-            n = montecarlo._batch_paths(steps, letters, 16384)
+            n = montecarlo._batch_paths(steps, letters)
             assert 1 <= n < 16384
             # per step: a code byte per four letters, words
             assert n * steps * (1 + letters) <= budget
             # the benchmark's 400-step runs keep the full default batch
-            assert montecarlo._batch_paths(400, letters, 16384) == 16384
-        assert montecarlo._batch_paths(steps, 1000, 16384) == 1  # floor of one path
-        assert montecarlo._batch_paths(400, 1, 7) == 7  # batch_paths stays a cap
+            assert montecarlo._batch_paths(400, letters) == 16384
+        assert montecarlo._batch_paths(steps, 1000) == 1  # floor of one path
+        monkeypatch.setattr(montecarlo, "BATCH_PATHS", 7)
+        assert montecarlo._batch_paths(400, 1) == 7  # BATCH_PATHS stays a cap
 
     def test_budget_does_not_change_results(self, monkeypatch):
         cfg = small_cfg(paths=300)
@@ -224,8 +227,9 @@ class TestBatchLayout:
         mu = ex1_fixture().combination.to_group_measure()
         cfg = SimConfig(paths=300, steps=200, seed=11, depth=5)
         targets = [parse_word("a"), parse_word("ba")]
-        report = simulate(mu, cfg, targets=targets, batch_paths=128).to_json()
-        alpha = estimate_alpha(mu, cfg, batch_paths=128)
+        monkeypatch.setattr(montecarlo, "BATCH_PATHS", 128)
+        report = simulate(mu, cfg, targets=targets).to_json()
+        alpha = estimate_alpha(mu, cfg)
         sizes = []
         uniforms = montecarlo._batch_uniforms
 
@@ -236,9 +240,9 @@ class TestBatchLayout:
         monkeypatch.setattr(montecarlo, "_batch_uniforms", recording_uniforms)
         monkeypatch.setattr(montecarlo, "BLOCK_BYTES", block_bytes)
         monkeypatch.setattr(montecarlo, "CPUS", 1)  # calls are recorded here only
-        assert simulate(mu, cfg, targets=targets, batch_paths=128).to_json() == report
+        assert simulate(mu, cfg, targets=targets).to_json() == report
         assert sizes == block_sizes
-        assert estimate_alpha(mu, cfg, batch_paths=128) == alpha
+        assert estimate_alpha(mu, cfg) == alpha
 
     def test_simulate_peaks_within_the_batch_budget(self, monkeypatch):
         # tracemalloc sees numpy's buffers.  The kernel holds at most
@@ -253,7 +257,7 @@ class TestBatchLayout:
         cfg = SimConfig(paths=3000, steps=400, seed=1, depth=3)
         monkeypatch.setattr(montecarlo, "BATCH_BYTES", 1 << 20)
         monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 16 << 10)
-        assert montecarlo._batch_paths(cfg.steps, 3, 16384) < cfg.paths // 4  # several batches
+        assert montecarlo._batch_paths(cfg.steps, 3) < cfg.paths // 4  # several batches
         simulate(mu, SimConfig(paths=10, steps=400, seed=1, depth=3))  # first-call allocations
         tracemalloc.start()
         try:
@@ -277,12 +281,13 @@ class TestProcesses:
     def test_results_do_not_depend_on_the_process_count(self, monkeypatch):
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(montecarlo, "BATCH_PATHS", 128)
         runs = []
         for cpus in (1, 2, 3):
             monkeypatch.setattr(montecarlo, "CPUS", cpus)
             runs.append((
-                simulate(self.MU, self.CFG, targets=self.TARGETS, batch_paths=128).to_json(),
-                estimate_alpha(self.MU, self.CFG, batch_paths=128),
+                simulate(self.MU, self.CFG, targets=self.TARGETS).to_json(),
+                estimate_alpha(self.MU, self.CFG),
                 len(forks),
             ))
         assert [forked for *_, forked in runs] == [0, 2, 6]  # cpus - 1 per run
@@ -292,24 +297,23 @@ class TestProcesses:
     def test_child_exception_reaches_the_parent(self, monkeypatch):
         # Two processes: the child's share starts at path 1001 // 2.
         monkeypatch.setattr(montecarlo, "CPUS", 2)
+        monkeypatch.setattr(montecarlo, "BATCH_PATHS", 128)
         step_codes = montecarlo._step_codes
 
-        def failing(cum, table, seed, start, count, steps):
+        def failing(cum, packed, seed, start, count, steps):
             if start == self.CFG.paths // 2:
                 raise LookupError("raised in the child")
-            return step_codes(cum, table, seed, start, count, steps)
+            return step_codes(cum, packed, seed, start, count, steps)
 
         monkeypatch.setattr(montecarlo, "_step_codes", failing)
         with pytest.raises(LookupError, match="raised in the child"):
-            simulate(self.MU, self.CFG, batch_paths=128)
+            simulate(self.MU, self.CFG)
         self.no_children()
 
     def test_closing_early_leaves_no_child(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "CPUS", 3)
-        no_targets = (np.zeros(0, dtype=np.int8), np.zeros(1, dtype=np.int64))
-        batches = montecarlo._batches(
-            self.MU, self.CFG, 128, *no_targets, lambda W, L, visited: L.size
-        )
+        monkeypatch.setattr(montecarlo, "BATCH_PATHS", 128)
+        batches = montecarlo._batches(self.MU, self.CFG, (), lambda W, L, visited: L.size)
         assert next(batches) == 42  # 128 // 3 paths per batch
         batches.close()
         self.no_children()
@@ -319,8 +323,9 @@ class TestProcesses:
             raise AssertionError("forked")
 
         monkeypatch.setattr(montecarlo, "CPUS", 3)
+        monkeypatch.setattr(montecarlo, "BATCH_PATHS", self.CFG.paths)
         monkeypatch.setattr(os, "fork", fork)
-        report = simulate(self.MU, self.CFG, targets=self.TARGETS, batch_paths=self.CFG.paths)
+        report = simulate(self.MU, self.CFG, targets=self.TARGETS)
         assert report.paths_used == self.CFG.paths
 
 
@@ -392,7 +397,7 @@ class TestEstimates:
         )
         cfg = SimConfig(paths=2000, steps=500, seed=4, depth=20)
         report = simulate(mu, cfg, targets=[parse_word("ba")])
-        _, leaf_counts, _ = montecarlo._run(mu, cfg, [parse_word("ba")], 16384)
+        _, leaf_counts, _ = montecarlo._run(mu, cfg, [parse_word("ba")])
         counts = {}
         for leaf, n in leaf_counts.items():
             for depth in range(1, cfg.depth + 1):
@@ -409,13 +414,12 @@ class TestEstimates:
 
 
 class TestCompare:
-    def test_depth_mismatch_and_empty(self):
+    def test_one_row_per_cylinder(self):
         report = simulate(SYMMETRIC_NN, small_cfg(paths=400))
         params = DenjoyParams(Fraction(1, 2), Fraction(2, 5))
-        with pytest.raises(ValueError):
-            compare_with_analytic(report, params, depth=3)
-        table = compare_with_analytic(report, params, depth=2)
-        assert table.rows and table.max_abs_z >= 0
+        table = compare_with_analytic(report, params)
+        assert len(table.rows) == len(report.cylinder_freq)
+        assert table.max_abs_z == max(abs(r.z) for r in table.rows)
 
     def test_detects_wrong_alpha(self):
         cfg = SimConfig(paths=100_000, steps=400, seed=4, depth=3)
@@ -465,10 +469,12 @@ def ex1_fixture():
 class TestLetterTest:
     CFG_4B = SimConfig(paths=100_000, steps=800, seed=1, depth=35)
 
-    def test_batch_invariance(self):
+    def test_batch_invariance(self, monkeypatch):
         mu = ex1_fixture().combination.to_group_measure()
         cfg = SimConfig(paths=300, steps=200, seed=11, depth=5)
-        assert estimate_alpha(mu, cfg, batch_paths=7) == estimate_alpha(mu, cfg)
+        full = estimate_alpha(mu, cfg)
+        monkeypatch.setattr(montecarlo, "BATCH_PATHS", 7)
+        assert estimate_alpha(mu, cfg) == full
 
     def test_matches_per_path_reference(self):
         mu = ex1_fixture().combination.to_group_measure()
@@ -488,6 +494,16 @@ class TestLetterTest:
         cfg = SimConfig(paths=1, steps=400, seed=1, depth=3)
         with pytest.raises(ValueError, match="two resolved paths"):
             estimate_alpha(ex1_fixture().combination.to_group_measure(), cfg)
+
+    def test_equal_counts_have_no_stderr(self):
+        # Every path of the walk on {ba} ends at (ba)^steps: k letters b each.
+        cfg = SimConfig(paths=20, steps=200, seed=1, depth=5)
+        with pytest.raises(ValueError, match="no standard error"):
+            estimate_alpha(GroupMeasure.dirac(parse_word("ba")), cfg)
+        # The same on a walk that does generate: ex2's compound at two paths.
+        cfg = SimConfig(paths=2, steps=120, seed=2, depth=1)
+        with pytest.raises(ValueError, match="no standard error"):
+            estimate_alpha(example_ex2(Fraction(1, 2)).mu_prime.to_group_measure(), cfg)
 
     def test_unresolved_paths_error(self):
         # 20 steps cannot build a word holding 35 letters b/B

@@ -19,7 +19,6 @@ from modwalk import (
     example_ex2,
     harmonic_params,
     hyperbola_point,
-    membership_alpha_roots,
     minkowski_residual,
     nn_solve,
     nn_step,
@@ -27,7 +26,13 @@ from modwalk import (
     residual,
     solve_master,
 )
-from modwalk.solver import hyperbola_equation, y_equation_coefficients
+from modwalk.group import _provably_degenerate
+from modwalk.solver import (
+    S_WORDS,
+    _y_equation_integers,
+    hyperbola_equation,
+    y_equation_coefficients,
+)
 
 from helpers import random_nn, random_step
 
@@ -95,6 +100,17 @@ class TestStepOnS:
             StepOnS(0, 0, 0, Fraction(1, 2), Fraction(1, 2))
         # mixed supports generate
         StepOnS(0, Fraction(1, 2), 0, Fraction(1, 2), 0)
+
+    @pytest.mark.parametrize("mask", range(1, 32))
+    def test_degeneracy_is_the_simulator_rule(self, mask):
+        # Every nonempty support in S at uniform weights.
+        support = [w for i, w in enumerate(S_WORDS) if mask >> i & 1]
+        weights = [Fraction(mask >> i & 1, len(support)) for i in range(5)]
+        if _provably_degenerate(support):
+            with pytest.raises(DegenerateStepError, match="does not generate"):
+                StepOnS(*weights)
+        else:
+            assert StepOnS(*weights).to_group_measure().support() == set(support)
 
     def test_weights_validated(self):
         with pytest.raises(ValueError):
@@ -165,12 +181,12 @@ class TestMasterSystem:
             assert int(np.sum(signs[1:] != signs[:-1])) == 1
 
     def test_alpha_roots_unique(self):
+        # D^2 f(0) < 0 < D^2 f(1) for the quadratic f of y: f has an odd
+        # number of roots in (0, 1), so exactly one.
         rng = random.Random(113)
         for _ in range(200):
-            mu = random_step(rng)
-            roots = membership_alpha_roots(mu)
-            assert len(roots) == 1
-            assert roots[0] == pytest.approx(float(harmonic_params(mu).alpha), abs=1e-12)
+            _, A, B, C = _y_equation_integers(random_step(rng))
+            assert C < 0 < A + B + C
 
 
 class TestNearestNeighbour:
