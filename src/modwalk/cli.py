@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .boundary import Cylinder
-from .denjoy import DenjoyParams, cylinder_mass, question_mark
+from .denjoy import DenjoyParams, cylinder_mass, pi_to_params, question_mark
 from .group import GroupMeasure, parse_word
 from .mediant import (
     LRCode,
@@ -57,20 +57,29 @@ def _reject_constant(name: str):
     raise ValueError(f"weights must be finite numbers, got {name}")
 
 
-def _json_object(text: str, what: str) -> dict:
+def _weight(value) -> Fraction:
+    if isinstance(value, bool):  # an int subclass: true and false are not weights
+        raise ValueError(f"weights must be numbers or rationals, got {json.dumps(value)}")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"weight {value!r} has a zero denominator") from exc
+
+
+def _json_weights(text: str, what: str) -> dict[str, Fraction]:
     # Numbers parse to exact Fractions, as quoted weights do.
     data = json.loads(text, parse_float=Fraction, parse_constant=_reject_constant)
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object")
-    return data
+    return {key: _weight(value) for key, value in data.items()}
 
 
 def _step_from_json(text: str) -> StepOnS:
-    return StepOnS.from_json_dict(_json_object(text, "step distribution"))
+    return StepOnS.from_json_dict(_json_weights(text, "step distribution"))
 
 
 def _measure_from_json(text: str) -> GroupMeasure:
-    m = GroupMeasure.from_json_dict(_json_object(text, "measure"))
+    m = GroupMeasure.from_json_dict(_json_weights(text, "measure"))
     if not m.is_probability():
         raise ValueError(f"measure must have total mass 1, got {m.total_mass}")
     return m
@@ -91,10 +100,9 @@ def _cmd_solve(args) -> str:
     triple = solve_master(mu, args.tol)
     res = residual(mu, triple)
     mink = minkowski_residual(mu)
-    alpha = triple.y
-    p = triple.x / (1 + triple.x)
+    params = pi_to_params(triple)
     if args.format == "csv":
-        row = [triple.x, triple.y, triple.ybar, alpha, p, *res, mink]
+        row = [triple.x, triple.y, triple.ybar, params.alpha, params.p, *res, mink]
         return (
             "x,y,ybar,alpha,p,residual1,residual2,residual3,minkowski_residual\n"
             + ",".join(repr(float(v)) for v in row)
@@ -103,8 +111,8 @@ def _cmd_solve(args) -> str:
         "x": float(triple.x),
         "y": float(triple.y),
         "ybar": float(triple.ybar),
-        "alpha": float(alpha),
-        "p": float(p),
+        "alpha": float(params.alpha),
+        "p": float(params.p),
         "residuals": [float(r) for r in res],
         "minkowski_residual": float(mink),
         "exact": {
@@ -113,8 +121,8 @@ def _cmd_solve(args) -> str:
                 "x": _maybe_exact(triple.x),
                 "y": _maybe_exact(triple.y),
                 "ybar": _maybe_exact(triple.ybar),
-                "alpha": _maybe_exact(alpha),
-                "p": _maybe_exact(p),
+                "alpha": _maybe_exact(params.alpha),
+                "p": _maybe_exact(params.p),
                 "minkowski_residual": str(mink),
             }.items()
             if s is not None

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 Scalar = Union[Fraction, float]
+_NORMALIZATION_TOL = 1e-12  # float weights this close to y + ybar = 1 are normalized
 
 
 class NotNormalizedError(ValueError):
@@ -69,25 +70,22 @@ class DenjoyParams:
 
 @dataclass(frozen=True, slots=True)
 class PiWeights:
-    """Positive weights ``(pi_a, pi_ba, pi_Ba)``; normalized means ``pi_ba + pi_Ba = 1``."""
+    """Positive weights ``x = pi_a``, ``y = pi_ba``, ``ybar = pi_Ba`` (for a walk, its
+    passage probabilities: ``solver.solve_master``); normalized means ``y + ybar = 1``."""
 
-    pi_a: Scalar
-    pi_ba: Scalar
-    pi_bbar_a: Scalar
+    x: Scalar
+    y: Scalar
+    ybar: Scalar
 
     def __post_init__(self) -> None:
-        for name in ("pi_a", "pi_ba", "pi_bbar_a"):
+        for name in ("x", "y", "ybar"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
-    def normalization_defect(self) -> Scalar:
-        return self.pi_ba + self.pi_bbar_a - 1
-
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        defect = self.normalization_defect()
-        if isinstance(self.pi_ba, Fraction) and isinstance(self.pi_bbar_a, Fraction):
-            return defect == 0
-        return abs(defect) <= tol
+    def is_normalized(self) -> bool:
+        defect = self.y + self.ybar - 1
+        exact = isinstance(self.y, Fraction) and isinstance(self.ybar, Fraction)
+        return defect == 0 if exact else abs(defect) <= _NORMALIZATION_TOL
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,13 +112,13 @@ def params_to_pi(d: DenjoyParams) -> PiWeights:
     return PiWeights(d.p / (1 - d.p), d.alpha, 1 - d.alpha)
 
 
-def pi_to_params(w: PiWeights, tol: float = 1e-12) -> DenjoyParams:
+def pi_to_params(w: PiWeights) -> DenjoyParams:
     """The realization problem: the unique normalized measure whose Radon-Nikodym cocycle
-    has weights ``w``; solvable exactly when ``pi_ba + pi_bbar_a = 1`` (Kolmogorov consistency
-    of the prescribed cylinder masses), otherwise :class:`NotNormalizedError`."""
-    if not w.is_normalized(tol):
-        raise NotNormalizedError(f"pi_ba + pi_bbar_a = {w.pi_ba + w.pi_bbar_a}, expected 1")
-    return DenjoyParams(w.pi_ba, w.pi_a / (1 + w.pi_a))
+    has weights ``w``: ``alpha = y``, ``p = x/(1+x)``; solvable exactly when ``y + ybar = 1``
+    (Kolmogorov consistency of the prescribed cylinder masses), else :class:`NotNormalizedError`."""
+    if not w.is_normalized():
+        raise NotNormalizedError(f"y + ybar = {w.y + w.ybar}, expected 1")
+    return DenjoyParams(w.y, w.x / (1 + w.x))
 
 
 def markov_base_to_params(m: MarkovBase) -> DenjoyParams:

@@ -32,7 +32,6 @@ __all__ = [
     "strip_identity_renormalize",
 ]
 
-_LETTERS = "abB"
 _INVERSE_LETTER = {"a": "a", "b": "B", "B": "b"}
 
 Matrix = tuple[int, int, int, int]
@@ -48,21 +47,17 @@ _LETTER_MATRIX: dict[str, Matrix] = {
 WeightLike = Union[Fraction, int, str]
 
 
-# Admissible words: 'a' alternates with 'b'/'B'.
+# The longest admissible prefix ('a' alternating with 'b'/'B') ends at a word's first fault.
 _ADMISSIBLE = re.compile("[bB]?(?:a[bB])*a?")
 
 
 def _check_letters(letters: str) -> None:
-    if _ADMISSIBLE.fullmatch(letters):
+    end = _ADMISSIBLE.match(letters).end()
+    if end == len(letters):
         return
-    # Find the first fault to name it.
-    prev = ""
-    for ch in letters:
-        if ch not in _LETTERS:
-            raise ValueError(f"invalid letter {ch!r}: words use 'a', 'b', 'B'")
-        if prev and (prev == "a") == (ch == "a"):
-            raise ValueError(f"non-admissible pair {prev + ch!r} in {letters!r}")
-        prev = ch
+    if letters[end] not in "abB":
+        raise ValueError(f"invalid letter {letters[end]!r}: words use 'a', 'b', 'B'")
+    raise ValueError(f"non-admissible pair {letters[end - 1 : end + 1]!r} in {letters!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,10 +68,6 @@ class GroupWord:
 
     def __post_init__(self) -> None:
         _check_letters(self.letters)
-
-    @classmethod
-    def identity(cls) -> "GroupWord":
-        return cls("")
 
     def is_identity(self) -> bool:
         return not self.letters
@@ -89,9 +80,6 @@ class GroupWord:
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         return reduce_concat(self, other)
-
-    def inverse(self) -> "GroupWord":
-        return inverse(self)
 
     def sort_key(self) -> tuple[int, str]:
         return (len(self.letters), self.letters)
@@ -154,8 +142,7 @@ def parse_word(s: str) -> GroupWord:
 
 def swap_b_letters(w: GroupWord) -> GroupWord:
     """The automorphism of the group exchanging ``b`` and ``B``."""
-    table = {"a": "a", "b": "B", "B": "b"}
-    return GroupWord("".join(table[ch] for ch in w.letters))
+    return GroupWord("".join(_INVERSE_LETTER[ch] for ch in w.letters))
 
 
 def _mat_mul(m: Matrix, n: Matrix) -> Matrix:

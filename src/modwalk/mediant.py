@@ -14,6 +14,7 @@ reverse).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +42,7 @@ __all__ = [
 RationalLike = Union[Fraction, int, str]
 
 
+@functools.total_ordering
 @dataclass(frozen=True, slots=True)
 class ExtRational:
     """A point of the extended real line as a formal fraction ``num/den``.
@@ -101,23 +103,10 @@ class ExtRational:
             return float("inf") if self.num > 0 else float("-inf")
         return self.num / self.den
 
-    def _cmp(self, other: "ExtRational") -> int:
-        if self.den == 0 and other.den == 0:
-            return (self.num > other.num) - (self.num < other.num)
-        lhs, rhs = self.num * other.den, other.num * self.den
-        return (lhs > rhs) - (lhs < rhs)
-
     def __lt__(self, other: "ExtRational") -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: "ExtRational") -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: "ExtRational") -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "ExtRational") -> bool:
-        return self._cmp(other) >= 0
+        if self.den == 0 and other.den == 0:
+            return self.num < other.num
+        return self.num * other.den < other.num * self.den
 
     def mediant(self, other: "ExtRational") -> "ExtRational":
         """Farey sum of the two fractions."""

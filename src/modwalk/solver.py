@@ -1,18 +1,18 @@
 """Passage probabilities and harmonic-measure parameters for walks with
 steps in ``{a, b, B, ba, Ba}``.
 
-For a non-degenerate step distribution on this set the passage
-probabilities ``x = pi_a``, ``y = pi_ba``, ``ybar = pi_Ba`` satisfy a
-three-equation stationarity system whose unique solution in the open unit
-cube has ``y + ybar = 1``; the harmonic measure is then the Denjoy-family
-member with ``alpha = y`` and ``p = x/(1+x)``.  The ``y`` variable solves
-a quadratic with exact rational coefficients.  Rational roots are returned
-exactly; an irrational root is returned as the midpoint of the dyadic
-bisection enclosure that brackets it, computed in closed form from one
-integer square root (``_bisection_midpoint``).  The solver works on one
+For a non-degenerate step distribution on this set the passage probabilities
+``x = pi_a``, ``y = pi_ba``, ``ybar = pi_Ba`` satisfy a three-equation
+stationarity system whose unique solution in the open unit cube has
+``y + ybar = 1``: the weights ``denjoy.PiWeights`` of the harmonic measure,
+which ``denjoy.pi_to_params`` realizes in the Denjoy family.  The ``y``
+variable solves a quadratic with exact rational coefficients.  Rational roots
+are returned exactly; an irrational root is returned as the midpoint of the
+dyadic bisection enclosure that brackets it, computed in closed form from
+one integer square root (``_bisection_midpoint``).  The solver works on one
 integer core: the weights and the quadratic are taken over the common
-denominator of the weights (``_y_equation_integers``), and a solve stays
-on integers until it builds the ``Fraction``s it returns.
+denominator of the weights (``_y_equation_integers``), and a solve stays on
+integers until it builds the ``Fraction``s it returns.
 
 Also here: the Denjoy/Minkowski membership residuals, the closed-form
 nearest-neighbour solution, the level-set function of nearest-neighbour
@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import copysign, hypot, isfinite, isqrt, lcm
 from typing import Mapping, Sequence, Union
 
-from .denjoy import DenjoyParams, Scalar
+from .denjoy import DenjoyParams, PiWeights, Scalar, pi_to_params
 from .group import (
     GroupMeasure,
     _provably_degenerate,
@@ -44,7 +44,6 @@ __all__ = [
     "NoRootInCube",
     "MultipleRoots",
     "StepOnS",
-    "PassageTriple",
     "NNParams",
     "S_WORDS",
     "solve_master",
@@ -162,25 +161,6 @@ class StepOnS:
         return cls(*(Fraction(data.get(k, 0)) for k in S_KEYS))
 
 
-@dataclass(frozen=True, slots=True)
-class PassageTriple:
-    """Passage probabilities ``(x, y, ybar)`` with ``y + ybar = 1``."""
-
-    x: Scalar
-    y: Scalar
-    ybar: Scalar
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "ybar"):
-            value = getattr(self, name)
-            if not 0 < value < 1:
-                raise ValueError(f"{name} must lie in (0,1), got {value}")
-        defect = self.y + self.ybar - 1
-        exact = isinstance(self.y, Fraction) and isinstance(self.ybar, Fraction)
-        if (defect != 0) if exact else (abs(defect) > 1e-15):
-            raise ValueError(f"y + ybar must equal 1, defect {defect}")
-
-
 def _integer_weights(mu: StepOnS) -> tuple[int, ...]:
     """``D``, the lcm of the weight denominators, then the five weights times
     ``D``: integers that sum to ``D``."""
@@ -189,14 +169,13 @@ def _integer_weights(mu: StepOnS) -> tuple[int, ...]:
     return (D, *(w.numerator * (D // w.denominator) for w in weights))
 
 
-def _y_equation_integers(mu: StepOnS) -> tuple[int, int, int, int]:
-    """``(D, A, B, C)``: ``D`` as in ``_integer_weights`` and ``D^2`` times the
-    coefficients of the quadratic ``A t^2 + B t + C`` satisfied by ``y``."""
+def _y_equation_integers(weights: tuple[int, ...]) -> tuple[int, int, int]:
+    """``D^2`` times the coefficients of the quadratic ``A t^2 + B t + C`` in ``y``."""
     # The membership relation reads (a1 t + a0)(b1 t + b0) = (c1 t + c0)(d1 t + d0)
     # in the unknown t; at t = y it is the consistency condition of the
     # stationarity system.  A t^2 + B t + C is its left side minus its right,
     # each factor taken times D.
-    D, af, bf, bb, bp, bbp = _integer_weights(mu)
+    D, af, bf, bb, bp, bbp = weights
     a1, a0 = D + bb, -(bb + bp)
     b1, b0 = bp - af, af + bb
     c1, c0 = af - bbp, bbp + bf
@@ -204,13 +183,7 @@ def _y_equation_integers(mu: StepOnS) -> tuple[int, int, int, int]:
     A = a1 * b1 - c1 * d1
     B = a1 * b0 + a0 * b1 - (c1 * d0 + c0 * d1)
     C = a0 * b0 - c0 * d0
-    return D, A, B, C
-
-
-def y_equation_coefficients(mu: StepOnS) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact coefficients ``(A, B, C)`` of the quadratic satisfied by ``y``."""
-    D, A, B, C = _y_equation_integers(mu)
-    return Fraction(A, D * D), Fraction(B, D * D), Fraction(C, D * D)
+    return A, B, C
 
 
 def denjoy_membership_residual(mu: StepOnS, alpha: Scalar) -> Scalar:
@@ -221,8 +194,9 @@ def denjoy_membership_residual(mu: StepOnS, alpha: Scalar) -> Scalar:
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    A, B, C = y_equation_coefficients(mu)
-    return (A * alpha + B) * alpha + C
+    weights = _integer_weights(mu)
+    A, B, C = _y_equation_integers(weights)
+    return ((A * alpha + B) * alpha + C) / weights[0] ** 2
 
 
 def minkowski_residual(mu: StepOnS) -> Fraction:
@@ -272,7 +246,15 @@ def _bisection_midpoint(coeffs: tuple[int, int, int], hi: Fraction, width: Fract
     return Fraction((2 * k + 1) * u, 2 * E)
 
 
-def solve_master(mu: StepOnS, tol: float = 1e-15) -> PassageTriple:
+def _passage_weights(x: Scalar, y: Scalar) -> PiWeights:
+    """``PiWeights(x, y, 1 - y)``, once each passage probability is checked to lie in (0, 1)."""
+    for name, value in (("x", x), ("y", y), ("ybar", 1 - y)):
+        if not 0 < value < 1:
+            raise ValueError(f"{name} must lie in (0,1), got {value}")
+    return PiWeights(x, y, 1 - y)
+
+
+def solve_master(mu: StepOnS, tol: float = 1e-15) -> PiWeights:
     """Unique solution of the stationarity system in the open unit cube.
 
     The quadratic in ``y`` is solved exactly when its discriminant is a
@@ -289,7 +271,8 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PassageTriple:
     """
     if not (tol > 0 and isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    _, A, B, C = _y_equation_integers(mu)
+    weights = _integer_weights(mu)
+    A, B, C = _y_equation_integers(weights)
     if not C < 0 < A + B + C:  # D^2 f(0) and D^2 f(1)
         raise NoRootInCube(
             f"no sign change of the y-equation on (0,1) for weights {mu.as_tuple()}"
@@ -308,11 +291,11 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PassageTriple:
         else:
             y = _bisection_midpoint((A, B, C), Fraction(1), Fraction(tol) / 8)
 
-    D, af, bf, bb, bp, bbp = _integer_weights(mu)
+    D, af, bf, bb, bp, bbp = weights
     Y, M = y.numerator, y.denominator
     Yb = M - Y  # ybar = Yb / M
     x = Fraction(D * M - bf * Y - bb * Yb - (bp + bbp) * M, D * M - bp * Yb - bbp * Y)
-    triple = PassageTriple(x, y, 1 - y)
+    triple = _passage_weights(x, y)
     X, N = x.numerator, x.denominator
     MN = M * N
     numerators = (  # D M N times the residuals of ``residual``
@@ -325,7 +308,7 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PassageTriple:
     return triple
 
 
-def residual(mu: StepOnS, t: PassageTriple) -> tuple[Scalar, Scalar, Scalar]:
+def residual(mu: StepOnS, t: PiWeights) -> tuple[Scalar, Scalar, Scalar]:
     """Signed residuals (right side minus left side) of the three stationarity equations."""
     af, bf, bb, bp, bbp = mu.as_tuple()
     x, y, yb = t.x, t.y, t.ybar
@@ -336,9 +319,8 @@ def residual(mu: StepOnS, t: PassageTriple) -> tuple[Scalar, Scalar, Scalar]:
 
 
 def harmonic_params(mu: StepOnS) -> DenjoyParams:
-    """Parameters of the harmonic measure: ``alpha = y`` and ``p = x/(1+x) < 1/2``."""
-    t = solve_master(mu)
-    return DenjoyParams(t.y, t.x / (1 + t.x))
+    """Parameters of the harmonic measure: ``alpha = y`` and ``p < 1/2``."""
+    return pi_to_params(solve_master(mu))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +362,7 @@ def nn_step(nn: NNParams) -> StepOnS:
     )
 
 
-def nn_solve(nn: NNParams) -> tuple[Scalar, PassageTriple, DenjoyParams]:
+def nn_solve(nn: NNParams) -> tuple[Scalar, PiWeights, DenjoyParams]:
     """Closed-form passage data of a nearest-neighbour walk.
 
     For ``delta = 0`` everything is exact rational with ``z = 0``; otherwise
@@ -396,8 +378,8 @@ def nn_solve(nn: NNParams) -> tuple[Scalar, PassageTriple, DenjoyParams]:
         z = copysign(1.0 / (hypot(D, 1.0) + abs(D)), D)
         x = (1 + float(nn.af) - float(nn.delta) * z) / 2
         y = (1 + z) / 2
-    triple = PassageTriple(x, y, 1 - y)
-    return z, triple, DenjoyParams(y, x / (1 + x))
+    triple = _passage_weights(x, y)
+    return z, triple, pi_to_params(triple)
 
 
 def phi(nn: NNParams) -> Fraction:
@@ -546,7 +528,7 @@ def example_ex1(
     bbar2: RationalLike,
     t: RationalLike = Fraction(1, 2),
 ) -> Ex1Report:
-    """Convex combination of two hyperbola points leaves the Minkowski class:
+    """Convex combination of two distinct hyperbola points leaves the Minkowski class:
     its ``alpha`` misses ``1/2`` by more than ``1e-12``.
 
     The report carries the combined step distribution, ready to hand to the
@@ -554,6 +536,8 @@ def example_ex1(
     """
     mu1 = hyperbola_point(bbar1)
     mu2 = hyperbola_point(bbar2)
+    if mu1 == mu2:
+        raise ValueError(f"endpoints must differ, got bbar1 = bbar2 = {mu1.bbarf}")
     r1, r2 = float(minkowski_residual(mu1)), float(minkowski_residual(mu2))
     if max(abs(r1), abs(r2)) > 1e-12:
         raise SolverContradictionError("hyperbola endpoints are not filling")

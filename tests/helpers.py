@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from modwalk import DegenerateStepError, GroupWord, NNParams, StepOnS, reduce_concat
+from modwalk import IDENTITY, DegenerateStepError, GroupWord, NNParams, StepOnS, reduce_concat
 
 
 def random_step(rng: random.Random, grid: int = 20) -> StepOnS:
@@ -30,7 +30,7 @@ def random_nn(rng: random.Random, grid: int = 50) -> NNParams:
 
 def random_word(rng: random.Random, max_moves: int = 8) -> GroupWord:
     """Random group element as a product of random generators."""
-    out = GroupWord.identity()
+    out = IDENTITY
     for _ in range(rng.randint(0, max_moves)):
         out = reduce_concat(out, GroupWord(rng.choice(["a", "b", "B"])))
     return out

@@ -279,6 +279,12 @@ class TestExample:
         assert code == 0
         assert parse(out)["alpha_gap"] > 1e-3
 
+    def test_ex1_equal_endpoints_exit_2(self, capsys):
+        # one walk twice is no combination of two Minkowski-filling walks
+        code, out, err = run(capsys, "example", "ex1", "--bbar", "1/2", "--bbar2", "1/2")
+        assert code == 2 and out == ""
+        assert "endpoints must differ" in err
+
     @pytest.mark.parametrize("t", ["0", "1", "2"])
     def test_combination_weight_outside_unit_interval_exit_2(self, capsys, t):
         for name in ("ex0", "ex1"):
@@ -397,3 +403,21 @@ class TestExitCodes:
         code, out, err = run(capsys, *head, mu % value)
         assert code == 2 and out == ""
         assert "invalid input" in err
+
+    @pytest.mark.parametrize(
+        "argv, boolean_mu",
+        [
+            (("solve", "--mu"), '{"a":"1/2","b":"1/2","bb":false}'),
+            (("classify", "--alpha", "1/2", "--mu"), '{"a":"1/2","b":"1/2","bb":false}'),
+            (("simulate", "--paths", "4", "--mu"), '{"ab":true}'),
+        ],
+        ids=["solve", "classify", "simulate"],
+    )
+    def test_zero_denominator_or_boolean_weight_exit_2(self, capsys, argv, boolean_mu):
+        # with the boolean spelled as the number, the walk is valid
+        numeric_mu = boolean_mu.replace("false", "0").replace("true", "1")
+        assert run(capsys, *argv, numeric_mu)[0] == 0
+        for mu in ('{"a":"1/0"}', boolean_mu):
+            code, out, err = run(capsys, *argv, mu)
+            assert code == 2 and out == "", mu
+            assert "invalid input" in err

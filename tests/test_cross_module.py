@@ -15,6 +15,7 @@ from modwalk import (
     ExtRational,
     act_on_cylinder,
     cylinders_up_to_depth,
+    inverse,
     parse_word,
     tau_enclosure,
     word_to_matrix,
@@ -76,7 +77,7 @@ class TestActionMobiusOracle:
                     str(h), str(c), str(q), str(moved),
                 )
             # backward: encoded points of every image pull back into c
-            m_inv = word_to_matrix(h.inverse())
+            m_inv = word_to_matrix(inverse(h))
             home = tau_enclosure(c.prefix)
             for iv in enclosures:
                 for q in self._sample_points(iv, rng, n=3):

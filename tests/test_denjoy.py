@@ -56,13 +56,13 @@ def _check_stationarity_reference(d, mu, depth):
 class TestParameterizations:
     def test_pi_examples(self):
         w = params_to_pi(DenjoyParams(Fraction(1, 2), Fraction(1, 2)))
-        assert (w.pi_a, w.pi_ba, w.pi_bbar_a) == (1, Fraction(1, 2), Fraction(1, 2))
+        assert (w.x, w.y, w.ybar) == (1, Fraction(1, 2), Fraction(1, 2))
 
     def test_hausdorff_pi_weights(self):
         _, params = hausdorff_constants()
         w = params_to_pi(params)
-        assert w.pi_a == pytest.approx(math.sqrt(2) / 2)
-        assert float(w.pi_ba) == 0.5 and float(w.pi_bbar_a) == 0.5
+        assert w.x == pytest.approx(math.sqrt(2) / 2)
+        assert float(w.y) == 0.5 and float(w.ybar) == 0.5
         assert params.p == pytest.approx(1 / (1 + math.sqrt(2)))
 
     def test_round_trip(self):
@@ -79,7 +79,7 @@ class TestParameterizations:
         rng = random.Random(5)
         for _ in range(200):
             w = params_to_pi(DenjoyParams(random_rational(rng), random_rational(rng)))
-            assert w.pi_ba + w.pi_bbar_a == 1
+            assert w.y + w.ybar == 1
 
     def test_markov_base_examples(self):
         d = markov_base_to_params(MarkovBase(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
@@ -131,12 +131,12 @@ class TestRadonNikodym:
         inside_a = Cylinder.of("abaBa")
         inside_b = Cylinder.of("baba")
         outside_a = Cylinder.of("baBa")
-        assert rn_derivative(d, a, inside_a) == 1 / w.pi_a
-        assert rn_derivative(d, b, inside_b) == w.pi_a / w.pi_ba
-        assert rn_derivative(d, a, outside_a) == w.pi_a
+        assert rn_derivative(d, a, inside_a) == 1 / w.x
+        assert rn_derivative(d, b, inside_b) == w.x / w.y
+        assert rn_derivative(d, a, outside_a) == w.x
         # the two remaining branches of the b-action
-        assert rn_derivative(d, b, Cylinder.of("ababa")) == w.pi_bbar_a / w.pi_a
-        assert rn_derivative(d, b, Cylinder.of("BaBa")) == w.pi_ba / w.pi_bbar_a
+        assert rn_derivative(d, b, Cylinder.of("ababa")) == w.ybar / w.x
+        assert rn_derivative(d, b, Cylinder.of("BaBa")) == w.y / w.ybar
 
     def test_constant_under_refinement(self):
         d = DenjoyParams(Fraction(3, 8), Fraction(2, 9))

@@ -22,7 +22,7 @@ from modwalk import (
     MediantInterval,
     MultipleRoots,
     NoRootInCube,
-    PassageTriple,
+    PiWeights,
     ROOT_INTERVAL,
     RationalCodes,
     SolverContradictionError,
@@ -37,7 +37,7 @@ from modwalk import (
     residual,
     solve_master,
 )
-from modwalk.solver import y_equation_coefficients
+from modwalk.solver import _integer_weights, _y_equation_integers
 
 from helpers import random_step
 
@@ -85,7 +85,7 @@ def reference_y_equation_coefficients(mu: StepOnS) -> tuple[Fraction, Fraction, 
     return A, B, C
 
 
-def reference_residual(mu: StepOnS, t: PassageTriple) -> tuple[Fraction, Fraction, Fraction]:
+def reference_residual(mu: StepOnS, t: PiWeights) -> tuple[Fraction, Fraction, Fraction]:
     af, bf, bb, bp, bbp = mu.as_tuple()
     x, y, yb = t.x, t.y, t.ybar
     r1 = af + bf * yb + bb * y + bp * x * yb + bbp * x * y - x
@@ -110,14 +110,14 @@ def reference_branch(mu: StepOnS) -> str:
     return "rational" if reference_exact_sqrt(B * B - 4 * A * C) is not None else "irrational"
 
 
-def reference_solve_master(mu: StepOnS, tol: float) -> PassageTriple:
+def reference_solve_master(mu: StepOnS, tol: float) -> PiWeights:
     triple = reference_triple(mu, tol)
     if max(abs(float(r)) for r in reference_residual(mu, triple)) > tol:
         raise SolverContradictionError("residuals exceed tolerance at the located root")
     return triple
 
 
-def reference_triple(mu: StepOnS, tol: float) -> PassageTriple:
+def reference_triple(mu: StepOnS, tol: float) -> PiWeights:
     """The solver's triple before its residual check."""
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
@@ -156,7 +156,10 @@ def reference_triple(mu: StepOnS, tol: float) -> PassageTriple:
     ybar = 1 - y
     denom = 1 - mu.bprime * ybar - mu.bbarprime * y
     x = (1 - mu.bf * y - mu.bbarf * ybar - mu.bprime - mu.bbarprime) / denom
-    return PassageTriple(x, y, ybar)
+    for name, value in (("x", x), ("y", y), ("ybar", ybar)):
+        if not 0 < value < 1:
+            raise ValueError(f"{name} must lie in (0,1), got {value}")
+    return PiWeights(x, y, ybar)
 
 
 def reference_membership_residual(mu: StepOnS, alpha):
@@ -295,11 +298,13 @@ class TestSolver:
         branches = set()
         for mu in criterion_01_walks():
             A, B, C = reference_y_equation_coefficients(mu)
-            assert y_equation_coefficients(mu) == (A, B, C), mu
+            weights = _integer_weights(mu)
+            D = weights[0]
+            assert tuple(Fraction(c, D * D) for c in _y_equation_integers(weights)) == (A, B, C), mu
             branches.add((reference_branch(mu), A > 0))
             got = outcome(solve_master, mu, tol)
             assert got == outcome(reference_solve_master, mu, tol), mu
-            if isinstance(got, PassageTriple):
+            if isinstance(got, PiWeights):
                 assert residual(mu, got) == reference_residual(mu, got), mu
         # every branch ran, the bisection with both leading signs
         assert {"linear", "rational"} < {b for b, _ in branches}
@@ -325,8 +330,8 @@ class TestSolver:
             for tol in (1e-15, 0.5):
                 got = outcome(solve_master, mu, tol)
                 assert got == outcome(reference_solve_master, mu, tol), mu.as_tuple()
-                seen.add(got if isinstance(got, type) else PassageTriple)
-        assert {NoRootInCube, SolverContradictionError, ValueError, PassageTriple} <= seen
+                seen.add(got if isinstance(got, type) else PiWeights)
+        assert {NoRootInCube, SolverContradictionError, ValueError, PiWeights} <= seen
         # a quadratic that changes sign on (0, 1) has one root there, so the
         # MultipleRoots check is never reached behind the sign test
         assert MultipleRoots not in seen
@@ -337,7 +342,7 @@ class TestSolver:
         crossed = 0
         for mu in unchecked_walks():
             triple = outcome(reference_triple, mu, 0.5)
-            if not isinstance(triple, PassageTriple) or reference_branch(mu) != "irrational":
+            if not isinstance(triple, PiWeights) or reference_branch(mu) != "irrational":
                 continue
             r = max(abs(float(v)) for v in reference_residual(mu, triple))
             if 0.5 < r < 1:

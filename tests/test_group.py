@@ -30,7 +30,7 @@ words = st.builds(
 
 
 def _product(moves):
-    out = GroupWord.identity()
+    out = IDENTITY
     for ch in moves:
         out = reduce_concat(out, GroupWord(ch))
     return out

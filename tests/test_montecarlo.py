@@ -17,6 +17,7 @@ from modwalk import (
     SimConfig,
     UnresolvedPathsError,
     compare_with_analytic,
+    cylinder_mass,
     estimate_alpha,
     example_ex0,
     example_ex1,
@@ -418,8 +419,12 @@ class TestCompare:
         report = simulate(SYMMETRIC_NN, small_cfg(paths=400))
         params = DenjoyParams(Fraction(1, 2), Fraction(2, 5))
         table = compare_with_analytic(report, params)
-        assert len(table.rows) == len(report.cylinder_freq)
-        assert table.max_abs_z == max(abs(r.z) for r in table.rows)
+        z = [
+            abs(est - float(cylinder_mass(params, cyl))) / se
+            for cyl, (est, se) in report.cylinder_freq.items()
+        ]
+        assert len(z) > 1 and table.max_abs_z == max(z)
+        assert table.passed == (table.max_abs_z <= 4)
 
     def test_detects_wrong_alpha(self):
         cfg = SimConfig(paths=100_000, steps=400, seed=4, depth=3)

@@ -11,7 +11,7 @@ from modwalk import (
     EX0_LEVEL,
     EX0_PAIR,
     NNParams,
-    PassageTriple,
+    PiWeights,
     StepOnS,
     denjoy_membership_residual,
     example_ex0,
@@ -29,9 +29,9 @@ from modwalk import (
 from modwalk.group import _provably_degenerate
 from modwalk.solver import (
     S_WORDS,
+    _integer_weights,
     _y_equation_integers,
     hyperbola_equation,
-    y_equation_coefficients,
 )
 
 from helpers import random_nn, random_step
@@ -139,7 +139,7 @@ class TestMasterSystem:
         assert params.p == Fraction(2, 5)
 
     def test_residual_detects_wrong_triple(self):
-        wrong = PassageTriple(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+        wrong = PiWeights(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
         r = residual(SYMMETRIC, wrong)
         assert r[0] != 0
 
@@ -175,7 +175,8 @@ class TestMasterSystem:
         grid = np.linspace(0.0, 1.0, 10_001)
         for _ in range(1000):
             mu = random_step(rng)
-            A, B, C = (float(c) for c in y_equation_coefficients(mu))
+            weights = _integer_weights(mu)
+            A, B, C = (c / weights[0] ** 2 for c in _y_equation_integers(weights))
             values = (A * grid + B) * grid + C
             signs = np.sign(values[values != 0.0])
             assert int(np.sum(signs[1:] != signs[:-1])) == 1
@@ -185,7 +186,7 @@ class TestMasterSystem:
         # number of roots in (0, 1), so exactly one.
         rng = random.Random(113)
         for _ in range(200):
-            _, A, B, C = _y_equation_integers(random_step(rng))
+            A, B, C = _y_equation_integers(_integer_weights(random_step(rng)))
             assert C < 0 < A + B + C
 
 
