@@ -45,6 +45,21 @@ class Cylinder:
         return cls(GroupWord(letters))
 
     @classmethod
+    def _unchecked(cls, letters: str) -> "Cylinder":
+        """``Cylinder.of(letters)`` without its checks, for a reduced prefix
+        ending in ``a`` that the caller built as such."""
+        prefix = object.__new__(GroupWord)
+        object.__setattr__(prefix, "letters", letters)
+        cyl = object.__new__(cls)
+        object.__setattr__(cyl, "prefix", prefix)
+        return cyl
+
+    def __hash__(self) -> int:
+        # Equal cylinders have equal prefix letters; one call of str's hash
+        # replaces the generated hashes of two nested dataclasses.
+        return hash(self.prefix.letters)
+
+    @classmethod
     def canonical(cls, word: GroupWord) -> "Cylinder":
         """Canonical cylinder of the shadow of ``word`` (append ``a`` if needed)."""
         s = word.letters

@@ -67,7 +67,6 @@ CPUS = (
 )
 
 _CODE = {"a": 0, "b": 1, "B": 2}
-_LETTER = "abB"
 
 
 class UnresolvedPathsError(RuntimeError):
@@ -168,9 +167,20 @@ def _support_table(mu: GroupMeasure):
     return words, cum
 
 
-def _letters(words) -> int:
-    """Letter slots per increment: the longest support word, at least one."""
-    return max(len(w) for w in words) or 1
+def _nmax(words) -> int:
+    """Most letters ``b``/``B`` in one support word."""
+    return max(len(w) - w.letters.count("a") for w in words)
+
+
+def _reach(words) -> tuple[float, float]:
+    """Most letters 'a' and most letters 'b'/'B' that a word of the walk on
+    the support ``words`` can hold: without 'a' the walk stays in the
+    subgroup of 'b', without 'b'/'B' in ``{'', 'a'}``; any other support
+    has no bound."""
+    has_a, nmax = any("a" in w.letters for w in words), _nmax(words)
+    if has_a and nmax:
+        return math.inf, math.inf
+    return int(has_a), min(nmax, 1)
 
 
 def _path_generator(seed: int, index: int) -> np.random.Generator:
@@ -213,30 +223,32 @@ def _batch_uniforms(
 
 
 # Per-path vectors of the step loop: three int64 offsets (top, row base and
-# a shifted top or the length), with room for a dozen int8/bool temporaries.
+# the length), with room for a dozen uint8/bool temporaries.
 _PATH_VECTOR_BYTES = 3 * 8 + 16
 
 
-def _code_bytes(letters: int) -> int:
-    return (letters + 3) // 4
+def _code_bytes(phases: int) -> int:
+    """Bytes of one atom's codes: 2 bits per phase."""
+    return (phases + 3) // 4
 
 
-def _batch_paths(steps: int, letters: int) -> int:
+def _batch_paths(steps: int, nmax: int) -> int:
     """Paths per batch: at most ``BATCH_PATHS`` and, above a floor of one
-    path, within ``BATCH_BYTES``.  Per step a path holds one code byte per
-    four letters of the longest support word and ``letters`` cells of word
-    array; on top of that come 3 word cells of slack and
-    ``_PATH_VECTOR_BYTES`` of the step loop's per-path vectors.  The
-    uniforms are drawn ``BLOCK_BYTES`` at a time outside this budget."""
-    per_path = steps * (_code_bytes(letters) + letters) + 3 + _PATH_VECTOR_BYTES
+    path, within ``BATCH_BYTES``.  Per step a path holds the codes of
+    ``2 nmax + 1`` phases and ``nmax`` cells of word stack, where ``nmax`` is
+    the most letters ``b``/``B`` in one support word; on top of that come
+    the bottom cell and ``_PATH_VECTOR_BYTES`` of the step loop's per-path
+    vectors.  The uniforms are drawn ``BLOCK_BYTES`` at a time outside this
+    budget."""
+    per_path = steps * (_code_bytes(2 * nmax + 1) + nmax) + 1 + _PATH_VECTOR_BYTES
     return max(1, min(BATCH_PATHS, BATCH_BYTES // per_path))
 
 
 def _step_codes(
     cum: np.ndarray, packed: np.ndarray, seed: int, start: int, count: int, steps: int
 ) -> np.ndarray:
-    """Packed letter codes (``packed``, from ``_packed_codes``) of the
-    increments of paths ``start`` to ``start + count - 1`` as a step-major
+    """Phase codes (``packed``, from ``_phase_codes``) of the increments of
+    paths ``start`` to ``start + count - 1`` as a step-major
     ``(code bytes, steps, count)`` array.  Uniforms are drawn, counted and
     looked up in blocks of at most ``BLOCK_BYTES`` (and at least one path)
     into one reused buffer, so no batch-sized float64 or index array exists,
@@ -265,76 +277,147 @@ def _increments(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _packed_codes(words) -> np.ndarray:
-    """``(bytes, atoms)`` code table of the support ``words``: letter ``p``
-    of an atom sits in byte ``p // 4`` at bits ``2 (p % 4)``, stored as its
-    code plus one, so that 0 marks a letter the atom does not have."""
-    packed = np.zeros((_code_bytes(_letters(words)), len(words)), dtype=np.uint8)
+# A reduced word of Z2 * Z3 alternates 'a' with 'b'/'B', so it is held as a
+# stack of cells: cell 0 is _BOTTOM, plus _A if the word starts with 'a', and
+# cell j >= 1 is the code of the j-th letter 'b'/'B' (b=1, B=2), plus _A if
+# an 'a' follows it.  Every letter cell but the top one has its _A bit.
+_A = 4
+_BOTTOM = 8
+# _SPELL[cell] is the part of the word a cell holds.
+_SPELL = ["", "b", "B", "", "", "ba", "Ba", "", "", "", "", "", "a"]
+
+
+def _stack(word: GroupWord) -> np.ndarray:
+    """The stack cells of ``word``: cell 0 and its letter cells, as uint8."""
+    cells = [_BOTTOM]
+    for ch in word.letters:
+        if ch == "a":
+            cells[-1] |= _A
+        else:
+            cells.append(_CODE[ch])
+    return np.array(cells, dtype=np.uint8)
+
+
+def _spell(cells) -> str:
+    """The word held by stack ``cells``; cells of 0 add nothing."""
+    return "".join(_SPELL[c] for c in cells)
+
+
+def _phase_codes(words):
+    """Code table of the support ``words`` and the phases the kernel runs.
+
+    An atom is cut into the phases ``A0, B1, A1, ..., Bn, An`` with
+    ``n = _nmax(words)``: B-phase ``j`` holds the code of the atom's ``j``-th
+    letter ``b``/``B`` (0 if it has none), and A-phase ``j`` is 1 if an 'a'
+    follows that letter (A0: if the atom starts with 'a').  Phase ``q`` sits
+    in 2-bit slot ``q - 1`` and A0 in the last slot ``2n``, so B-phases fill
+    the even slots and the 'a' bit of slots 1, 5, ... is bit 2 of its byte,
+    as the register holds it; slot ``s`` is byte ``s // 4`` at bits
+    ``2 (s % 4)`` of column ``i`` for atom ``i``.
+
+    Returns the int8 ``(bytes, atoms)`` table and the ``(slot, is A-phase)``
+    pairs in time order, without A-phases that no atom has.
+    """
+    n = _nmax(words)
+    packed = np.zeros((_code_bytes(2 * n + 1), len(words)), dtype=np.uint8)
     for i, w in enumerate(words):
-        for p, ch in enumerate(w.letters):
-            packed[p // 4, i] |= (_CODE[ch] + 1) << (2 * (p % 4))
-    return packed.view(np.int8)
+        j = 0  # letters 'b'/'B' so far
+        for ch in w.letters:
+            if ch == "a":
+                s, code = (2 * j - 1) % (2 * n + 1), 1
+            else:
+                j += 1
+                s, code = 2 * j - 2, _CODE[ch]
+            packed[s // 4, i] |= code << 2 * (s % 4)
+    used = np.bitwise_or.reduce(packed, axis=1)
+    phases = [
+        (s, s % 2 == 1 or s == 2 * n)
+        for s in [2 * n, *range(2 * n)]
+        if used[s // 4] >> 2 * (s % 4) & 3
+    ]
+    return packed.view(np.int8), phases
 
 
-# Reduced-word push: with letters coded a=0, b=1, B=2, the pairs that cancel
-# are exactly those with top + c == 3 or top == c == 0; equal nonzero letters
-# merge to the third code 3 - c == c ^ 3; anything else appends.
-
-def _evolve(codes, shortest, letters, targets):
+def _evolve(codes, phases, targets):
     """Multiply each path by its increments on the right.
 
-    ``codes[g, t, i]`` is byte ``g`` of the packed code (``_packed_codes``)
-    of path ``i``'s increment at step ``t``, as ``_step_codes`` draws it;
-    the support words have ``shortest`` to ``letters`` letters.  Each of
-    ``targets`` is an int8 array of letter codes.
+    ``codes[g, t, i]`` is byte ``g`` of the phase codes of path ``i``'s
+    increment at step ``t``, as ``_step_codes`` draws them, and ``phases``
+    lists their slots in time order (both from ``_phase_codes``).  Each of
+    ``targets`` is the uint8 stack of a word (``_stack``).
 
-    Returns ``(W, L, visited)``: path ``i`` ends at the reduced word
-    ``W[i, :L[i]]`` (cells past ``L[i]`` are scratch), and ``visited[i, k]``
-    says whether it sat on target ``k`` after some step.
+    A path's stack lives in a flat row of ``steps * nmax + 1`` cells, and its
+    top cell in a register ``reg``.  An A-phase flips the register's _A bit
+    and touches no memory.  A B-phase with letter ``c`` spills the register
+    to the top cell, moves the top up on a push (the word is empty or ends
+    in 'a') or down on a cancel (``c`` inverts the top letter), gathers the
+    new top cell and blends: ``c`` on a push, else the gathered cell, with
+    its letter swapped (``^ 3``) on a merge (``c`` equals the top letter).
+    A B-phase without a letter changes nothing, and the register of an
+    empty word spills to cell 0, so ``""`` and ``"a"`` need no special case.
+
+    Returns ``(W, L, visited)``: path ``i`` ends at the word of the stack
+    ``W[i, :L[i] + 1]`` (``_spell``; cells past ``L[i]`` are scratch), and
+    ``visited[i, k]`` says whether it sat on target ``k`` after some step.
     """
     _, steps, B = codes.shape
+    codes = codes.view(np.uint8)
+    stride = steps * sum(not a_phase for _, a_phase in phases) + 1
     K = len(targets)
-    stride = steps * letters + 3
-    # Flat rows: cell 0 is a -1 sentinel, so W[top_at] is the top letter or
-    # the sentinel of an empty word; then room for steps * letters letters
-    # and two cells of scratch.
-    W = np.full(B * stride, -1, dtype=np.int8)
+    W = np.zeros(B * stride, dtype=np.uint8)
     base = np.arange(B, dtype=np.int64) * stride
+    W[base] = _BOTTOM
     top_at = base.copy()
+    reg = np.full(B, _BOTTOM, dtype=np.uint8)
     visited = np.zeros((B, K), dtype=np.bool_)
-    longest = max((tgt.size for tgt in targets), default=0)
-    c = np.empty(B, dtype=np.int8)
-    three = np.int8(3)
+    longest = max((tgt.size - 1 for tgt in targets), default=0)
+    c, x, g = (np.empty(B, dtype=np.uint8) for _ in range(3))
+    push, cancel, merge = (np.empty(B, dtype=np.bool_) for _ in range(3))
+    d = np.empty(B, dtype=np.int8)
+    three = np.uint8(3)
     for t in range(steps):
-        for p in range(letters):
-            np.right_shift(codes[p // 4, t], 2 * (p % 4), out=c)
-            np.bitwise_and(c, 3, out=c)
-            c -= 1  # letter code, or -1 if absent
-            top = W[top_at]
-            cancel = (top + c == 3) | ((top | c) == 0)
-            merge = (top == c) & (top > 0)
-            append = ~(cancel | merge)
-            # An append writes above the top and a merge over it; a cancel or
-            # an absent letter writes scratch above the new length.
-            value = c ^ (merge.view(np.int8) * three)
-            if p < shortest:  # every atom has letter p
-                top_at += append
-                W[top_at] = value
+        for s, a_phase in phases:
+            # An A-phase moves its slot's 'a' bit to bit 2 (_A), a B-phase
+            # its letter code to bits 0-1.
+            byte = codes[s // 4, t]
+            out, mask = (x, _A) if a_phase else (c, 3)
+            shift = 2 * (s % 4) - 2 * a_phase
+            if shift:
+                (np.right_shift if shift > 0 else np.left_shift)(byte, abs(shift), out=out)
+                out &= mask
             else:
-                W[top_at + append] = value
-                top_at += append & (c >= 0)
-            top_at -= cancel
+                np.bitwise_and(byte, mask, out=out)
+            if a_phase:
+                reg ^= x
+                continue
+            W[top_at] = reg
+            # reg * c is 0 without a letter, 1 to 4 on two letters (2 when
+            # they cancel) and at least 5 when the word ends in 'a' or is empty.
+            np.multiply(reg, c, out=x)
+            np.greater(x, 4, out=push)
+            np.equal(x, 2, out=cancel)
+            np.equal(reg, c, out=merge)
+            np.subtract(push.view(np.int8), cancel.view(np.int8), out=d)
+            top_at += d
+            np.take(W, top_at, out=g)
+            np.multiply(merge, three, out=x)
+            np.bitwise_xor(g, x, out=reg)
+            np.subtract(c, g, out=x)
+            x *= push
+            reg += x
         if K:
             L = top_at - base
             near = np.flatnonzero(L <= longest)
             L_near = L[near]
             for k, tgt in enumerate(targets):
-                idx = near[L_near == tgt.size]
-                hit = np.ones(idx.size, dtype=np.bool_)
-                for j, letter in enumerate(tgt):
-                    hit &= W[base[idx] + 1 + j] == letter
+                m = tgt.size - 1
+                idx = near[L_near == m]
+                hit = reg[idx] == tgt[m]
+                for j in range(m):
+                    hit &= W[base[idx] + j] == tgt[j]
                 visited[idx[hit], k] = True
-    return W.reshape(B, stride)[:, 1:], top_at - base, visited
+    W[top_at] = reg
+    return W.reshape(B, stride), top_at - base, visited
 
 
 def sample_path(
@@ -372,14 +455,14 @@ def _batches(mu: GroupMeasure, cfg: SimConfig, targets, read):
     that fits in one batch forks nothing.  A child's exception is raised
     here, and a run that stops early kills and reaps its children.
 
-    A batch draws the packed codes of its increments step-major,
-    ``BLOCK_BYTES`` of uniforms at a time (``_step_codes``).  They are freed
-    when the kernel returns and the word array when ``read`` does, so no two
-    batches of one process overlap."""
+    A batch draws the phase codes of its increments step-major,
+    ``BLOCK_BYTES`` of uniforms at a time (``_step_codes``), and the kernel
+    steps on them with one scatter and one gather per letter ``b``/``B`` of
+    an increment.  The codes are freed when the kernel returns and the word
+    array when ``read`` does, so no two batches of one process overlap."""
     words, cum = _support_table(mu)
-    packed = _packed_codes(words)
-    shortest, letters = min(map(len, words)), _letters(words)
-    size = _batch_paths(cfg.steps, letters)
+    packed, phases = _phase_codes(words)
+    size = _batch_paths(cfg.steps, _nmax(words))
     n = min(CPUS, -(-cfg.paths // size))
     size = max(1, size // n)
     cuts = [cfg.paths * j // n for j in range(n + 1)]
@@ -390,7 +473,7 @@ def _batches(mu: GroupMeasure, cfg: SimConfig, targets, read):
             yield read(
                 *_evolve(
                     _step_codes(cum, packed, cfg.seed, start, count, cfg.steps),
-                    shortest, letters, targets,
+                    phases, targets,
                 )
             )
 
@@ -453,34 +536,33 @@ def _fork(reads):
 
 
 def _run(mu: GroupMeasure, cfg: SimConfig, targets: Sequence[GroupWord]):
-    codes = [np.array([_CODE[ch] for ch in t.letters], dtype=np.int8) for t in targets]
+    stacks = [_stack(t) for t in targets]
     identity = [j for j, t in enumerate(targets) if t.is_identity()]
+    d = cfg.depth
 
     def read(W, L, visited):
         visited[:, identity] = True  # the start position counts as visited
-        # Read the depth-d cylinder off the prefix ending at the d-th 'a'.
-        # Reduced words alternate 'a' with 'b'/'B', so that prefix ends
-        # within the first 2d letters, and a word with fewer than d letters
-        # 'a' among them has no more.
-        P = W[:, : 2 * cfg.depth]
-        cols = np.arange(P.shape[1])
-        a_count = np.cumsum((P == 0) & (cols < L[:, None]), axis=1, dtype=np.int32)
-        resolved_mask = a_count[:, -1] >= cfg.depth
+        # The depth-d cylinder is the prefix ending at the d-th 'a': the
+        # first d letter cells, or d - 1 after a leading 'a' (cell 0), the
+        # last of which must be followed by an 'a'.
+        P = W[:, : d + 1]
+        need = d - (P[:, 0] & _A > 0)
+        last = P[np.arange(P.shape[0]), np.minimum(need, L)]
+        resolved_mask = (need <= L) & (last & _A > 0)
         P = P[resolved_mask]
-        pos = np.argmax(a_count[resolved_mask] >= cfg.depth, axis=1)
-        P[cols > pos[:, None]] = -1
+        P[np.arange(P.shape[1]) > need[resolved_mask, None]] = 0
         # Count equal prefixes as single items over their row bytes.
         uniq, counts = np.unique(P.view(np.dtype((np.void, P.shape[1]))), return_counts=True)
         leaves = [
-            ("".join(_LETTER[c] for c in row if c >= 0), int(n))
-            for row, n in zip(uniq.view(np.int8).reshape(-1, P.shape[1]), counts)
+            (_spell(row), int(n))
+            for row, n in zip(uniq.view(np.uint8).reshape(-1, P.shape[1]), counts)
         ]
         return visited.sum(axis=0), leaves, int(W.shape[0] - resolved_mask.sum())
 
     visit_counts = np.zeros(len(targets), dtype=np.int64)
     leaf_counts: dict[str, int] = {}
     unresolved = 0
-    for visits, leaves, short in _batches(mu, cfg, codes, read):
+    for visits, leaves, short in _batches(mu, cfg, stacks, read):
         visit_counts += visits
         for key, n in leaves:
             leaf_counts[key] = leaf_counts.get(key, 0) + n
@@ -503,11 +585,15 @@ def simulate(
     ``cfg.depth`` letters ``a`` are counted as unresolved and dropped from
     the frequency table (at every depth, so parents stay the exact sums of
     their children); an unresolved fraction above
-    ``max_unresolved_fraction`` raises :class:`UnresolvedPathsError`.
+    ``max_unresolved_fraction`` raises :class:`UnresolvedPathsError`.  Below
+    a fraction of 1 it is raised before any path is drawn when no path can
+    reach the depth: the support has no 'a', or only ``""`` and ``"a"`` with
+    ``cfg.depth >= 2``.
 
     The tally adds each leaf's count to its prefixes in one scan and builds
-    one ``Cylinder`` per distinct prefix.  The report itself still holds up
-    to about ``paths * depth`` cylinders when most paths have their own
+    one ``Cylinder`` per distinct prefix from the readout's strings, without
+    parsing them again.  The report itself still holds up to about
+    ``paths * depth`` cylinders when most paths have their own
     depth-``depth`` leaf.
     """
     targets = sorted(set(targets), key=GroupWord.sort_key)
@@ -518,6 +604,12 @@ def simulate(
             " estimates describe this restricted walk only",
             stacklevel=2,
         )
+    most_a = _reach(_support_table(mu)[0])[0]
+    if cfg.depth > most_a and max_unresolved_fraction < 1:
+        raise UnresolvedPathsError(
+            f"no path can reach depth {cfg.depth}: on this degenerate support"
+            f" every word holds at most {most_a} of the letters 'a'"
+        )
     visit_counts, leaf_counts, unresolved = _run(mu, cfg, targets)
 
     if unresolved > max_unresolved_fraction * cfg.paths:
@@ -527,20 +619,21 @@ def simulate(
         )
     resolved = cfg.paths - unresolved
 
-    # A leaf ends at its depth-th 'a'; the cylinder at each depth is the
-    # prefix ending at that depth's 'a'.
+    # A leaf ends at its depth-th 'a', and the cylinder at depth j is the
+    # prefix ending at its j-th 'a': letter 2j, or 2j - 1 after a leading
+    # 'a', since reduced words alternate 'a' with 'b'/'B'.  Each prefix is
+    # a valid cylinder, so it is built once without a second parse.
     prefix_counts: dict[str, int] = {}
     for leaf, n in leaf_counts.items():
-        end = 0
-        for _ in range(cfg.depth):
-            end = leaf.index("a", end) + 1
+        first = leaf[0] == "a"
+        for end in range(2 - first, 2 * cfg.depth + 1 - first, 2):
             prefix = leaf[:end]
             prefix_counts[prefix] = prefix_counts.get(prefix, 0) + n
-    counts = {Cylinder.of(prefix): n for prefix, n in prefix_counts.items()}
-    freq = {}
-    for cyl, n in counts.items():
-        est = n / resolved
-        freq[cyl] = (est, math.sqrt(est * (1 - est) / resolved))
+    cylinders = [Cylinder._unchecked(prefix) for prefix in prefix_counts]
+    est = np.fromiter(prefix_counts.values(), dtype=np.int64, count=len(cylinders)) / resolved
+    se = np.sqrt(est * (1 - est) / resolved)  # the same float operations as math's
+    counts = dict(zip(cylinders, prefix_counts.values()))
+    freq = dict(zip(cylinders, zip(est.tolist(), se.tolist())))
 
     passage = {}
     passage_counts = {}
@@ -633,25 +726,27 @@ def estimate_alpha(mu: GroupMeasure, cfg: SimConfig) -> AlphaEstimate:
     ``P(b) = alpha`` whatever ``p`` is, so a single z-score against ``1/2``
     tests membership in the whole Minkowski class.  Paths whose final word
     holds fewer than ``cfg.depth`` such letters are unresolved and dropped;
-    an unresolved fraction above 1% raises :class:`UnresolvedPathsError`.
-    Fewer than two resolved paths, or resolved paths that all hold the same
+    an unresolved fraction above 1% raises :class:`UnresolvedPathsError`,
+    before any path is drawn when no path can hold ``cfg.depth`` such letters
+    (``_reach``).  Fewer than two resolved paths, or resolved paths that all hold the same
     count of ``b``, leave no standard error to test with and raise
     ``ValueError``.  Paths are tallied by their integer count of ``b``, so
     the result obeys RNG contract v1 exactly whatever the batch layout is.
     """
     k = cfg.depth
+    most = _reach(_support_table(mu)[0])[1]
+    if k > most:
+        raise UnresolvedPathsError(
+            f"no path can hold {k} letters 'b'/'B': on this degenerate support"
+            f" every word holds at most {most} of them"
+        )
     tally = np.zeros(k + 1, dtype=np.int64)  # resolved paths by count of 'b'
 
     def read(W, L, _):
-        # Reduced words alternate 'a' with 'b'/'B', so the first k letters
-        # 'b'/'B' lie within the first 2k + 1 letters.
-        P = W[:, : 2 * k + 1]
-        cols = np.arange(P.shape[1])
-        letters = (P > 0) & (cols < L[:, None])
-        first = letters & (np.cumsum(letters, axis=1) <= k)
-        resolved_mask = first.sum(axis=1) == k
-        b_count = ((P == 1) & first).sum(axis=1)
-        return np.bincount(b_count[resolved_mask], minlength=k + 1)
+        # The first k letters 'b'/'B' are the letter cells 1 to k.
+        resolved_mask = L >= k
+        b_count = (W[resolved_mask, 1 : k + 1] & 3 == 1).sum(axis=1)
+        return np.bincount(b_count, minlength=k + 1)
 
     for counts in _batches(mu, cfg, (), read):
         tally += counts

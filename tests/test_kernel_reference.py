@@ -2,10 +2,11 @@
 
 The references below are the word-evolution kernel and the cylinder
 readout that ``montecarlo`` used before each batch drew its uniforms in
-blocks, read its letters from a packed step-major code table and read
-cylinders off the first ``2d`` columns only.  They keep that batch's
-input formats: a ``-1``-padded letter table of the support and the targets
-as one flat code array with offsets.  Final lengths, in-word cells, target
+blocks, read its increments from a packed step-major phase table, kept only
+the ``b``/``B`` letters of each word on a stack and read cylinders off the
+first ``d + 1`` cells only.  They keep that batch's input formats: a
+``-1``-padded letter table of the support and the targets as one flat code
+array with offsets.  The words the stacks spell, their lengths, target
 visits and leaf counts must be equal to theirs.
 """
 
@@ -158,15 +159,17 @@ def test_kernel_matches_reference(name):
     increments = montecarlo._increments(cum, montecarlo._batch_uniforms(3, 11, paths, steps))
     width = steps * table.shape[1] + 2
     W0, L0, v0 = reference_evolve(increments, table, width, *reference_targets(TARGETS))
-    # the step-major packed codes that _step_codes draws
-    codes = montecarlo._packed_codes(words)[:, increments.T]
-    targets = [np.array([montecarlo._CODE[ch] for ch in t.letters], dtype=np.int8) for t in TARGETS]
-    shortest = min(len(w) for w in words)
-    W, L, visited = montecarlo._evolve(codes, shortest, table.shape[1], targets)
-    assert W.shape == (paths, width)
-    assert np.array_equal(L, L0)
-    in_word = np.arange(width) < L[:, None]
-    assert np.array_equal(W[in_word], W0[in_word])
+    # the step-major phase codes that _step_codes draws
+    packed, phases = montecarlo._phase_codes(words)
+    W, L, visited = montecarlo._evolve(
+        packed[:, increments.T], phases, [montecarlo._stack(t) for t in TARGETS]
+    )
+    nmax = max(len(w) - w.letters.count("a") for w in words)
+    assert W.shape == (paths, steps * nmax + 1)
+    for i in range(paths):
+        word = montecarlo._spell(W[i, : L[i] + 1])
+        assert word == "".join("abB"[c] for c in W0[i, : L0[i]])
+        assert len(word) == L0[i]
     assert np.array_equal(visited, v0)
     # every nonempty target is hit by some path, so its checks were exercised
     assert v0[:, 1:].any(axis=0).sum() >= 2

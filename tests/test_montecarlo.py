@@ -97,15 +97,15 @@ class TestSamplePath:
         words, cum = montecarlo._support_table(mu)
         u = montecarlo._batch_uniforms(cfg.seed, 0, cfg.paths, cfg.steps)
         increments = np.searchsorted(cum, u, side="right").astype(np.int16)
+        packed, phases = montecarlo._phase_codes(words)
         W, L, visited = montecarlo._evolve(
-            montecarlo._packed_codes(words)[:, increments.T],
-            min(map(len, words)), montecarlo._letters(words),
-            [np.array([montecarlo._CODE[ch] for ch in t.letters], dtype=np.int8) for t in targets],
+            packed[:, increments.T], phases, [montecarlo._stack(t) for t in targets]
         )
         for i in range(cfg.paths):
             expected, seen = sample_path(mu, cfg.steps, _path_generator(cfg.seed, i), targets)
-            got = "".join("abB"[c] for c in W[i, : L[i]])
+            got = montecarlo._spell(W[i, : L[i] + 1])
             assert got == expected.letters
+            assert L[i] == len(got) - got.count("a")
             assert {t for t, hit in zip(targets, visited[i]) if hit} == seen
         # every target is visited by some path and missed by another
         assert visited.any(axis=0).all() and not visited.all(axis=0).any()
@@ -168,7 +168,7 @@ class TestBatchLayout:
         mu = GroupMeasure.uniform(parse_word(w) for w in words)
         support, cum = montecarlo._support_table(mu)
         assert cum.size == len(support) == len(words)
-        packed = montecarlo._packed_codes(support)
+        packed, _ = montecarlo._phase_codes(support)
         seed, start, count, steps = 4, 29, 70, 45
         increments = montecarlo._increments(
             cum, montecarlo._batch_uniforms(seed, start, count, steps)
@@ -177,6 +177,35 @@ class TestBatchLayout:
         codes = montecarlo._step_codes(cum, packed, seed, start, count, steps)
         assert codes.dtype == np.int8
         assert np.array_equal(codes, packed[:, increments])
+
+    @pytest.mark.parametrize("word, nmax", [("ba", 1), ("baBa", 2)])
+    def test_rows_hold_words_that_never_cancel(self, word, nmax):
+        # Each step pushes nmax letters 'b'/'B' and none cancels, so every
+        # path fills exactly steps * nmax cells: the widest rows the kernel
+        # can need, and the last path's top is the word array's last cell.
+        mu = GroupMeasure.dirac(parse_word(word))
+        words, cum = montecarlo._support_table(mu)
+        assert montecarlo._nmax(words) == nmax
+        packed, phases = montecarlo._phase_codes(words)
+        seed, paths, steps = 6, 9, 41
+        codes = montecarlo._step_codes(cum, packed, seed, 0, paths, steps)
+        W, L, _ = montecarlo._evolve(codes, phases, [])
+        assert W.shape == (paths, steps * nmax + 1)
+        assert (L == steps * nmax).all()
+        assert (paths - 1) * W.shape[1] + L[-1] == W.size - 1
+        for i in range(paths):
+            expected, _ = sample_path(mu, steps, _path_generator(seed, i))
+            assert montecarlo._spell(W[i, : L[i] + 1]) == expected.letters
+
+    def test_rows_shorter_than_the_readout(self):
+        # Two steps hold at most two letters 'b'/'B', fewer than depth 5 or
+        # the letter test's 5 letters need: every path is unresolved.
+        with pytest.warns(UserWarning, match="floor"):
+            cfg = SimConfig(paths=30, steps=2, seed=1, depth=5, allow_short_steps=True)
+        report = simulate(SYMMETRIC_NN, cfg, max_unresolved_fraction=1.0)
+        assert report.unresolved == cfg.paths and not report.cylinder_counts
+        with pytest.raises(UnresolvedPathsError):
+            estimate_alpha(SYMMETRIC_NN, cfg)
 
     @pytest.mark.parametrize("atoms", [1, 3, 9, 64, 65])
     def test_increments_match_searchsorted(self, atoms):
@@ -380,6 +409,38 @@ class TestEstimates:
         with pytest.warns(UserWarning, match="generate"):
             with pytest.raises(UnresolvedPathsError):
                 simulate(mu, small_cfg(paths=300))
+
+    @pytest.mark.parametrize("weights, depth", [
+        ({"": 1}, 1),
+        ({"b": "1/2", "B": "1/2"}, 3),
+        ({"": "1/2", "a": "1/2"}, 2),
+    ])
+    def test_unreachable_depth_draws_nothing(self, monkeypatch, weights, depth):
+        # No 'a' keeps every word in the subgroup of b; only '' and 'a' keep
+        # it in {'', 'a'}.  Either way the run is refused before any draw.
+        def batches(*args):
+            raise AssertionError("_batches entered")
+
+        mu = GroupMeasure.from_json_dict(weights)
+        cfg = small_cfg(paths=100, depth=depth)
+        monkeypatch.setattr(montecarlo, "_batches", batches)
+        with pytest.warns(UserWarning, match="generate"):
+            with pytest.raises(UnresolvedPathsError, match="no path can reach"):
+                simulate(mu, cfg)
+        with pytest.raises(UnresolvedPathsError, match="no path can hold"):
+            estimate_alpha(mu, cfg)
+        # A fraction of 1 accepts every path unresolved, so the paths run.
+        with pytest.warns(UserWarning, match="generate"):
+            with pytest.raises(AssertionError, match="_batches entered"):
+                simulate(mu, cfg, max_unresolved_fraction=1.0)
+
+    def test_depth_one_is_reachable_through_a(self):
+        # {'', 'a'} can sit on 'a', so depth 1 runs; paths on '' stay unresolved.
+        mu = GroupMeasure.from_json_dict({"": "1/2", "a": "1/2"})
+        with pytest.warns(UserWarning, match="generate"):
+            report = simulate(mu, small_cfg(paths=400, depth=1), max_unresolved_fraction=1.0)
+        assert 0 < report.resolved < report.paths_used
+        assert report.cylinder_counts == {Cylinder.of("a"): report.resolved}
 
     def test_deep_tally_matches_the_ancestor_scan(self):
         # The tally as it was: one ancestor scan and one Cylinder per leaf
