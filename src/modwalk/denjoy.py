@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Union
 
 from .boundary import Cylinder, act_on_cylinder, cylinders_up_to_depth
-from .group import GroupMeasure, GroupWord, inverse
+from .group import GroupMeasure, GroupWord, _require_probability, inverse
 from .mediant import _stem_runs
 
 __all__ = [
@@ -164,18 +164,16 @@ def rn_derivative(d: DenjoyParams, g: GroupWord, c: Cylinder) -> Scalar:
     """Density of the translated measure against the original one on ``c``.
 
     Computed as the mass ratio ``mass(g^-1 c) / mass(c)``; the cylinder must
-    be deep enough that the pullback is a single cylinder, which makes the
-    ratio independent of further refinement.
+    be longer than ``|g| + 1`` letters, so that ``g^-1`` acts on it without
+    refining and the pullback is a single cylinder, which makes the ratio
+    independent of further refinement.
     """
     if len(c.prefix) <= len(g) + 1:
         raise ValueError(
             f"cylinder {c} is too shallow for the action of {g.letters!r}"
         )
-    pulled = act_on_cylinder(inverse(g), c)
-    numerator = cylinder_mass(d, pulled[0])
-    for piece in pulled[1:]:
-        numerator = numerator + cylinder_mass(d, piece)
-    return numerator / cylinder_mass(d, c)
+    (pulled,) = act_on_cylinder(inverse(g), c)
+    return cylinder_mass(d, pulled) / cylinder_mass(d, c)
 
 
 _Monomial = tuple[bool, int, int]  # (starts with a, #b, #B) of a cylinder's mass
@@ -222,8 +220,7 @@ def check_stationarity(d: DenjoyParams, mu: GroupMeasure, depth: int = 8) -> flo
     divided: rounding is monotone, so that is the largest rounded residual."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if not mu.is_probability():
-        raise ValueError("mu must be a probability measure")
+    _require_probability(mu, "mu")
     n, q = Fraction(d.alpha).as_integer_ratio()
     pn, pq = Fraction(d.p).as_integer_ratio()
     weights = sorted((h.letters, w) for h, w in mu.weights.items())

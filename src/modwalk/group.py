@@ -11,6 +11,7 @@ identities can be tested exactly.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +46,22 @@ _LETTER_MATRIX: dict[str, Matrix] = {
 }
 
 WeightLike = Union[Fraction, int, str]
+
+
+def _weight(value: object) -> Fraction:
+    """``value`` as an exact nonnegative rational weight.  A ``Fraction``, an
+    ``int``, a finite ``float`` or a string such as ``"1/3"`` converts;
+    booleans, ``None``, non-finite floats, zero denominators and negative
+    values raise ``ValueError``."""
+    if not isinstance(value, bool):  # an int subclass: true and false are not weights
+        try:
+            mass = Fraction(value)
+        except (TypeError, ValueError, ArithmeticError):
+            pass
+        else:
+            if mass >= 0:
+                return mass
+    raise ValueError(f"weight {value!r} is not a finite nonnegative rational")
 
 
 # The longest admissible prefix ('a' alternating with 'b'/'B') ends at a word's first fault.
@@ -119,17 +136,27 @@ def inverse(w: GroupWord) -> GroupWord:
     return GroupWord("".join(_INVERSE_LETTER[ch] for ch in reversed(w.letters)))
 
 
+def _reach(words: Iterable[GroupWord]) -> tuple[float, float]:
+    """Most letters 'a' and most letters 'b'/'B' that a word of the walk on
+    the support ``words`` can hold: without 'a' the walk stays in the
+    subgroup of 'b', without 'b'/'B' in ``{'', 'a'}``; any other support
+    has no bound."""
+    letters = "".join(w.letters for w in words)
+    has_a, has_b = "a" in letters, bool(letters.replace("a", ""))
+    if has_a and has_b:
+        return math.inf, math.inf
+    return int(has_a), int(has_b)
+
+
 def _provably_degenerate(words: Iterable[GroupWord]) -> bool:
     """Sufficient (not complete) conditions for a support to fail to
-    generate the group as a semigroup: stuck in the order-2 factor, stuck in
-    the order-3 factor, or trapped in the free semigroup of words that start
-    with b/B and end with a (products never cancel there)."""
-    letters = [w.letters for w in words]
-    if all(s in ("", "a") for s in letters):
+    generate the group as a semigroup: stuck in the order-2 or the order-3
+    factor (a bounded ``_reach``), or trapped in the free semigroup of words
+    that start with b/B and end with a (products never cancel there)."""
+    words = list(words)
+    if _reach(words) != (math.inf, math.inf):
         return True
-    if all("a" not in s for s in letters):
-        return True
-    return all(s and s[0] != "a" and s[-1] == "a" for s in letters)
+    return all(s and s[0] != "a" and s[-1] == "a" for s in map(str, words))
 
 
 def parse_word(s: str) -> GroupWord:
@@ -181,9 +208,7 @@ class GroupMeasure:
     def __init__(self, weights: Mapping[GroupWord, WeightLike]):
         clean: dict[GroupWord, Fraction] = {}
         for word, mass in weights.items():
-            mass = Fraction(mass)
-            if mass < 0:
-                raise ValueError(f"negative weight {mass} at {word.letters!r}")
+            mass = _weight(mass)
             if mass:
                 clean[word] = mass
         self._weights = clean
@@ -239,10 +264,11 @@ class GroupMeasure:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, WeightLike]) -> "GroupMeasure":
-        return cls({parse_word(k): Fraction(v) for k, v in data.items()})
+        return cls({parse_word(k): v for k, v in data.items()})
 
 
 def _require_probability(m: GroupMeasure, name: str) -> None:
+    """The one total-mass check: ``ValueError`` unless ``m`` has mass 1."""
     if not m.is_probability():
         raise ValueError(f"{name} must be a probability measure (total mass {m.total_mass})")
 

@@ -33,7 +33,14 @@ import numpy as np
 
 from .boundary import Cylinder
 from .denjoy import DenjoyParams, cylinder_mass
-from .group import IDENTITY, GroupMeasure, GroupWord, _provably_degenerate
+from .group import (
+    IDENTITY,
+    GroupMeasure,
+    GroupWord,
+    _provably_degenerate,
+    _reach,
+    _require_probability,
+)
 
 __all__ = [
     "RNG_CONTRACT",
@@ -159,8 +166,7 @@ class SimReport:
 
 def _support_table(mu: GroupMeasure):
     """The support words in sort order and their cumulative weights."""
-    if not mu.is_probability():
-        raise ValueError("mu must be a probability measure")
+    _require_probability(mu, "mu")
     words = sorted(mu.support(), key=GroupWord.sort_key)
     cum = np.cumsum(np.array([float(mu(w)) for w in words], dtype=np.float64))
     cum[-1] = 1.0  # guard float rounding of the total mass
@@ -170,17 +176,6 @@ def _support_table(mu: GroupMeasure):
 def _nmax(words) -> int:
     """Most letters ``b``/``B`` in one support word."""
     return max(len(w) - w.letters.count("a") for w in words)
-
-
-def _reach(words) -> tuple[float, float]:
-    """Most letters 'a' and most letters 'b'/'B' that a word of the walk on
-    the support ``words`` can hold: without 'a' the walk stays in the
-    subgroup of 'b', without 'b'/'B' in ``{'', 'a'}``; any other support
-    has no bound."""
-    has_a, nmax = any("a" in w.letters for w in words), _nmax(words)
-    if has_a and nmax:
-        return math.inf, math.inf
-    return int(has_a), min(nmax, 1)
 
 
 def _path_generator(seed: int, index: int) -> np.random.Generator:
@@ -597,14 +592,15 @@ def simulate(
     depth-``depth`` leaf.
     """
     targets = sorted(set(targets), key=GroupWord.sort_key)
-    degenerate = _provably_degenerate(mu.support())
+    words = _support_table(mu)[0]
+    degenerate = _provably_degenerate(words)
     if degenerate:
         warnings.warn(
             "the support provably fails to generate the group as a semigroup;"
             " estimates describe this restricted walk only",
             stacklevel=2,
         )
-    most_a = _reach(_support_table(mu)[0])[0]
+    most_a = _reach(words)[0]
     if cfg.depth > most_a and max_unresolved_fraction < 1:
         raise UnresolvedPathsError(
             f"no path can reach depth {cfg.depth}: on this degenerate support"
@@ -615,7 +611,7 @@ def simulate(
     if unresolved > max_unresolved_fraction * cfg.paths:
         raise UnresolvedPathsError(
             f"{unresolved} of {cfg.paths} paths never reached depth {cfg.depth};"
-            " the walk may not escape through 'a'-letters (degenerate support?)"
+            " raise steps or lower depth"
         )
     resolved = cfg.paths - unresolved
 
@@ -657,6 +653,15 @@ def simulate(
     )
 
 
+def _z(gap: float, se: float) -> float:
+    """z-score of ``gap`` at standard error ``se``.  Without a standard error
+    (a single path, or paths that all agree) no gap scores 0 and any gap
+    scores an infinity of its sign."""
+    if se == 0.0:
+        return 0.0 if gap == 0.0 else math.copysign(math.inf, gap)
+    return gap / se
+
+
 @dataclass(frozen=True)
 class ZTable:
     max_abs_z: float
@@ -672,14 +677,10 @@ def compare_with_analytic(report: SimReport, params: DenjoyParams) -> ZTable:
         )
     if report.resolved == 0 or not report.cylinder_freq:
         raise ValueError("report carries no resolved cylinder estimates")
-    worst = 0.0
-    for cyl, (est, se) in report.cylinder_freq.items():
-        expected = float(cylinder_mass(params, cyl))
-        if se == 0.0:
-            z = 0.0 if est == expected else math.inf
-        else:
-            z = (est - expected) / se
-        worst = max(worst, abs(z))
+    worst = max(
+        abs(_z(est - float(cylinder_mass(params, cyl)), se))
+        for cyl, (est, se) in report.cylinder_freq.items()
+    )
     return ZTable(worst, worst <= Z_THRESHOLD)
 
 
@@ -697,10 +698,7 @@ class AlphaEstimate:
 
     def z(self, alpha: float) -> float:
         """z-score of the estimate against the hypothesis ``alpha``."""
-        gap = self.estimate - float(alpha)
-        if self.stderr == 0.0:
-            return 0.0 if gap == 0.0 else math.copysign(math.inf, gap)
-        return gap / self.stderr
+        return _z(self.estimate - float(alpha), self.stderr)
 
     def as_dict(self, class_alpha: float, own_alpha: float) -> dict:
         """The letter-test report: z-scores against the class ``class_alpha``

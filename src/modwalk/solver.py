@@ -31,6 +31,8 @@ from .denjoy import DenjoyParams, PiWeights, Scalar, pi_to_params
 from .group import (
     GroupMeasure,
     _provably_degenerate,
+    _require_probability,
+    _weight,
     conjugate,
     convolve,
     parse_word,
@@ -42,7 +44,6 @@ __all__ = [
     "DegenerateStepError",
     "SolverContradictionError",
     "NoRootInCube",
-    "MultipleRoots",
     "StepOnS",
     "NNParams",
     "S_WORDS",
@@ -78,10 +79,6 @@ class NoRootInCube(SolverContradictionError):
     pass
 
 
-class MultipleRoots(SolverContradictionError):
-    pass
-
-
 # JSON field names for the five step weights, in order (bb = B, bba = Ba).
 S_KEYS = ("a", "b", "bb", "ba", "bba")
 S_WORDS = tuple(parse_word(w) for w in ("a", "b", "B", "ba", "Ba"))
@@ -107,10 +104,7 @@ class StepOnS:
 
     def __post_init__(self) -> None:
         for name in ("af", "bf", "bbarf", "bprime", "bbarprime"):
-            value = Fraction(getattr(self, name))
-            if value < 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _weight(getattr(self, name)))
         if sum(self.as_tuple()) != 1:
             raise ValueError(f"weights must sum to 1, got {sum(self.as_tuple())}")
         if _provably_degenerate(w for w, m in zip(S_WORDS, self.as_tuple()) if m):
@@ -141,8 +135,7 @@ class StepOnS:
 
     @classmethod
     def from_group_measure(cls, m: GroupMeasure) -> "StepOnS":
-        if not m.is_probability():
-            raise ValueError("need a probability measure")
+        _require_probability(m, "m")
         extra = m.support() - set(S_WORDS)
         if extra:
             raise ValueError(
@@ -158,7 +151,7 @@ class StepOnS:
         extra = set(data) - set(S_KEYS)
         if extra:
             raise ValueError(f"unknown step keys {sorted(extra)}; use {S_KEYS}")
-        return cls(*(Fraction(data.get(k, 0)) for k in S_KEYS))
+        return cls(*(data.get(k, 0) for k in S_KEYS))
 
 
 def _integer_weights(mu: StepOnS) -> tuple[int, ...]:
@@ -334,7 +327,7 @@ class NNParams:
     delta: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "af", Fraction(self.af))
+        object.__setattr__(self, "af", _weight(self.af))
         object.__setattr__(self, "delta", Fraction(self.delta))
         if not 0 < self.af < 1:
             raise ValueError(f"af must lie in (0,1), got {self.af}")
@@ -406,7 +399,7 @@ def hyperbola_point(bbarf: RationalLike, bits: int = 64) -> StepOnS:
     ``[0, (1-bbarf)/2]``, tight enough at the default that the Minkowski
     residual stays far below 1e-12.
     """
-    bb = Fraction(bbarf)
+    bb = _weight(bbarf)
     if not 0 < bb < 1:
         raise ValueError(f"need 0 < bbarf < 1, got {bb}")
 

@@ -192,6 +192,28 @@ class TestSimulate:
         assert code == 5
         assert "unresolved" in err or "depth" in err
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_unresolved_after_drawing_exit_5(self, capsys):
+        # The walk generates, so the paths are drawn; 8 steps leave 463 of
+        # 500 paths short of depth 3 at seed 1.
+        code, out, err = run(
+            capsys,
+            "simulate",
+            "--mu",
+            '{"a":"1/3","b":"1/3","B":"1/3"}',
+            "--paths",
+            "500",
+            "--steps",
+            "8",
+            "--depth",
+            "3",
+            "--seed",
+            "1",
+            "--allow-short-steps",
+        )
+        assert code == 5 and out == ""
+        assert "463 of 500 paths never reached depth 3; raise steps or lower depth" in err
+
 
 class TestQmark:
     def test_example(self, capsys):

@@ -20,7 +20,6 @@ from modwalk import (
     ExtRational,
     LRCode,
     MediantInterval,
-    MultipleRoots,
     NoRootInCube,
     PiWeights,
     ROOT_INTERVAL,
@@ -40,6 +39,11 @@ from modwalk import (
 from modwalk.solver import _integer_weights, _y_equation_integers
 
 from helpers import random_step
+
+
+class MultipleRoots(SolverContradictionError):
+    """The reference solver's check for two roots in (0, 1); the solver has
+    no such check, because its sign test leaves exactly one root there."""
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from modwalk import (
     GroupMeasure,
     GroupWord,
     IDENTITY,
+    StepOnS,
     conjugate,
     convolve,
     inverse,
@@ -19,7 +21,7 @@ from modwalk import (
     translate_right,
     word_to_matrix,
 )
-from modwalk.group import _check_letters
+from modwalk.group import _check_letters, _provably_degenerate, _reach
 
 from helpers import random_word
 
@@ -243,3 +245,52 @@ class TestMeasures:
         assert m.to_json_dict() == {"a": "1/3", "ba": "2/3"}
         decimals = GroupMeasure.from_json_dict({"a": "0.25", "b": "0.75"})
         assert decimals(parse_word("a")) == Fraction(1, 4)
+
+
+BAD_WEIGHTS = [True, False, None, "1/0", float("inf"), float("nan"), Fraction(-1, 2)]
+
+
+class TestWeights:
+    """Every constructor of a walk refuses the same weights with ValueError.
+    The other weights are chosen so that the bad one read as 0 would build
+    a valid walk."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda w: GroupMeasure({parse_word("a"): w}),
+            lambda w: GroupMeasure.from_json_dict({"a": "1/2", "b": "1/2", "B": w}),
+            lambda w: StepOnS(Fraction(1, 2), Fraction(1, 2), w, 0, 0),
+            lambda w: StepOnS.from_json_dict({"a": "1/2", "b": "1/2", "bb": w}),
+        ],
+        ids=["GroupMeasure", "GroupMeasure.from_json_dict", "StepOnS", "StepOnS.from_json_dict"],
+    )
+    @pytest.mark.parametrize("bad", BAD_WEIGHTS, ids=repr)
+    def test_bad_weight(self, build, bad):
+        with pytest.raises(ValueError, match="is not a finite nonnegative rational"):
+            build(bad)
+
+    def test_weight_forms(self):
+        m = GroupMeasure.from_json_dict({"a": 0.25, "b": "1/4", "B": 1, "ba": 0})
+        assert m.to_json_dict() == {"a": "1/4", "b": "1/4", "B": "1"}
+        mu = StepOnS.from_json_dict({"a": 0.5, "b": "1/4", "bb": Fraction(1, 4)})
+        assert mu.as_tuple() == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), 0, 0)
+
+
+class TestReach:
+    @pytest.mark.parametrize(
+        "support, reach, degenerate",
+        [
+            ([""], (0, 0), True),
+            (["", "a"], (1, 0), True),
+            (["b", "B"], (0, 1), True),
+            (["", "b"], (0, 1), True),
+            (["ba", "Ba"], (math.inf, math.inf), True),  # trapped: no product cancels
+            (["a", "b"], (math.inf, math.inf), False),
+            (["", "ba", "a"], (math.inf, math.inf), False),
+        ],
+    )
+    def test_reach(self, support, reach, degenerate):
+        words = [parse_word(w) for w in support]
+        assert _reach(words) == reach
+        assert _provably_degenerate(iter(words)) == degenerate

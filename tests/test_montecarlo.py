@@ -3,6 +3,7 @@ import math
 import os
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -11,6 +12,7 @@ import pytest
 
 import modwalk.montecarlo as montecarlo
 from modwalk import (
+    AlphaEstimate,
     Cylinder,
     DenjoyParams,
     GroupMeasure,
@@ -410,6 +412,24 @@ class TestEstimates:
             with pytest.raises(UnresolvedPathsError):
                 simulate(mu, small_cfg(paths=300))
 
+    def test_total_mass_is_checked_first(self):
+        # {b: 1/2} is degenerate too, but the total mass fails before any warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="probability measure"):
+                simulate(GroupMeasure.from_json_dict({"b": "1/2"}), small_cfg(paths=10))
+
+    def test_unresolved_after_drawing(self):
+        # A generating walk passes the early refusal and draws its paths;
+        # 8 steps leave most of them short of depth 3.
+        with pytest.warns(UserWarning, match="floor"):
+            cfg = SimConfig(paths=500, steps=8, seed=1, depth=3, allow_short_steps=True)
+        with pytest.raises(
+            UnresolvedPathsError,
+            match="^463 of 500 paths never reached depth 3; raise steps or lower depth$",
+        ):
+            simulate(SYMMETRIC_NN, cfg)
+
     @pytest.mark.parametrize("weights, depth", [
         ({"": 1}, 1),
         ({"b": "1/2", "B": "1/2"}, 3),
@@ -487,6 +507,14 @@ class TestCompare:
         assert len(z) > 1 and table.max_abs_z == max(z)
         assert table.passed == (table.max_abs_z <= 4)
 
+    def test_no_standard_error(self):
+        # One path gives each of its cylinders the estimate 1 with standard
+        # error 0, which no measure of the family matches.
+        report = simulate(SYMMETRIC_NN, SimConfig(paths=1, steps=120, seed=1, depth=1))
+        assert report.cylinder_freq == {Cylinder.of("a"): (1.0, 0.0)}
+        table = compare_with_analytic(report, DenjoyParams(Fraction(1, 2), Fraction(2, 5)))
+        assert table.max_abs_z == math.inf and not table.passed
+
     def test_detects_wrong_alpha(self):
         cfg = SimConfig(paths=100_000, steps=400, seed=4, depth=3)
         report = simulate(SYMMETRIC_NN, cfg)
@@ -534,6 +562,11 @@ def ex1_fixture():
 
 class TestLetterTest:
     CFG_4B = SimConfig(paths=100_000, steps=800, seed=1, depth=35)
+
+    def test_z_without_standard_error(self):
+        est = AlphaEstimate(0.5, 0.0, 10, 3)
+        assert est.z(0.5) == 0.0
+        assert est.z(0.25) == math.inf and est.z(0.75) == -math.inf
 
     def test_batch_invariance(self, monkeypatch):
         mu = ex1_fixture().combination.to_group_measure()
