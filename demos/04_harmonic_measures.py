@@ -19,7 +19,6 @@ from modwalk import (
     hausdorff_constants,
     minkowski_residual,
     nn_solve,
-    NNParams,
     residual,
     solve_master,
 )
@@ -46,8 +45,8 @@ r = check_stationarity(sp, skew.to_group_measure(), depth=6)
 print(f"  max residual {r:.2e}")
 
 print()
-print("nearest-neighbour closed form (af = 1/2, delta = 1/2):")
-z, triple, nnp = nn_solve(NNParams(Fraction(1, 2), Fraction(1, 2)))
+print("nearest-neighbour closed form (af = 1/2, delta = bf - bbarf = 1/2):")
+z, triple, nnp = nn_solve(StepOnS.from_json_dict({"a": "1/2", "b": "1/2"}))
 print(f"  z = {z:.15f} (= sqrt(17) - 4 = {math.sqrt(17) - 4:.15f})")
 print(f"  alpha = {float(nnp.alpha):.15f}")
 

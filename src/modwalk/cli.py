@@ -38,7 +38,6 @@ from .solver import (
     example_ex2,
     harmonic_params,
     minkowski_residual,
-    nn_step,
     residual,
     solve_master,
 )
@@ -231,7 +230,7 @@ def _cmd_example(args) -> str:
     given = {**_EXAMPLE_FLAGS[args.name], **given}
     if args.name == "ex0":
         report = example_ex0(ts=(given["t"],))
-        step = nn_step(report.pair[0].combine(report.pair[1], given["t"]))
+        step = report.pair[0].combine(report.pair[1], given["t"])
         class_alpha = report.alpha_common
     elif args.name == "ex1":
         report = example_ex1(given["bbar"], given["bbar2"], given["t"])

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Union
 
 from .boundary import Cylinder, act_on_cylinder, cylinders_up_to_depth
-from .group import GroupMeasure, GroupWord, _require_probability, inverse
+from .group import GroupMeasure, GroupWord, _rational, _require_probability, inverse
 from .mediant import _stem_runs
 
 __all__ = [
@@ -262,7 +262,7 @@ def question_mark(x: Union[Fraction, int, str], depth: int = 256) -> Fraction:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    x = Fraction(x)
+    x = _rational(x, "x")
     if not 0 <= x <= 1:
         raise ValueError(f"need 0 <= x <= 1, got {x}")
     if x == 0:

@@ -48,20 +48,26 @@ _LETTER_MATRIX: dict[str, Matrix] = {
 WeightLike = Union[Fraction, int, str]
 
 
-def _weight(value: object) -> Fraction:
-    """``value`` as an exact nonnegative rational weight.  A ``Fraction``, an
-    ``int``, a finite ``float`` or a string such as ``"1/3"`` converts;
-    booleans, ``None``, non-finite floats, zero denominators and negative
-    values raise ``ValueError``."""
-    if not isinstance(value, bool):  # an int subclass: true and false are not weights
+def _rational(value: object, name: str, nonnegative: bool = False) -> Fraction:
+    """The one exact coercion: ``value`` as a ``Fraction``.  A ``Fraction``,
+    an ``int``, a finite ``float`` or a string such as ``"1/3"`` converts;
+    booleans, ``None``, non-finite floats and zero denominators raise
+    ``ValueError``, and so do negative values when ``nonnegative``."""
+    if not isinstance(value, bool):  # an int subclass: true and false are not numbers
         try:
-            mass = Fraction(value)
+            q = Fraction(value)
         except (TypeError, ValueError, ArithmeticError):
             pass
         else:
-            if mass >= 0:
-                return mass
-    raise ValueError(f"weight {value!r} is not a finite nonnegative rational")
+            if not nonnegative or q >= 0:
+                return q
+    kind = "nonnegative rational" if nonnegative else "rational"
+    raise ValueError(f"{name} {value!r} is not a finite {kind}")
+
+
+def _weight(value: object) -> Fraction:
+    """``value`` as an exact nonnegative rational weight (``_rational``)."""
+    return _rational(value, "weight", nonnegative=True)
 
 
 # The longest admissible prefix ('a' alternating with 'b'/'B') ends at a word's first fault.

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, NamedTuple, Sequence, Union
 
-from .group import GroupWord
+from .group import GroupWord, _rational
 
 __all__ = [
     "ExtRational",
@@ -217,7 +217,7 @@ def rational_to_lr(q: RationalLike) -> RationalCodes:
     with the two infinite codes of ``q``: the left one ``w L R^oo`` and the
     right one ``w R L^oo``.
     """
-    q = Fraction(q)
+    q = _rational(q, "q")
     if q <= 0:
         raise ValueError(f"need a positive rational, got {q}")
     word = "".join(letter * k for letter, k in _stem_runs(q))
@@ -270,20 +270,24 @@ def lr_to_cf(word: Union[str, LRCode]) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def cf_to_lr(digits: Sequence[int]) -> str:
-    """Inverse of :func:`lr_to_cf` on finite words: digits back to syllables."""
-    out = []
+def _check_digits(digits: Sequence[int]) -> None:
+    """The one digit check: no digit is negative, and only the first may be 0."""
     for i, d in enumerate(digits):
         if d < 0 or (i > 0 and d == 0):
             raise ValueError(f"digit {d} at position {i}: only the first digit may be 0")
-        out.append(("R" if i % 2 == 0 else "L") * d)
-    return "".join(out)
+
+
+def cf_to_lr(digits: Sequence[int]) -> str:
+    """Inverse of :func:`lr_to_cf` on finite words: digits back to syllables."""
+    _check_digits(digits)
+    return "".join(("R" if i % 2 == 0 else "L") * d for i, d in enumerate(digits))
 
 
 def cf_value(digits: Sequence[int]) -> Fraction:
     """Value of a finite continued fraction ``[d0; d1, d2, ...]``."""
     if not digits:
         raise ValueError("empty continued fraction")
+    _check_digits(digits)
     value = Fraction(digits[-1])
     for d in reversed(digits[:-1]):
         value = d + 1 / value

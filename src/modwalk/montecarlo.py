@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import pickle
 import warnings
@@ -80,6 +81,16 @@ class UnresolvedPathsError(RuntimeError):
     """Too many paths ended with a word too short for the requested depth."""
 
 
+def _integer(value: object, name: str) -> int:
+    """``value`` as a Python ``int``; booleans and non-integers raise ``ValueError``."""
+    if not isinstance(value, bool):  # an int subclass: true and false are not counts
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class SimConfig:
     """Run parameters; ``steps`` should dominate ``depth`` so the truncation
@@ -92,6 +103,8 @@ class SimConfig:
     allow_short_steps: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("paths", "steps", "seed", "depth"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
         if self.depth < 1:

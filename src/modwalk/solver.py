@@ -31,6 +31,7 @@ from .denjoy import DenjoyParams, PiWeights, Scalar, pi_to_params
 from .group import (
     GroupMeasure,
     _provably_degenerate,
+    _rational,
     _require_probability,
     _weight,
     conjugate,
@@ -45,14 +46,12 @@ __all__ = [
     "SolverContradictionError",
     "NoRootInCube",
     "StepOnS",
-    "NNParams",
     "S_WORDS",
     "solve_master",
     "residual",
     "harmonic_params",
     "denjoy_membership_residual",
     "minkowski_residual",
-    "nn_step",
     "nn_solve",
     "phi",
     "hyperbola_point",
@@ -121,7 +120,7 @@ class StepOnS:
 
     def combine(self, other: "StepOnS", t: RationalLike) -> "StepOnS":
         """Convex combination ``t * self + (1-t) * other``."""
-        t = Fraction(t)
+        t = _rational(t, "t")
         if not 0 < t < 1:
             raise ValueError(f"need 0 < t < 1, got {t}")
         return StepOnS(
@@ -317,68 +316,41 @@ def harmonic_params(mu: StepOnS) -> DenjoyParams:
 
 
 # ---------------------------------------------------------------------------
-# Nearest-neighbour specialization: steps on {a, b, B} only.
+# Nearest-neighbour specialization: walks with no ba or Ba step, read as
+# (af, delta) with delta = bf - bbarf.
 
-@dataclass(frozen=True, slots=True)
-class NNParams:
-    """Nearest-neighbour step data ``(af, delta)`` with ``delta = bf - bbarf``."""
-
-    af: Fraction
-    delta: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "af", _weight(self.af))
-        object.__setattr__(self, "delta", Fraction(self.delta))
-        if not 0 < self.af < 1:
-            raise ValueError(f"af must lie in (0,1), got {self.af}")
-        if abs(self.delta) > 1 - self.af:
-            raise ValueError(f"|delta| must be at most 1 - af, got {self.delta}")
-
-    def combine(self, other: "NNParams", t: RationalLike) -> "NNParams":
-        """Convex combination ``t * self + (1-t) * other``."""
-        t = Fraction(t)
-        if not 0 < t < 1:
-            raise ValueError(f"need 0 < t < 1, got {t}")
-        return NNParams(
-            t * self.af + (1 - t) * other.af, t * self.delta + (1 - t) * other.delta
-        )
+def _nn_data(mu: StepOnS) -> tuple[Fraction, Fraction]:
+    if mu.bprime or mu.bbarprime:
+        raise ValueError(f"not a nearest-neighbour walk: ba, Ba weights {mu.bprime}, {mu.bbarprime}")
+    return mu.af, mu.bf - mu.bbarf
 
 
-def nn_step(nn: NNParams) -> StepOnS:
-    half = Fraction(1, 2)
-    return StepOnS(
-        nn.af,
-        half * (1 - nn.af + nn.delta),
-        half * (1 - nn.af - nn.delta),
-        Fraction(0),
-        Fraction(0),
-    )
-
-
-def nn_solve(nn: NNParams) -> tuple[Scalar, PiWeights, DenjoyParams]:
+def nn_solve(mu: StepOnS) -> tuple[Scalar, PiWeights, DenjoyParams]:
     """Closed-form passage data of a nearest-neighbour walk.
 
     For ``delta = 0`` everything is exact rational with ``z = 0``; otherwise
     ``z`` solves ``z^2 + 2 D z - 1 = 0`` with ``D = (4-(af+1)^2+delta^2)/(2 af delta)``
     and is evaluated in the cancellation-free form ``sgn(D)/(sqrt(D^2+1)+|D|)``.
     """
-    if nn.delta == 0:
+    af, delta = _nn_data(mu)
+    if delta == 0:
         z: Scalar = Fraction(0)
-        x: Scalar = (1 + nn.af) / 2
+        x: Scalar = (1 + af) / 2
         y: Scalar = Fraction(1, 2)
     else:
-        D = float((4 - (nn.af + 1) ** 2 + nn.delta**2) / (2 * nn.af * nn.delta))
+        D = float((4 - (af + 1) ** 2 + delta**2) / (2 * af * delta))
         z = copysign(1.0 / (hypot(D, 1.0) + abs(D)), D)
-        x = (1 + float(nn.af) - float(nn.delta) * z) / 2
+        x = (1 + float(af) - float(delta) * z) / 2
         y = (1 + z) / 2
     triple = _passage_weights(x, y)
     return z, triple, pi_to_params(triple)
 
 
-def phi(nn: NNParams) -> Fraction:
+def phi(mu: StepOnS) -> Fraction:
     """Level-set function of nearest-neighbour walks: equal values mean
     harmonic measures in the same class."""
-    return nn.af * nn.delta / (4 - (nn.af + 1) ** 2 + nn.delta**2)
+    af, delta = _nn_data(mu)
+    return af * delta / (4 - (af + 1) ** 2 + delta**2)
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +396,13 @@ def hyperbola_point(bbarf: RationalLike, bits: int = 64) -> StepOnS:
 # within it, and a combination must miss their class by more.
 _ALPHA_GAP = 1e-12
 
-# Frozen level-set pair on phi = 1/8: the chord through (1/2, 1/2) with
-# slope -3/4 meets the level set again at (157/206, 31/206); both points
-# are exact rational members, certified below by evaluating phi.
+# Frozen level-set pair on phi = 1/8: in (af, delta), the chord through
+# (1/2, 1/2) with slope -3/4 meets the level set again at (157/206, 31/206);
+# both points are exact rational members, certified below by evaluating phi.
 EX0_LEVEL = Fraction(1, 8)
 EX0_PAIR = (
-    NNParams(Fraction(1, 2), Fraction(1, 2)),
-    NNParams(Fraction(157, 206), Fraction(31, 206)),
+    StepOnS(Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0), Fraction(0)),
+    StepOnS(Fraction(157, 206), Fraction(20, 103), Fraction(9, 206), Fraction(0), Fraction(0)),
 )
 
 
@@ -439,7 +411,7 @@ class Ex0Report:
     """Two nearest-neighbour walks with equal harmonic class whose convex
     combinations all leave it."""
 
-    pair: tuple[NNParams, NNParams]
+    pair: tuple[StepOnS, StepOnS]
     level: Fraction
     alpha_common: float
     endpoint_gap: float
@@ -448,7 +420,7 @@ class Ex0Report:
     def as_dict(self) -> dict:
         return {
             "pair": [
-                {"af": str(nn.af), "delta": str(nn.delta)} for nn in self.pair
+                {"af": str(af), "delta": str(delta)} for af, delta in map(_nn_data, self.pair)
             ],
             "phi_level": str(self.level),
             "alpha_common": self.alpha_common,
@@ -480,7 +452,7 @@ def example_ex0(
         raise SolverContradictionError("endpoints disagree on alpha")
     combos = []
     for t in ts:
-        t = Fraction(t)
+        t = _rational(t, "t")
         mixed = first.combine(second, t)
         _, _, params_mix = nn_solve(mixed)
         gap = abs(float(params_mix.alpha) - alpha1)
@@ -534,7 +506,7 @@ def example_ex1(
     r1, r2 = float(minkowski_residual(mu1)), float(minkowski_residual(mu2))
     if max(abs(r1), abs(r2)) > 1e-12:
         raise SolverContradictionError("hyperbola endpoints are not filling")
-    t = Fraction(t)
+    t = _rational(t, "t")
     mixed = mu1.combine(mu2, t)
     params = harmonic_params(mixed)
     gap = abs(float(params.alpha) - 0.5)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from modwalk import IDENTITY, DegenerateStepError, GroupWord, NNParams, StepOnS, reduce_concat
+from modwalk import IDENTITY, DegenerateStepError, GroupWord, StepOnS, reduce_concat
 
 
 def random_step(rng: random.Random, grid: int = 20) -> StepOnS:
@@ -21,11 +21,12 @@ def random_step(rng: random.Random, grid: int = 20) -> StepOnS:
             continue
 
 
-def random_nn(rng: random.Random, grid: int = 50) -> NNParams:
+def random_nn(rng: random.Random, grid: int = 50) -> StepOnS:
+    """Random nearest-neighbour walk: ``af`` and ``delta = bf - bbarf`` on a grid."""
     af = Fraction(rng.randint(1, grid - 1), grid)
     span = 1 - af
     delta = Fraction(rng.randint(-grid, grid), grid) * span
-    return NNParams(af, delta)
+    return StepOnS(af, (span + delta) / 2, (span - delta) / 2, 0, 0)
 
 
 def random_word(rng: random.Random, max_moves: int = 8) -> GroupWord:

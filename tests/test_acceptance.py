@@ -15,7 +15,6 @@ from fractions import Fraction
 from modwalk import (
     Cylinder,
     GroupMeasure,
-    NNParams,
     SimConfig,
     check_stationarity,
     component_mass,
@@ -30,7 +29,6 @@ from modwalk import (
     lr_to_interval,
     minkowski_residual,
     nn_solve,
-    nn_step,
     parse_word,
     question_mark,
     rational_to_cf,
@@ -76,7 +74,7 @@ def test_criterion_01_solver_correctness():
 def test_criterion_02_symmetric_fixture():
     mu = StepOnS(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), Fraction(0), Fraction(0))
     params = harmonic_params(mu)
-    z, triple, nn_params = nn_solve(NNParams(Fraction(1, 3), Fraction(0)))
+    z, triple, nn_params = nn_solve(mu)
     ok = (
         params.alpha == Fraction(1, 2)
         and abs(float(params.p - Fraction(2, 5))) <= 1e-12
@@ -91,7 +89,7 @@ def test_criterion_03_minkowski_iff_symmetric():
     rng = random.Random(1003)
     ok = True
     for _ in range(200):
-        mu = nn_step(random_nn(rng))
+        mu = random_nn(rng)
         defect = minkowski_residual(mu)
         ok = ok and ((defect == 0) == (mu.bf == mu.bbarf))
     report("3", ok, "200 random nearest-neighbour walks: residual = 0 iff b-weight = B-weight (exact)")

@@ -5,7 +5,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from modwalk import EX0_PAIR, SimConfig, estimate_alpha, example_ex1, example_ex2, nn_step
+from modwalk import EX0_PAIR, SimConfig, estimate_alpha, example_ex1, example_ex2
 from modwalk.cli import main
 
 
@@ -341,7 +341,7 @@ class TestExample:
     @pytest.mark.parametrize(
         "name, flags, step",
         [
-            ("ex0", (), lambda: nn_step(EX0_PAIR[0].combine(EX0_PAIR[1], Fraction(1, 2)))),
+            ("ex0", (), lambda: EX0_PAIR[0].combine(EX0_PAIR[1], Fraction(1, 2))),
             (
                 "ex1",
                 ("--bbar", "1/3", "--bbar2", "1/2"),

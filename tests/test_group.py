@@ -7,14 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modwalk import (
+    EX0_PAIR,
     GroupMeasure,
     GroupWord,
     IDENTITY,
+    SimConfig,
     StepOnS,
+    cf_value,
     conjugate,
     convolve,
+    example_ex0,
+    example_ex1,
     inverse,
     parse_word,
+    question_mark,
+    rational_to_cf,
+    rational_to_lr,
     reduce_concat,
     strip_identity_renormalize,
     swap_b_letters,
@@ -275,6 +283,53 @@ class TestWeights:
         assert m.to_json_dict() == {"a": "1/4", "b": "1/4", "B": "1"}
         mu = StepOnS.from_json_dict({"a": 0.5, "b": "1/4", "bb": Fraction(1, 4)})
         assert mu.as_tuple() == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), 0, 0)
+
+
+BAD_RATIONALS = [True, None, "1/0", float("inf"), float("nan")]
+
+# Each exact input other than a weight, with a call that reads the bad value
+# and values that are otherwise valid.
+RATIONAL_INPUTS = {
+    "combine-t": lambda v: EX0_PAIR[0].combine(EX0_PAIR[1], v),
+    "ex0-t": lambda v: example_ex0(ts=(v,)),
+    "ex1-t": lambda v: example_ex1("1/2", "1/3", v),
+    "question_mark-x": question_mark,
+    "rational_to_lr-q": rational_to_lr,
+    "rational_to_cf-q": rational_to_cf,
+}
+SIM_CONFIG = {"paths": 10, "steps": 400, "seed": 1, "depth": 3}
+BAD_INTEGERS = {"paths": 10.5, "steps": 400.0, "seed": 1.5, "depth": 3.0}
+
+
+def _sim_config(field):
+    return lambda v: SimConfig(**{**SIM_CONFIG, field: v})
+
+
+BAD_VALUES = [
+    *(
+        pytest.param(call, bad, id=f"{name}={bad!r}")
+        for name, call in RATIONAL_INPUTS.items()
+        for bad in BAD_RATIONALS
+    ),
+    *(
+        pytest.param(_sim_config(field), bad, id=f"SimConfig-{field}={bad!r}")
+        for field, value in BAD_INTEGERS.items()
+        for bad in (value, True, str(SIM_CONFIG[field]), None)
+    ),
+    *(
+        pytest.param(cf_value, digits, id=f"cf_value{digits}")
+        for digits in ([1, 0], [1, -1], [-2], [2, 3, 0, 1])
+    ),
+]
+
+
+@pytest.mark.parametrize("call, bad", BAD_VALUES)
+def test_bad_value_is_a_value_error(call, bad):
+    """Exact inputs other than weights go through the same coercions and
+    refuse a bad value with ``ValueError``, never another exception or a
+    silently converted value."""
+    with pytest.raises(ValueError):
+        call(bad)
 
 
 class TestReach:

@@ -17,6 +17,7 @@ from modwalk import (
     DenjoyParams,
     GroupMeasure,
     SimConfig,
+    StepOnS,
     UnresolvedPathsError,
     compare_with_analytic,
     cylinder_mass,
@@ -27,8 +28,6 @@ from modwalk import (
     harmonic_params,
     letter_test_power,
     nn_solve,
-    nn_step,
-    NNParams,
     parse_word,
     paths_for_power,
     sample_path,
@@ -68,6 +67,11 @@ class TestConfig:
             SimConfig(paths=1, steps=200, seed=-1, depth=1)
         with pytest.raises(ValueError):
             SimConfig(paths=1, steps=1 << 21, seed=0, depth=1)
+
+    def test_counts_are_stored_as_python_ints(self):
+        cfg = SimConfig(paths=np.int64(10), steps=np.uint16(400), seed=np.int32(1), depth=np.int8(3))
+        assert all(type(v) is int for v in (cfg.paths, cfg.steps, cfg.seed, cfg.depth))
+        assert cfg == SimConfig(paths=10, steps=400, seed=1, depth=3)
 
 
 class TestSamplePath:
@@ -397,7 +401,7 @@ class TestEstimates:
         )
 
     def test_frequencies_match_harmonic_measure(self):
-        mu_step = nn_solve(NNParams(Fraction(1, 3), Fraction(0)))[2]
+        mu_step = nn_solve(StepOnS.from_group_measure(SYMMETRIC_NN))[2]
         cfg = SimConfig(paths=40_000, steps=400, seed=8, depth=3)
         report = simulate(SYMMETRIC_NN, cfg)
         est, se = report.cylinder_freq[Cylinder.of("a")]
@@ -634,7 +638,7 @@ class TestLetterTest:
 def example_alphas() -> dict[str, tuple[Fraction, float]]:
     """The harmonic and the class alpha of each example at the CLI defaults."""
     ex0 = example_ex0(ts=(Fraction(1, 2),))
-    ex0_step = nn_step(ex0.pair[0].combine(ex0.pair[1], Fraction(1, 2)))
+    ex0_step = ex0.pair[0].combine(ex0.pair[1], Fraction(1, 2))
     return {
         "ex0": (harmonic_params(ex0_step).alpha, ex0.alpha_common),
         "ex1": (harmonic_params(ex1_fixture().combination).alpha, 0.5),  # t = 1/2: either order

@@ -10,7 +10,6 @@ from modwalk import (
     DegenerateStepError,
     EX0_LEVEL,
     EX0_PAIR,
-    NNParams,
     PiWeights,
     StepOnS,
     denjoy_membership_residual,
@@ -21,7 +20,6 @@ from modwalk import (
     hyperbola_point,
     minkowski_residual,
     nn_solve,
-    nn_step,
     phi,
     residual,
     solve_master,
@@ -190,9 +188,13 @@ class TestMasterSystem:
             assert C < 0 < A + B + C
 
 
+def nn_walk(af: Fraction, bf: Fraction, bbarf: Fraction) -> StepOnS:
+    return StepOnS(af, bf, bbarf, Fraction(0), Fraction(0))
+
+
 class TestNearestNeighbour:
     def test_symmetric_case(self):
-        z, t, params = nn_solve(NNParams(Fraction(1, 3), Fraction(0)))
+        z, t, params = nn_solve(nn_walk(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
         assert z == 0
         assert (t.x, params.alpha, params.p) == (
             Fraction(2, 3),
@@ -202,7 +204,7 @@ class TestNearestNeighbour:
 
     def test_half_half_hand_values(self):
         # D = (4 - 9/4 + 1/4) / (1/2) = 4, so z = sqrt(17) - 4
-        z, t, params = nn_solve(NNParams(Fraction(1, 2), Fraction(1, 2)))
+        z, t, params = nn_solve(nn_walk(Fraction(1, 2), Fraction(1, 2), Fraction(0)))
         assert z == pytest.approx(math.sqrt(17) - 4, abs=1e-15)
         assert float(t.x) == pytest.approx((1.5 - 0.5 * z) / 2)
         assert params.alpha == pytest.approx((1 + z) / 2)
@@ -210,19 +212,20 @@ class TestNearestNeighbour:
     def test_agrees_with_master_solver(self):
         rng = random.Random(127)
         for _ in range(500):
-            nn = random_nn(rng)
-            z, t, params = nn_solve(nn)
-            direct = solve_master(nn_step(nn))
+            mu = random_nn(rng)
+            z, t, params = nn_solve(mu)
+            direct = solve_master(mu)
+            delta = mu.bf - mu.bbarf
             assert abs(float(t.x) - float(direct.x)) <= 1e-12
             assert abs(float(t.y) - float(direct.y)) <= 1e-12
-            assert abs(z) < 1 and (z == 0) == (nn.delta == 0)
-            if nn.delta:
-                assert math.copysign(1, z) == math.copysign(1, nn.delta)
+            assert abs(z) < 1 and (z == 0) == (delta == 0)
+            if delta:
+                assert math.copysign(1, z) == math.copysign(1, delta)
 
     def test_phi_examples(self):
-        assert phi(NNParams(Fraction(1, 3), Fraction(0))) == 0
-        assert phi(NNParams(Fraction(2, 3), Fraction(0))) == 0
-        assert phi(NNParams(Fraction(1, 2), Fraction(1, 2))) == Fraction(1, 8)
+        assert phi(nn_walk(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))) == 0
+        assert phi(nn_walk(Fraction(2, 3), Fraction(1, 6), Fraction(1, 6))) == 0
+        assert phi(nn_walk(Fraction(1, 2), Fraction(1, 2), Fraction(0))) == Fraction(1, 8)
 
     def test_equal_phi_means_equal_alpha(self):
         first, second = EX0_PAIR
@@ -230,6 +233,16 @@ class TestNearestNeighbour:
         _, _, p1 = nn_solve(first)
         _, _, p2 = nn_solve(second)
         assert abs(float(p1.alpha) - float(p2.alpha)) <= 1e-12
+
+    @pytest.mark.parametrize("function", [nn_solve, phi])
+    @pytest.mark.parametrize("two_letter", ["ba", "Ba"])
+    def test_two_letter_step_is_refused(self, function, two_letter):
+        # a walk the master solver takes, with one step off {a, b, B}
+        weights = {"a": "1/3", "b": "1/3", "bb": "1/6", two_letter.replace("B", "bb"): "1/6"}
+        mu = StepOnS.from_json_dict(weights)
+        solve_master(mu)
+        with pytest.raises(ValueError, match="not a nearest-neighbour walk"):
+            function(mu)
 
 
 class TestHyperbola:
@@ -286,8 +299,7 @@ class TestMinkowskiSymmetry:
         # exact rational test: residual factors as -(bf - bbarf) * af
         rng = random.Random(131)
         for _ in range(200):
-            nn = random_nn(rng)
-            mu = nn_step(nn)
+            mu = random_nn(rng)
             defect = minkowski_residual(mu)
             assert (defect == 0) == (mu.bf == mu.bbarf)
 
@@ -301,6 +313,12 @@ class TestExamples:
             assert gap > 1e-12
         mid = dict((t, gap) for t, _, gap in report.combinations)[Fraction(1, 2)]
         assert mid > 1e-3
+
+    def test_ex0_pair_reads_as_af_delta(self):
+        assert example_ex0().as_dict()["pair"] == [
+            {"af": "1/2", "delta": "1/2"},
+            {"af": "157/206", "delta": "31/206"},
+        ]
 
     def test_ex1_report(self):
         report = example_ex1(Fraction(1, 3), Fraction(1, 2), Fraction(1, 2))
