@@ -1,95 +1,14 @@
 """Exact harmonic-measure computations for random walks on the modular
 group Z2 * Z3, with a mediant encoding of the boundary, the
-Minkowski-Denjoy measure family, and a seeded Monte Carlo oracle."""
+Minkowski-Denjoy measure family, and a seeded Monte Carlo oracle.
 
-from .boundary import (
-    Cylinder,
-    act_on_cylinder,
-    cylinder_diameter,
-    cylinders_at_depth,
-    cylinders_up_to_depth,
-    gromov_product,
-    root_partition,
-)
-from .denjoy import (
-    DenjoyParams,
-    MarkovBase,
-    NotNormalizedError,
-    PiWeights,
-    check_stationarity,
-    component_mass,
-    cylinder_mass,
-    hausdorff_constants,
-    markov_base_to_params,
-    params_to_markov_base,
-    params_to_pi,
-    pi_to_params,
-    question_mark,
-    rn_derivative,
-    swap_involution,
-)
-from .group import (
-    IDENTITY,
-    GroupMeasure,
-    GroupWord,
-    conjugate,
-    convolve,
-    inverse,
-    parse_word,
-    reduce_concat,
-    strip_identity_renormalize,
-    swap_b_letters,
-    translate_right,
-    word_to_matrix,
-)
-from .mediant import (
-    ExtRational,
-    LRCode,
-    MediantInterval,
-    RationalCodes,
-    ROOT_INTERVAL,
-    boundary_to_lr,
-    cf_to_lr,
-    cf_value,
-    lr_to_cf,
-    lr_to_interval,
-    rational_to_cf,
-    rational_to_lr,
-    tau_enclosure,
-)
-from .montecarlo import (
-    PATH_STRIDE,
-    RNG_CONTRACT,
-    AlphaEstimate,
-    SimConfig,
-    SimReport,
-    UnresolvedPathsError,
-    ZTable,
-    compare_with_analytic,
-    estimate_alpha,
-    letter_test_power,
-    paths_for_power,
-    sample_path,
-    simulate,
-)
-from .solver import (
-    EX0_LEVEL,
-    EX0_PAIR,
-    DegenerateStepError,
-    NoRootInCube,
-    SolverContradictionError,
-    StepOnS,
-    denjoy_membership_residual,
-    example_ex0,
-    example_ex1,
-    example_ex2,
-    harmonic_params,
-    hyperbola_point,
-    minkowski_residual,
-    nn_solve,
-    phi,
-    residual,
-    solve_master,
-)
+Each module's ``__all__`` is the one list of its public names."""
+
+from .boundary import *
+from .denjoy import *
+from .group import *
+from .mediant import *
+from .montecarlo import *
+from .solver import *
 
 __version__ = "0.1.0"

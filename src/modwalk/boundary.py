@@ -3,28 +3,18 @@
 Cylinders are shadows of group elements; the canonical representative of a
 shadow has a prefix ending in ``a`` (a shadow is unchanged by appending
 ``a`` to its base word).  Cylinders of a fixed depth partition the
-boundary, left translation maps cylinders to finite disjoint unions of
-cylinders, and the Gromov product at the identity turns the boundary into
-an ultrametric space whose balls are exactly the cylinders.
+boundary, and left translation maps cylinders to finite disjoint unions
+of cylinders.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
 from .group import GroupWord, reduce_concat
 
-__all__ = [
-    "Cylinder",
-    "root_partition",
-    "cylinders_at_depth",
-    "cylinders_up_to_depth",
-    "gromov_product",
-    "cylinder_diameter",
-    "act_on_cylinder",
-]
+__all__ = ["Cylinder", "cylinders_up_to_depth", "act_on_cylinder"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,40 +77,13 @@ class Cylinder:
         return self.prefix.letters
 
 
-def root_partition() -> tuple[Cylinder, Cylinder, Cylinder]:
-    """The three depth-1 cylinders partitioning the boundary."""
-    return (Cylinder.of("a"), Cylinder.of("ba"), Cylinder.of("Ba"))
-
-
-def cylinders_at_depth(depth: int) -> Iterator[Cylinder]:
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    level: list[Cylinder] = list(root_partition())
-    for _ in range(depth - 1):
-        level = [child for c in level for child in c.children()]
-    yield from level
-
-
 def cylinders_up_to_depth(depth: int) -> Iterator[Cylinder]:
-    level: list[Cylinder] = list(root_partition())
+    """Every cylinder of depth 1 to ``depth``, level by level, starting
+    from the three depth-1 cylinders that partition the boundary."""
+    level = [Cylinder.of("a"), Cylinder.of("ba"), Cylinder.of("Ba")]
     for _ in range(depth):
         yield from level
         level = [child for c in level for child in c.children()]
-
-
-def gromov_product(u: GroupWord, v: GroupWord) -> int:
-    """Length of the longest common prefix of two words (based at the identity)."""
-    n = 0
-    for x, y in zip(u.letters, v.letters):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
-def cylinder_diameter(c: Cylinder) -> float:
-    """Diameter ``e^-|g|`` of the shadow of ``g`` in the ultrametric ``e^-(.|.)``."""
-    return math.exp(-len(c.prefix))
 
 
 def _compact(prefixes: set[str]) -> set[str]:

@@ -190,9 +190,6 @@ def _cmd_encode(args) -> str:
     else:
         text = args.cf.strip()
         digits = json.loads(text) if text.startswith("[") else [int(d) for d in text.split(",") if d.strip()]
-        # bool is an int subclass: true and false are not digits
-        if not isinstance(digits, list) or not all(type(d) is int for d in digits):
-            raise ValueError("--cf takes a JSON array of integers or a comma list")
         word = cf_to_lr(digits)
         payload = {"cf": digits, "lr": word}
         if digits:

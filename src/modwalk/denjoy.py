@@ -4,8 +4,7 @@ A pair ``(alpha, p)`` in ``(0,1)^2`` determines the measure that draws the
 letters ``b`` / ``B`` of an infinite word independently with probabilities
 ``alpha`` / ``1-alpha`` and puts weight ``p`` on the component of words
 starting with ``a`` (weight ``1-p`` on its complement).  Equivalent data:
-the positive weights ``(pi_a, pi_ba, pi_Ba)`` with ``pi_ba + pi_Ba = 1``,
-or the base distribution of the associated multiplicative Markov measure.
+the positive weights ``(pi_a, pi_ba, pi_Ba)`` with ``pi_ba + pi_Ba = 1``.
 
 Arithmetic is exact whenever the parameters are rationals; irrational
 parameters (for instance the Hausdorff normalization) go through floats.
@@ -16,31 +15,27 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .boundary import Cylinder, act_on_cylinder, cylinders_up_to_depth
-from .group import GroupMeasure, GroupWord, _rational, _require_probability, inverse
+from .group import GroupMeasure, GroupWord, _integer, _rational, _require_probability, inverse
 from .mediant import _stem_runs
 
 __all__ = [
     "Scalar",
     "DenjoyParams",
     "PiWeights",
-    "MarkovBase",
     "NotNormalizedError",
-    "params_to_pi",
     "pi_to_params",
-    "markov_base_to_params",
-    "params_to_markov_base",
     "cylinder_mass",
     "component_mass",
     "rn_derivative",
     "check_stationarity",
     "hausdorff_constants",
     "question_mark",
-    "swap_involution",
 ]
 
 Scalar = Union[Fraction, float]
@@ -52,6 +47,10 @@ class NotNormalizedError(ValueError):
 
 
 def _check_open_unit(value: Scalar, name: str) -> None:
+    """The one open-interval check: ``ValueError`` unless ``value`` is a real number
+    strictly between 0 and 1.  Booleans and strings are refused, not read as numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not 0 < value < 1:
         raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
 
@@ -88,30 +87,6 @@ class PiWeights:
         return defect == 0 if exact else abs(defect) <= _NORMALIZATION_TOL
 
 
-@dataclass(frozen=True, slots=True)
-class MarkovBase:
-    """Base distribution on the letters ``a, b, B`` of a multiplicative Markov measure."""
-
-    sigma_a: Scalar
-    sigma_b: Scalar
-    sigma_bbar: Scalar
-
-    def __post_init__(self) -> None:
-        for name in ("sigma_a", "sigma_b", "sigma_bbar"):
-            _check_open_unit(getattr(self, name), name)
-        total = self.sigma_a + self.sigma_b + self.sigma_bbar
-        exact = all(
-            isinstance(v, Fraction)
-            for v in (self.sigma_a, self.sigma_b, self.sigma_bbar)
-        )
-        if (total != 1) if exact else (abs(total - 1) > 1e-12):
-            raise ValueError(f"base weights must sum to 1, got {total}")
-
-
-def params_to_pi(d: DenjoyParams) -> PiWeights:
-    return PiWeights(d.p / (1 - d.p), d.alpha, 1 - d.alpha)
-
-
 def pi_to_params(w: PiWeights) -> DenjoyParams:
     """The realization problem: the unique normalized measure whose Radon-Nikodym cocycle
     has weights ``w``: ``alpha = y``, ``p = x/(1+x)``; solvable exactly when ``y + ybar = 1``
@@ -119,14 +94,6 @@ def pi_to_params(w: PiWeights) -> DenjoyParams:
     if not w.is_normalized():
         raise NotNormalizedError(f"y + ybar = {w.y + w.ybar}, expected 1")
     return DenjoyParams(w.y, w.x / (1 + w.x))
-
-
-def markov_base_to_params(m: MarkovBase) -> DenjoyParams:
-    return DenjoyParams(m.sigma_b / (m.sigma_b + m.sigma_bbar), m.sigma_a)
-
-
-def params_to_markov_base(d: DenjoyParams) -> MarkovBase:
-    return MarkovBase(d.p, (1 - d.p) * d.alpha, (1 - d.p) * (1 - d.alpha))
 
 
 def cylinder_mass(d: DenjoyParams, c: Cylinder) -> Scalar:
@@ -260,6 +227,7 @@ def question_mark(x: Union[Fraction, int, str], depth: int = 256) -> Fraction:
     Euclid's digits of ``x``, so the cost is bounded by ``depth`` however
     long the code.
     """
+    depth = _integer(depth, "depth")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     x = _rational(x, "x")
@@ -278,8 +246,3 @@ def question_mark(x: Union[Fraction, int, str], depth: int = 256) -> Fraction:
     bits = "".join(word)[1:]  # the dropped tail L^oo adds nothing
     value = int(bits.replace("L", "0").replace("R", "1"), 2)
     return Fraction(value, 1 << len(bits))
-
-
-def swap_involution(d: DenjoyParams) -> DenjoyParams:
-    """Parameter change induced by the automorphism exchanging ``b`` and ``B``."""
-    return DenjoyParams(1 - d.alpha, d.p)

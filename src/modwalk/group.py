@@ -12,6 +12,7 @@ identities can be tested exactly.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,6 @@ __all__ = [
     "inverse",
     "parse_word",
     "word_to_matrix",
-    "swap_b_letters",
     "convolve",
     "translate_right",
     "conjugate",
@@ -63,6 +63,17 @@ def _rational(value: object, name: str, nonnegative: bool = False) -> Fraction:
                 return q
     kind = "nonnegative rational" if nonnegative else "rational"
     raise ValueError(f"{name} {value!r} is not a finite {kind}")
+
+
+def _integer(value: object, name: str) -> int:
+    """The one integer coercion: ``value`` as a Python ``int``; booleans and
+    non-integers raise ``ValueError``."""
+    if not isinstance(value, bool):  # an int subclass: true and false are not counts
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _weight(value: object) -> Fraction:
@@ -171,11 +182,6 @@ def parse_word(s: str) -> GroupWord:
     Non-reduced strings such as ``"aa"`` or ``"bB"`` are rejected.
     """
     return GroupWord(s)
-
-
-def swap_b_letters(w: GroupWord) -> GroupWord:
-    """The automorphism of the group exchanging ``b`` and ``B``."""
-    return GroupWord("".join(_INVERSE_LETTER[ch] for ch in w.letters))
 
 
 def _mat_mul(m: Matrix, n: Matrix) -> Matrix:

@@ -28,14 +28,12 @@ __all__ = [
     "MediantInterval",
     "LRCode",
     "RationalCodes",
-    "ROOT_INTERVAL",
     "lr_to_interval",
     "rational_to_lr",
     "lr_to_cf",
     "cf_to_lr",
     "cf_value",
     "rational_to_cf",
-    "boundary_to_lr",
     "tau_enclosure",
 ]
 
@@ -73,19 +71,6 @@ class ExtRational:
         g = gcd(abs(num), den)
         return cls(num // g, den // g)
 
-    @classmethod
-    def from_fraction(cls, q: RationalLike) -> "ExtRational":
-        q = Fraction(q)
-        return cls(q.numerator, q.denominator)
-
-    @classmethod
-    def parse(cls, text: str) -> "ExtRational":
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return cls.of(int(num), int(den))
-        return cls.from_fraction(Fraction(text))
-
     @property
     def is_finite(self) -> bool:
         return self.den != 0
@@ -115,11 +100,6 @@ class ExtRational:
     def neg_reciprocal(self) -> "ExtRational":
         """The involution ``z -> -1/z`` (monotone on each open ray)."""
         return ExtRational.of(-self.den, self.num)
-
-
-ZERO = ExtRational(0, 1)
-ONE = ExtRational(1, 1)
-INFINITY = ExtRational(1, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,9 +140,6 @@ class MediantInterval:
 
     def __str__(self) -> str:
         return f"{self.left}..{self.right}"
-
-
-ROOT_INTERVAL = MediantInterval(ZERO, INFINITY)
 
 
 def _check_lr(word: str) -> None:
@@ -271,8 +248,11 @@ def lr_to_cf(word: Union[str, LRCode]) -> tuple[int, ...]:
 
 
 def _check_digits(digits: Sequence[int]) -> None:
-    """The one digit check: no digit is negative, and only the first may be 0."""
+    """The one digit check: every digit is an ``int`` (not a bool), none is
+    negative, and only the first may be 0."""
     for i, d in enumerate(digits):
+        if not isinstance(d, int) or isinstance(d, bool):  # true and false are not digits
+            raise ValueError(f"digit {d!r} at position {i} is not an integer")
         if d < 0 or (i > 0 and d == 0):
             raise ValueError(f"digit {d} at position {i}: only the first digit may be 0")
 
@@ -305,32 +285,19 @@ def rational_to_cf(q: RationalLike) -> tuple[int, ...]:
     return lr_to_cf(codes.right)
 
 
-def boundary_to_lr(prefix: GroupWord) -> str:
-    """Letterwise image of a boundary prefix starting with ``a``.
-
-    Pairs translate as ``ab -> R`` and ``aB -> L``; a trailing lone ``a``
-    carries no information and is ignored.
-    """
-    s = prefix.letters
-    if not s or s[0] != "a":
-        raise ValueError(f"prefix {s!r} does not start with 'a'")
-    out = []
-    for i in range(0, len(s) - 1, 2):
-        out.append("R" if s[i + 1] == "b" else "L")
-    return "".join(out)
-
-
 def tau_enclosure(prefix: GroupWord) -> MediantInterval:
     """Interval of the extended line enclosing the image of a boundary prefix.
 
     Prefixes starting with ``a`` map into the positive ray through the
-    mediant tree; prefixes starting with ``b`` or ``B`` are handled by
-    equivariance under ``z -> -1/z`` and land on the negative ray.
+    mediant tree, letter pair by letter pair: ``ab -> R`` and ``aB -> L``,
+    and a trailing lone ``a`` carries no information.  Prefixes starting
+    with ``b`` or ``B`` are handled by equivariance under ``z -> -1/z`` and
+    land on the negative ray.
     """
     s = prefix.letters
     if not s:
         raise ValueError("the empty prefix encloses the whole boundary")
     if s[0] == "a":
-        return lr_to_interval(boundary_to_lr(prefix))
+        return lr_to_interval(s[1::2].replace("b", "R").replace("B", "L"))
     inner = tau_enclosure(GroupWord("a" + s))
     return inner.neg_reciprocal()

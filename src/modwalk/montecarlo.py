@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import pickle
 import warnings
@@ -33,24 +32,22 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .boundary import Cylinder
-from .denjoy import DenjoyParams, cylinder_mass
+from .denjoy import DenjoyParams, _check_open_unit, cylinder_mass
 from .group import (
     IDENTITY,
     GroupMeasure,
     GroupWord,
+    _integer,
     _provably_degenerate,
     _reach,
     _require_probability,
 )
 
 __all__ = [
-    "RNG_CONTRACT",
     "PATH_STRIDE",
-    "Z_THRESHOLD",
     "SimConfig",
     "SimReport",
     "AlphaEstimate",
-    "ZTable",
     "UnresolvedPathsError",
     "sample_path",
     "simulate",
@@ -79,16 +76,6 @@ _CODE = {"a": 0, "b": 1, "B": 2}
 
 class UnresolvedPathsError(RuntimeError):
     """Too many paths ended with a word too short for the requested depth."""
-
-
-def _integer(value: object, name: str) -> int:
-    """``value`` as a Python ``int``; booleans and non-integers raise ``ValueError``."""
-    if not isinstance(value, bool):  # an int subclass: true and false are not counts
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -794,8 +781,8 @@ def letter_test_power(alpha: float, alpha0: float, k: int, n: int) -> float:
     ``alpha (1 - alpha) / (k n)``; at ``alpha == alpha0`` it is the test's
     size ``2 Phi(-Z_THRESHOLD)``.
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_open_unit(alpha, "alpha")
+    k, n = _integer(k, "k"), _integer(n, "n")
     if k < 1 or n < 1:
         raise ValueError("k and n must be >= 1")
     shift = float(alpha - alpha0) / math.sqrt(float(alpha * (1 - alpha)) / (k * n))

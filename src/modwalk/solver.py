@@ -27,9 +27,10 @@ from fractions import Fraction
 from math import copysign, hypot, isfinite, isqrt, lcm
 from typing import Mapping, Sequence, Union
 
-from .denjoy import DenjoyParams, PiWeights, Scalar, pi_to_params
+from .denjoy import DenjoyParams, PiWeights, Scalar, _check_open_unit, pi_to_params
 from .group import (
     GroupMeasure,
+    _integer,
     _provably_degenerate,
     _rational,
     _require_probability,
@@ -184,8 +185,7 @@ def denjoy_membership_residual(mu: StepOnS, alpha: Scalar) -> Scalar:
     Zero exactly when the harmonic measure of ``mu`` lies in the class with
     parameter ``alpha``; exact rational for rational ``alpha``.
     """
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    _check_open_unit(alpha, "alpha")
     weights = _integer_weights(mu)
     A, B, C = _y_equation_integers(weights)
     return ((A * alpha + B) * alpha + C) / weights[0] ** 2
@@ -371,7 +371,7 @@ def hyperbola_point(bbarf: RationalLike, bits: int = 64) -> StepOnS:
     ``[0, (1-bbarf)/2]``, tight enough at the default that the Minkowski
     residual stays far below 1e-12.
     """
-    bb = _weight(bbarf)
+    bb, bits = _weight(bbarf), _integer(bits, "bits")
     if not 0 < bb < 1:
         raise ValueError(f"need 0 < bbarf < 1, got {bb}")
 

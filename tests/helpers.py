@@ -1,11 +1,21 @@
-"""Shared deterministic generators for the test suite."""
+"""Shared deterministic generators and oracles for the test suite."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
-from modwalk import IDENTITY, DegenerateStepError, GroupWord, StepOnS, reduce_concat
+from modwalk import (
+    IDENTITY,
+    Cylinder,
+    DegenerateStepError,
+    DenjoyParams,
+    GroupWord,
+    PiWeights,
+    StepOnS,
+    reduce_concat,
+)
 
 
 def random_step(rng: random.Random, grid: int = 20) -> StepOnS:
@@ -41,3 +51,25 @@ def random_rational(rng: random.Random, max_den: int = 10_000) -> Fraction:
     den = rng.randint(2, max_den)
     num = rng.randint(1, den - 1)
     return Fraction(num, den)
+
+
+def swap_b_letters(w: GroupWord) -> GroupWord:
+    """The automorphism of the group exchanging ``b`` and ``B``."""
+    return GroupWord(w.letters.translate(str.maketrans("bB", "Bb")))
+
+
+def swap_involution(d: DenjoyParams) -> DenjoyParams:
+    """Parameter change induced by the automorphism exchanging ``b`` and ``B``."""
+    return DenjoyParams(1 - d.alpha, d.p)
+
+
+def params_to_pi(d: DenjoyParams) -> PiWeights:
+    """Radon-Nikodym weights ``(x, y, ybar)`` of a family member: the inverse
+    of ``pi_to_params``."""
+    return PiWeights(d.p / (1 - d.p), d.alpha, 1 - d.alpha)
+
+
+def cylinder_diameter(c: Cylinder) -> float:
+    """Diameter ``e^-|g|`` of the shadow of ``g`` in the ultrametric
+    ``e^-(.|.)`` of the Gromov product at the identity."""
+    return math.exp(-len(c.prefix))

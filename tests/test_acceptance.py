@@ -18,7 +18,6 @@ from modwalk import (
     SimConfig,
     check_stationarity,
     component_mass,
-    cylinder_diameter,
     cylinders_up_to_depth,
     estimate_alpha,
     example_ex0,
@@ -41,7 +40,7 @@ from modwalk import (
     StepOnS,
 )
 
-from helpers import random_nn, random_step
+from helpers import cylinder_diameter, random_nn, random_step
 
 QMARK_DEPTH = 25_000  # resolves every rational with denominator <= 10^4 exactly
 

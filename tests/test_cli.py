@@ -255,7 +255,7 @@ class TestEncode:
     def test_cf_digits_must_be_integers_exit_2(self, capsys, cf):
         code, out, err = run(capsys, "encode", "--cf", cf)
         assert code == 2 and out == ""
-        assert "--cf" in err
+        assert "is not an integer" in err
 
     def test_requires_exactly_one_input(self, capsys):
         assert run(capsys, "encode")[0] == 2

@@ -7,34 +7,37 @@ import pytest
 
 from modwalk import (
     Cylinder,
+    EX0_PAIR,
     DenjoyParams,
     GroupMeasure,
-    MarkovBase,
     NotNormalizedError,
     PiWeights,
     check_stationarity,
     component_mass,
     cylinder_mass,
     cylinders_up_to_depth,
+    denjoy_membership_residual,
     harmonic_params,
     hausdorff_constants,
-    markov_base_to_params,
-    params_to_markov_base,
-    params_to_pi,
     parse_word,
     pi_to_params,
     question_mark,
     rn_derivative,
-    root_partition,
     StepOnS,
-    swap_b_letters,
-    swap_involution,
 )
 from modwalk import denjoy
 from modwalk.boundary import act_on_cylinder
 from modwalk.group import IDENTITY, inverse
 
-from helpers import random_rational, random_step, random_word
+from helpers import (
+    cylinder_diameter,
+    params_to_pi,
+    random_rational,
+    random_step,
+    random_word,
+    swap_b_letters,
+    swap_involution,
+)
 
 
 def _check_stationarity_reference(d, mu, depth):
@@ -71,9 +74,6 @@ class TestParameterizations:
             d = DenjoyParams(random_rational(rng, 97), random_rational(rng, 97))
             back = pi_to_params(params_to_pi(d))
             assert back == d
-        for _ in range(200):
-            d = DenjoyParams(random_rational(rng, 97), random_rational(rng, 97))
-            assert markov_base_to_params(params_to_markov_base(d)) == d
 
     def test_pi_normalization_exact(self):
         rng = random.Random(5)
@@ -81,15 +81,15 @@ class TestParameterizations:
             w = params_to_pi(DenjoyParams(random_rational(rng), random_rational(rng)))
             assert w.y + w.ybar == 1
 
-    def test_markov_base_examples(self):
-        d = markov_base_to_params(MarkovBase(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
-        assert (d.alpha, d.p) == (Fraction(1, 2), Fraction(1, 3))
-        m = params_to_markov_base(DenjoyParams(Fraction(1, 2), Fraction(1, 2)))
-        assert (m.sigma_a, m.sigma_b, m.sigma_bbar) == (
-            Fraction(1, 2),
-            Fraction(1, 4),
-            Fraction(1, 4),
-        )
+    def test_parameters_are_numbers(self):
+        # strings are refused, not parsed; floats stay floats
+        for alpha, p in (("1/0", "1/3"), ("1/2", "1/3")):
+            with pytest.raises(ValueError):
+                DenjoyParams(alpha, p)
+        with pytest.raises(ValueError):
+            denjoy_membership_residual(EX0_PAIR[0], "1/2")
+        assert type(DenjoyParams(0.25, 0.5).alpha) is float
+        assert type(hausdorff_constants()[1].p) is float
 
     def test_solve_rn_problem(self):
         good = pi_to_params(PiWeights(1, Fraction(1, 2), Fraction(1, 2)))
@@ -111,7 +111,7 @@ class TestMasses:
 
     def test_additivity_to_depth_10(self):
         d = DenjoyParams(Fraction(2, 5), Fraction(4, 9))
-        assert sum(cylinder_mass(d, c) for c in root_partition()) == 1
+        assert sum(cylinder_mass(d, c) for c in cylinders_up_to_depth(1)) == 1
         for c in cylinders_up_to_depth(9):
             left, right = c.children()
             assert cylinder_mass(d, c) == cylinder_mass(d, left) + cylinder_mass(d, right)
@@ -315,8 +315,6 @@ class TestHausdorff:
     def test_well_scaling_depth_10(self):
         dim, _ = hausdorff_constants()
         norm = 1 / math.sqrt(2)
-        from modwalk import cylinder_diameter
-
         for c in cylinders_up_to_depth(10):
             if str(c)[0] != "a":
                 continue

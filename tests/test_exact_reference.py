@@ -22,7 +22,6 @@ from modwalk import (
     MediantInterval,
     NoRootInCube,
     PiWeights,
-    ROOT_INTERVAL,
     RationalCodes,
     SolverContradictionError,
     StepOnS,
@@ -49,6 +48,9 @@ class MultipleRoots(SolverContradictionError):
 # ---------------------------------------------------------------------------
 # References: the walks as they were.
 
+ROOT_INTERVAL = MediantInterval(ExtRational(0, 1), ExtRational(1, 0))
+
+
 def reference_lr_to_interval(word: str) -> MediantInterval:
     iv = ROOT_INTERVAL
     for ch in word:
@@ -58,7 +60,7 @@ def reference_lr_to_interval(word: str) -> MediantInterval:
 
 def reference_rational_to_lr(q) -> RationalCodes:
     q = Fraction(q)
-    point = ExtRational.from_fraction(q)
+    point = ExtRational(q.numerator, q.denominator)
     iv = ROOT_INTERVAL
     stem: list[str] = []
     while True:

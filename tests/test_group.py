@@ -8,30 +8,37 @@ from hypothesis import strategies as st
 
 from modwalk import (
     EX0_PAIR,
+    Cylinder,
+    DenjoyParams,
     GroupMeasure,
     GroupWord,
     IDENTITY,
     SimConfig,
     StepOnS,
+    cf_to_lr,
     cf_value,
+    component_mass,
     conjugate,
     convolve,
+    denjoy_membership_residual,
     example_ex0,
     example_ex1,
+    hyperbola_point,
     inverse,
+    letter_test_power,
     parse_word,
+    paths_for_power,
     question_mark,
     rational_to_cf,
     rational_to_lr,
     reduce_concat,
     strip_identity_renormalize,
-    swap_b_letters,
     translate_right,
     word_to_matrix,
 )
 from modwalk.group import _check_letters, _provably_degenerate, _reach
 
-from helpers import random_word
+from helpers import random_word, swap_b_letters
 
 words = st.builds(
     lambda moves: _product(moves),
@@ -299,6 +306,22 @@ RATIONAL_INPUTS = {
 }
 SIM_CONFIG = {"paths": 10, "steps": 400, "seed": 1, "depth": 3}
 BAD_INTEGERS = {"paths": 10.5, "steps": 400.0, "seed": 1.5, "depth": 3.0}
+# Each integer count outside SimConfig, read through the same coercion.
+INTEGER_INPUTS = {
+    "question_mark-depth": lambda v: question_mark("1/3", depth=v),
+    "letter_test_power-k": lambda v: letter_test_power(0.5, 0.4, v, 10),
+    "letter_test_power-n": lambda v: letter_test_power(0.5, 0.4, 3, v),
+    "paths_for_power-k": lambda v: paths_for_power(0.5, 0.4, v, 0.99),
+    "hyperbola_point-bits": lambda v: hyperbola_point("1/2", bits=v),
+}
+# Each parameter that must lie in (0, 1): numbers only, strings refused, not parsed.
+OPEN_UNIT_INPUTS = {
+    "DenjoyParams-alpha": lambda v: DenjoyParams(v, Fraction(1, 3)),
+    "DenjoyParams-p": lambda v: DenjoyParams(Fraction(1, 2), v),
+    "component_mass-alpha": lambda v: component_mass(v, Cylinder.of("a")),
+    "denjoy_membership_residual-alpha": lambda v: denjoy_membership_residual(EX0_PAIR[0], v),
+    "letter_test_power-alpha": lambda v: letter_test_power(v, 0.4, 3, 10),
+}
 
 
 def _sim_config(field):
@@ -317,8 +340,23 @@ BAD_VALUES = [
         for bad in (value, True, str(SIM_CONFIG[field]), None)
     ),
     *(
+        pytest.param(call, bad, id=f"{name}={bad!r}")
+        for name, call in INTEGER_INPUTS.items()
+        for bad in (2.5, 3.0, True, "3", None)
+    ),
+    *(
+        pytest.param(call, bad, id=f"{name}={bad!r}")
+        for name, call in OPEN_UNIT_INPUTS.items()
+        for bad in ("1/2", "1/0", True, None, float("nan"), Fraction(3, 2))
+    ),
+    *(
         pytest.param(cf_value, digits, id=f"cf_value{digits}")
         for digits in ([1, 0], [1, -1], [-2], [2, 3, 0, 1])
+    ),
+    *(
+        pytest.param(call, digits, id=f"{call.__name__}{digits}")
+        for call in (cf_to_lr, cf_value)
+        for digits in ([True, 2], [1, False], [1.5, 2], [1, 2.0], [1, "2"])
     ),
 ]
 

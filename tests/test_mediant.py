@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from modwalk import (
     ExtRational,
     LRCode,
-    ROOT_INTERVAL,
-    boundary_to_lr,
+    MediantInterval,
     cf_to_lr,
     cf_value,
     lr_to_cf,
@@ -26,13 +25,6 @@ lr_words = st.text(alphabet="LR", max_size=24)
 
 
 class TestExtRational:
-    def test_parse_format(self):
-        assert str(ExtRational.parse("1/0")) == "1/0"
-        assert str(ExtRational.parse("-1/0")) == "-1/0"
-        assert ExtRational.parse("2/4") == ExtRational(1, 2)
-        assert ExtRational.parse("0.25") == ExtRational(1, 4)
-        assert ExtRational.parse("-3/6") == ExtRational(-1, 2)
-
     def test_order_with_infinities(self):
         lo, hi = ExtRational(-1, 0), ExtRational(1, 0)
         mid = ExtRational(7, 3)
@@ -54,7 +46,7 @@ class TestIntervals:
 
     def test_r_and_empty(self):
         assert str(lr_to_interval("R")) == "1/1..1/0"
-        assert lr_to_interval("") == ROOT_INTERVAL
+        assert lr_to_interval("") == MediantInterval(ExtRational(0, 1), ExtRational(1, 0))
 
     def test_ll_example(self):
         iv = lr_to_interval("LL")
@@ -153,11 +145,9 @@ class TestContinuedFractions:
 
 class TestBoundaryCorrespondence:
     def test_letterwise_image(self):
-        assert boundary_to_lr(parse_word("aBaB")) == "LL"
-        assert boundary_to_lr(parse_word("ab")) == "R"
-        assert boundary_to_lr(parse_word("a")) == ""
-        with pytest.raises(ValueError):
-            boundary_to_lr(parse_word("ba"))
+        # ab -> R and aB -> L pair by pair; a trailing lone a adds nothing
+        for letters, lr in [("aBaB", "LL"), ("ab", "R"), ("a", ""), ("abaBa", "RL")]:
+            assert tau_enclosure(parse_word(letters)) == lr_to_interval(lr)
 
     def test_enclosure_positive_ray(self):
         assert str(tau_enclosure(parse_word("aBaB"))) == "0/1..1/2"
