@@ -18,7 +18,6 @@ from modwalk import (
     harmonic_params,
     hausdorff_constants,
     minkowski_residual,
-    nn_solve,
     residual,
     solve_master,
 )
@@ -45,10 +44,9 @@ r = check_stationarity(sp, skew.to_group_measure(), depth=6)
 print(f"  max residual {r:.2e}")
 
 print()
-print("nearest-neighbour closed form (af = 1/2, delta = bf - bbarf = 1/2):")
-z, triple, nnp = nn_solve(StepOnS.from_json_dict({"a": "1/2", "b": "1/2"}))
-print(f"  z = {z:.15f} (= sqrt(17) - 4 = {math.sqrt(17) - 4:.15f})")
-print(f"  alpha = {float(nnp.alpha):.15f}")
+print("a nearest-neighbour walk (a: 1/2, b: 1/2) with an irrational alpha:")
+half = harmonic_params(StepOnS.from_json_dict({"a": "1/2", "b": "1/2"}))
+print(f"  alpha = {float(half.alpha):.15f} (= (sqrt(17) - 3)/2 = {(math.sqrt(17) - 3) / 2:.15f})")
 
 print()
 dim, hp = hausdorff_constants()

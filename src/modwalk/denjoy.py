@@ -185,6 +185,7 @@ def check_stationarity(d: DenjoyParams, mu: GroupMeasure, depth: int = 8) -> flo
     rows (``_distinct_rows``: 108 of 765 at depth 8 on the support ``{a, b, B, ba, Ba}``)
     have equal residuals, so each row is summed once, and only the largest numerator is
     divided: rounding is monotone, so that is the largest rounded residual."""
+    depth = _integer(depth, "depth")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     _require_probability(mu, "mu")

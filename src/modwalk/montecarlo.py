@@ -658,7 +658,7 @@ def _z(gap: float, se: float) -> float:
     (a single path, or paths that all agree) no gap scores 0 and any gap
     scores an infinity of its sign."""
     if se == 0.0:
-        return 0.0 if gap == 0.0 else math.copysign(math.inf, gap)
+        return 0.0 if gap == 0.0 else math.inf if gap > 0 else -math.inf
     return gap / se
 
 
@@ -697,7 +697,7 @@ class AlphaEstimate:
     letters: int
 
     def z(self, alpha: float) -> float:
-        """z-score of the estimate against the hypothesis ``alpha``."""
+        """z-score of the estimate against the value ``alpha``."""
         return _z(self.estimate - float(alpha), self.stderr)
 
     def as_dict(self, class_alpha: float, own_alpha: float) -> dict:
@@ -782,6 +782,7 @@ def letter_test_power(alpha: float, alpha0: float, k: int, n: int) -> float:
     size ``2 Phi(-Z_THRESHOLD)``.
     """
     _check_open_unit(alpha, "alpha")
+    _check_open_unit(alpha0, "alpha0")
     k, n = _integer(k, "k"), _integer(n, "n")
     if k < 1 or n < 1:
         raise ValueError("k and n must be >= 1")
@@ -800,6 +801,7 @@ def paths_for_power(alpha: float, alpha0: float, k: int, power: float) -> int:
     ``n``.  ``power`` must lie between the test's size and 1, and ``alpha``
     must differ from ``alpha0``.
     """
+    _check_open_unit(alpha0, "alpha0")
     size = letter_test_power(alpha, alpha, k, 1)  # also validates alpha and k
     gap = float(alpha - alpha0)
     if gap == 0:

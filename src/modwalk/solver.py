@@ -14,17 +14,20 @@ integer core: the weights and the quadratic are taken over the common
 denominator of the weights (``_y_equation_integers``), and a solve stays on
 integers until it builds the ``Fraction``s it returns.
 
-Also here: the Denjoy/Minkowski membership residuals, the closed-form
-nearest-neighbour solution, the level-set function of nearest-neighbour
-equivalence, the hyperbola family of Minkowski-filling measures with a
-two-letter step, and the three compound-walk counterexample reports.
+Also here: the Denjoy/Minkowski membership residuals, the level-set
+function ``phi`` of nearest-neighbour walks (equal ``phi`` means the same
+class, unequal ``phi`` means different classes), the hyperbola family of
+Minkowski-filling measures with a two-letter step, and the three
+compound-walk counterexample reports, which decide their class claims
+exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import copysign, hypot, isfinite, isqrt, lcm
+from math import isfinite, isqrt, lcm
+from numbers import Real
 from typing import Mapping, Sequence, Union
 
 from .denjoy import DenjoyParams, PiWeights, Scalar, _check_open_unit, pi_to_params
@@ -53,7 +56,6 @@ __all__ = [
     "harmonic_params",
     "denjoy_membership_residual",
     "minkowski_residual",
-    "nn_solve",
     "phi",
     "hyperbola_point",
     "EX0_PAIR",
@@ -261,8 +263,8 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PiWeights:
     residuals are three integers over ``D M N``, so one correctly rounded
     division decides the tolerance as the float residuals would.
     """
-    if not (tol > 0 and isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if isinstance(tol, bool) or not (isinstance(tol, Real) and tol > 0 and isfinite(tol)):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     weights = _integer_weights(mu)
     A, B, C = _y_equation_integers(weights)
     if not C < 0 < A + B + C:  # D^2 f(0) and D^2 f(1)
@@ -325,30 +327,14 @@ def _nn_data(mu: StepOnS) -> tuple[Fraction, Fraction]:
     return mu.af, mu.bf - mu.bbarf
 
 
-def nn_solve(mu: StepOnS) -> tuple[Scalar, PiWeights, DenjoyParams]:
-    """Closed-form passage data of a nearest-neighbour walk.
-
-    For ``delta = 0`` everything is exact rational with ``z = 0``; otherwise
-    ``z`` solves ``z^2 + 2 D z - 1 = 0`` with ``D = (4-(af+1)^2+delta^2)/(2 af delta)``
-    and is evaluated in the cancellation-free form ``sgn(D)/(sqrt(D^2+1)+|D|)``.
-    """
-    af, delta = _nn_data(mu)
-    if delta == 0:
-        z: Scalar = Fraction(0)
-        x: Scalar = (1 + af) / 2
-        y: Scalar = Fraction(1, 2)
-    else:
-        D = float((4 - (af + 1) ** 2 + delta**2) / (2 * af * delta))
-        z = copysign(1.0 / (hypot(D, 1.0) + abs(D)), D)
-        x = (1 + float(af) - float(delta) * z) / 2
-        y = (1 + z) / 2
-    triple = _passage_weights(x, y)
-    return z, triple, pi_to_params(triple)
-
-
 def phi(mu: StepOnS) -> Fraction:
     """Level-set function of nearest-neighbour walks: equal values mean
-    harmonic measures in the same class."""
+    harmonic measures in the same class, unequal values different classes.
+
+    With ``alpha`` the harmonic parameter, ``phi = (2 alpha - 1) / (4 alpha (1 - alpha))``,
+    which rises strictly with ``alpha`` on (0, 1), so ``phi`` decides the
+    class exactly.
+    """
     af, delta = _nn_data(mu)
     return af * delta / (4 - (af + 1) ** 2 + delta**2)
 
@@ -374,6 +360,8 @@ def hyperbola_point(bbarf: RationalLike, bits: int = 64) -> StepOnS:
     bb, bits = _weight(bbarf), _integer(bits, "bits")
     if not 0 < bb < 1:
         raise ValueError(f"need 0 < bbarf < 1, got {bb}")
+    if bits < 0:
+        raise ValueError(f"bits must be >= 0, got {bits}")
 
     u, v = bb.numerator, bb.denominator
     sq = _exact_isqrt(3 * u * u + v * v)  # v^2 (3 bbarf^2 + 1)
@@ -391,10 +379,6 @@ def hyperbola_point(bbarf: RationalLike, bits: int = 64) -> StepOnS:
 
 # ---------------------------------------------------------------------------
 # Counterexample reports: equivalent endpoints whose compounds leave the class.
-
-# Float alphas closer than this count as one class: endpoints must agree
-# within it, and a combination must miss their class by more.
-_ALPHA_GAP = 1e-12
 
 # Frozen level-set pair on phi = 1/8: in (af, delta), the chord through
 # (1/2, 1/2) with slope -3/4 meets the level set again at (157/206, 31/206);
@@ -437,31 +421,29 @@ def example_ex0(
 ) -> Ex0Report:
     """Certify the frozen level-set pair and the failure of its combinations.
 
-    Both endpoints lie exactly on the same nonzero level set, hence share
-    ``alpha``; each tested combination must miss the common ``alpha`` by
-    more than ``1e-12``.
+    Both endpoints lie exactly on the same nonzero level set of ``phi``,
+    hence share ``alpha``; each tested combination must lie off it, hence
+    leave the class.  The reported ``alpha``s are midpoints of enclosures
+    of width ``2^-73``: the correctly rounded float of the root unless it
+    lies within ``2^-74`` of a rounding boundary.
     """
+
+    def alpha(mu: StepOnS) -> float:
+        return float(solve_master(mu, tol=2**-70).y)
+
     first, second = EX0_PAIR
     if phi(first) != EX0_LEVEL or phi(second) != EX0_LEVEL:
         raise SolverContradictionError("frozen pair left its level set")
-    _, _, params1 = nn_solve(first)
-    _, _, params2 = nn_solve(second)
-    alpha1, alpha2 = float(params1.alpha), float(params2.alpha)
-    gap_end = abs(alpha1 - alpha2)
-    if gap_end > _ALPHA_GAP:
-        raise SolverContradictionError("endpoints disagree on alpha")
+    alpha1 = alpha(first)
     combos = []
     for t in ts:
         t = _rational(t, "t")
         mixed = first.combine(second, t)
-        _, _, params_mix = nn_solve(mixed)
-        gap = abs(float(params_mix.alpha) - alpha1)
-        if gap <= _ALPHA_GAP:
-            raise SolverContradictionError(
-                f"combination t={t} failed to leave the class (gap {gap})"
-            )
-        combos.append((t, float(params_mix.alpha), gap))
-    return Ex0Report(EX0_PAIR, EX0_LEVEL, alpha1, gap_end, tuple(combos))
+        if phi(mixed) == EX0_LEVEL:
+            raise SolverContradictionError(f"combination t={t} failed to leave the class")
+        alpha_mix = alpha(mixed)
+        combos.append((t, alpha_mix, abs(alpha_mix - alpha1)))
+    return Ex0Report(EX0_PAIR, EX0_LEVEL, alpha1, abs(alpha1 - alpha(second)), tuple(combos))
 
 
 @dataclass(frozen=True)
@@ -494,7 +476,7 @@ def example_ex1(
     t: RationalLike = Fraction(1, 2),
 ) -> Ex1Report:
     """Convex combination of two distinct hyperbola points leaves the Minkowski class:
-    its ``alpha`` misses ``1/2`` by more than ``1e-12``.
+    its exact Minkowski residual is nonzero, so its ``alpha`` is not ``1/2``.
 
     The report carries the combined step distribution, ready to hand to the
     simulator for an independent confirmation.
@@ -508,13 +490,11 @@ def example_ex1(
         raise SolverContradictionError("hyperbola endpoints are not filling")
     t = _rational(t, "t")
     mixed = mu1.combine(mu2, t)
+    if minkowski_residual(mixed) == 0:
+        raise SolverContradictionError("combination stayed Minkowski: its residual is 0")
     params = harmonic_params(mixed)
-    gap = abs(float(params.alpha) - 0.5)
-    if gap <= _ALPHA_GAP:
-        raise SolverContradictionError(f"combination stayed Minkowski (gap {gap})")
-    return Ex1Report(
-        (mu1, mu2), (r1, r2), t, mixed, float(params.alpha), float(params.p), gap
-    )
+    alpha = float(params.alpha)
+    return Ex1Report((mu1, mu2), (r1, r2), t, mixed, alpha, float(params.p), abs(alpha - 0.5))
 
 
 @dataclass(frozen=True)

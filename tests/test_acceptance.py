@@ -14,7 +14,9 @@ from fractions import Fraction
 
 from modwalk import (
     Cylinder,
+    DenjoyParams,
     GroupMeasure,
+    PiWeights,
     SimConfig,
     check_stationarity,
     component_mass,
@@ -27,7 +29,6 @@ from modwalk import (
     hausdorff_constants,
     lr_to_interval,
     minkowski_residual,
-    nn_solve,
     parse_word,
     question_mark,
     rational_to_cf,
@@ -73,13 +74,9 @@ def test_criterion_01_solver_correctness():
 def test_criterion_02_symmetric_fixture():
     mu = StepOnS(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), Fraction(0), Fraction(0))
     params = harmonic_params(mu)
-    z, triple, nn_params = nn_solve(mu)
     ok = (
-        params.alpha == Fraction(1, 2)
-        and abs(float(params.p - Fraction(2, 5))) <= 1e-12
-        and nn_params.p == Fraction(2, 5)
-        and nn_params.alpha == Fraction(1, 2)
-        and z == 0
+        solve_master(mu) == PiWeights(Fraction(2, 3), Fraction(1, 2), Fraction(1, 2))
+        and params == DenjoyParams(Fraction(1, 2), Fraction(2, 5))
     )
     report("2", ok, f"af=1/3 symmetric walk: alpha={params.alpha}, p={params.p} (=2/5 exactly)")
 

@@ -192,6 +192,13 @@ class TestStationarity:
         with pytest.raises(ValueError):
             check_stationarity(d, GroupMeasure({parse_word("a"): Fraction(1, 2)}))
 
+    @pytest.mark.parametrize("depth", [True, 2.5, "2", 0])
+    def test_depth_must_be_a_positive_integer(self, depth):
+        d = DenjoyParams(Fraction(1, 2), Fraction(2, 5))
+        mu = GroupMeasure.from_json_dict({"a": "1/3", "b": "1/3", "B": "1/3"})
+        with pytest.raises(ValueError, match="depth"):
+            check_stationarity(d, mu, depth=depth)
+
     def test_matches_reference_on_harmonic_params(self):
         rng = random.Random(31)
         for _ in range(10):

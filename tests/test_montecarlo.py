@@ -27,7 +27,6 @@ from modwalk import (
     example_ex2,
     harmonic_params,
     letter_test_power,
-    nn_solve,
     parse_word,
     paths_for_power,
     sample_path,
@@ -401,7 +400,7 @@ class TestEstimates:
         )
 
     def test_frequencies_match_harmonic_measure(self):
-        mu_step = nn_solve(StepOnS.from_group_measure(SYMMETRIC_NN))[2]
+        mu_step = harmonic_params(StepOnS.from_group_measure(SYMMETRIC_NN))
         cfg = SimConfig(paths=40_000, steps=400, seed=8, depth=3)
         report = simulate(SYMMETRIC_NN, cfg)
         est, se = report.cylinder_freq[Cylinder.of("a")]
@@ -633,6 +632,16 @@ class TestLetterTest:
         assert letter_test_power(alpha, 0.5, 15, cfg.paths) < 0.6
         with pytest.raises(ValueError):
             letter_test_power(1.0, 0.5, cfg.depth, cfg.paths)
+
+    @pytest.mark.parametrize("alpha0", [2, 0, True, "1/2"])
+    def test_alpha0_is_validated(self, alpha0):
+        with pytest.raises(ValueError, match="alpha0"):
+            letter_test_power(0.6, alpha0, 35, 100)
+        with pytest.raises(ValueError, match="alpha0"):
+            paths_for_power(0.6, alpha0, 35, 0.9)
+        if not isinstance(alpha0, str):  # z-scores read the class alpha as a float first
+            with pytest.raises(ValueError, match="alpha0"):
+                AlphaEstimate(0.6, 0.01, 100, 35).as_dict(class_alpha=alpha0, own_alpha=0.6)
 
 
 def example_alphas() -> dict[str, tuple[Fraction, float]]:

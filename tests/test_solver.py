@@ -19,7 +19,6 @@ from modwalk import (
     harmonic_params,
     hyperbola_point,
     minkowski_residual,
-    nn_solve,
     phi,
     residual,
     solve_master,
@@ -136,6 +135,11 @@ class TestMasterSystem:
         assert params.alpha == Fraction(1, 2)
         assert params.p == Fraction(2, 5)
 
+    @pytest.mark.parametrize("tol", [True, "1e-15", 0, -1e-15, math.inf, math.nan])
+    def test_tol_must_be_a_positive_finite_number(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            solve_master(EX0_PAIR[0], tol=tol)
+
     def test_residual_detects_wrong_triple(self):
         wrong = PiWeights(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
         r = residual(SYMMETRIC, wrong)
@@ -194,33 +198,34 @@ def nn_walk(af: Fraction, bf: Fraction, bbarf: Fraction) -> StepOnS:
 
 class TestNearestNeighbour:
     def test_symmetric_case(self):
-        z, t, params = nn_solve(nn_walk(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
-        assert z == 0
-        assert (t.x, params.alpha, params.p) == (
-            Fraction(2, 3),
-            Fraction(1, 2),
-            Fraction(2, 5),
-        )
+        # delta = 0: phi = 0, and the walk is Minkowski with x = (1 + af) / 2
+        for af in (Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)):
+            mu = nn_walk(af, (1 - af) / 2, (1 - af) / 2)
+            assert phi(mu) == 0
+            assert solve_master(mu) == PiWeights((1 + af) / 2, Fraction(1, 2), Fraction(1, 2))
 
     def test_half_half_hand_values(self):
-        # D = (4 - 9/4 + 1/4) / (1/2) = 4, so z = sqrt(17) - 4
-        z, t, params = nn_solve(nn_walk(Fraction(1, 2), Fraction(1, 2), Fraction(0)))
-        assert z == pytest.approx(math.sqrt(17) - 4, abs=1e-15)
-        assert float(t.x) == pytest.approx((1.5 - 0.5 * z) / 2)
-        assert params.alpha == pytest.approx((1 + z) / 2)
+        # the y-quadratic is a multiple of y^2 + 3y - 2, so alpha = (sqrt(17) - 3) / 2
+        mu = nn_walk(Fraction(1, 2), Fraction(1, 2), Fraction(0))
+        A, B, C = _y_equation_integers(_integer_weights(mu))
+        assert (B, C) == (3 * A, -2 * A)
+        t = solve_master(mu)
+        assert float(t.y) == pytest.approx((math.sqrt(17) - 3) / 2, abs=1e-15)
+        assert float(t.x) == pytest.approx((7 - math.sqrt(17)) / 4, abs=1e-15)
+        assert harmonic_params(mu).alpha == t.y
 
     def test_agrees_with_master_solver(self):
+        # phi orders nearest-neighbour walks as the master solver's alpha does:
+        # sorted by exact phi, y rises strictly across each rise of phi and
+        # stays put where phi does
         rng = random.Random(127)
-        for _ in range(500):
-            mu = random_nn(rng)
-            z, t, params = nn_solve(mu)
-            direct = solve_master(mu)
-            delta = mu.bf - mu.bbarf
-            assert abs(float(t.x) - float(direct.x)) <= 1e-12
-            assert abs(float(t.y) - float(direct.y)) <= 1e-12
-            assert abs(z) < 1 and (z == 0) == (delta == 0)
-            if delta:
-                assert math.copysign(1, z) == math.copysign(1, delta)
+        walks = [random_nn(rng) for _ in range(600)] + list(EX0_PAIR)
+        pairs = sorted((phi(mu), solve_master(mu).y) for mu in walks)
+        assert len({level for level, _ in pairs}) < len(pairs)  # some levels repeat
+        for (phi1, y1), (phi2, y2) in zip(pairs, pairs[1:]):
+            assert (y1 < y2) if phi1 < phi2 else (y1 == y2)
+        for level, y in pairs:
+            assert float(level) == pytest.approx(float((2 * y - 1) / (4 * y * (1 - y))), abs=1e-12)
 
     def test_phi_examples(self):
         assert phi(nn_walk(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))) == 0
@@ -230,11 +235,9 @@ class TestNearestNeighbour:
     def test_equal_phi_means_equal_alpha(self):
         first, second = EX0_PAIR
         assert phi(first) == phi(second) == EX0_LEVEL
-        _, _, p1 = nn_solve(first)
-        _, _, p2 = nn_solve(second)
-        assert abs(float(p1.alpha) - float(p2.alpha)) <= 1e-12
+        assert harmonic_params(first).alpha == harmonic_params(second).alpha
 
-    @pytest.mark.parametrize("function", [nn_solve, phi])
+    @pytest.mark.parametrize("function", [phi])
     @pytest.mark.parametrize("two_letter", ["ba", "Ba"])
     def test_two_letter_step_is_refused(self, function, two_letter):
         # a walk the master solver takes, with one step off {a, b, B}
@@ -292,6 +295,10 @@ class TestHyperbola:
             hyperbola_point(Fraction(0))
         with pytest.raises(ValueError):
             hyperbola_point(Fraction(7, 5))
+        with pytest.raises(ValueError, match="bits must be >= 0"):
+            hyperbola_point(Fraction(1, 2), bits=-1)
+        # no bisection step: the midpoint of [0, 1/4]
+        assert hyperbola_point(Fraction(1, 2), bits=0).bf == Fraction(1, 8)
 
 
 class TestMinkowskiSymmetry:
@@ -313,6 +320,9 @@ class TestExamples:
             assert gap > 1e-12
         mid = dict((t, gap) for t, _, gap in report.combinations)[Fraction(1, 2)]
         assert mid > 1e-3
+        # correctly rounded roots; the solver's default tol is one ulp off at t = 1/4
+        assert report.alpha_common == 0.5615528128088303 and report.endpoint_gap == 0.0
+        assert report.combinations[0][:2] == (Fraction(1, 4), 0.5689837934052572)
 
     def test_ex0_pair_reads_as_af_delta(self):
         assert example_ex0().as_dict()["pair"] == [
