@@ -1,9 +1,9 @@
 """Compounds of filling walks need not be filling.
 
-Three constructions, each certified analytically and confirmed by Monte
-Carlo.  "Filling" means the harmonic measure lies in the Minkowski
-(equivalently Hausdorff) class alpha = 1/2; more generally two walks are
-equivalent at infinity when they share alpha.
+Three constructions, each certified analytically; ex1's is also confirmed
+by Monte Carlo, with the letter test.  "Filling" means the harmonic
+measure lies in the Minkowski (equivalently Hausdorff) class alpha = 1/2;
+more generally two walks are equivalent at infinity when they share alpha.
 
   ex0: two nearest-neighbour walks on one level set of the equivalence
        function; every proper convex combination leaves the level set.

@@ -52,10 +52,20 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})") from exc
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def _json_weights(text: str, what: str) -> dict:
     # Numbers parse to exact Fractions, as quoted weights do; the library
-    # validates each weight (group._weight).
-    data = json.loads(text, parse_float=Fraction)
+    # validates each weight (group._weight).  A repeated key is refused, not
+    # silently overwritten by its last value.
+    data = json.loads(text, parse_float=Fraction, object_pairs_hook=_unique_keys)
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object")
     return data
@@ -178,7 +188,7 @@ def _cmd_encode(args) -> str:
             "rational": str(args.rational),
             "stem": codes.stem,
             "codes": {"left": _code_dict(codes.left), "right": _code_dict(codes.right)},
-            "cf": list(lr_to_cf(codes.right)),
+            "cf": list(lr_to_cf(codes.stem + "R")),
             **_interval_dict(codes.stem),
         }
     elif args.lr is not None:

@@ -28,7 +28,6 @@ __all__ = [
     "Scalar",
     "DenjoyParams",
     "PiWeights",
-    "NotNormalizedError",
     "pi_to_params",
     "cylinder_mass",
     "component_mass",
@@ -39,11 +38,6 @@ __all__ = [
 ]
 
 Scalar = Union[Fraction, float]
-_NORMALIZATION_TOL = 1e-12  # float weights this close to y + ybar = 1 are normalized
-
-
-class NotNormalizedError(ValueError):
-    """The prescribed weights admit no quasi-invariant measure."""
 
 
 def _check_open_unit(value: Scalar, name: str) -> None:
@@ -69,30 +63,27 @@ class DenjoyParams:
 
 @dataclass(frozen=True, slots=True)
 class PiWeights:
-    """Positive weights ``x = pi_a``, ``y = pi_ba``, ``ybar = pi_Ba`` (for a walk, its
-    passage probabilities: ``solver.solve_master``); normalized means ``y + ybar = 1``."""
+    """Weights ``x = pi_a > 0``, ``y = pi_ba`` in (0, 1) and ``ybar = pi_Ba = 1 - y``
+    (for a walk, its passage probabilities: ``solver.solve_master``).  They are
+    normalized, ``y + ybar = 1``, by construction."""
 
     x: Scalar
     y: Scalar
-    ybar: Scalar
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "ybar"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        if isinstance(self.x, bool) or not isinstance(self.x, numbers.Real) or not self.x > 0:
+            raise ValueError(f"x must be a positive real number, got {self.x!r}")
+        _check_open_unit(self.y, "y")
 
-    def is_normalized(self) -> bool:
-        defect = self.y + self.ybar - 1
-        exact = isinstance(self.y, Fraction) and isinstance(self.ybar, Fraction)
-        return defect == 0 if exact else abs(defect) <= _NORMALIZATION_TOL
+    @property
+    def ybar(self) -> Scalar:
+        return 1 - self.y
 
 
 def pi_to_params(w: PiWeights) -> DenjoyParams:
-    """The realization problem: the unique normalized measure whose Radon-Nikodym cocycle
-    has weights ``w``: ``alpha = y``, ``p = x/(1+x)``; solvable exactly when ``y + ybar = 1``
-    (Kolmogorov consistency of the prescribed cylinder masses), else :class:`NotNormalizedError`."""
-    if not w.is_normalized():
-        raise NotNormalizedError(f"y + ybar = {w.y + w.ybar}, expected 1")
+    """The realization problem: the unique measure whose Radon-Nikodym cocycle has
+    weights ``w``: ``alpha = y``, ``p = x/(1+x)``.  Its cylinder masses are
+    Kolmogorov-consistent because ``y + ybar = 1``."""
     return DenjoyParams(w.y, w.x / (1 + w.x))
 
 

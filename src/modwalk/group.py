@@ -232,6 +232,8 @@ class GroupMeasure:
     @classmethod
     def uniform(cls, words: Iterable[GroupWord]) -> "GroupMeasure":
         words = list(words)
+        if not words:
+            raise ValueError("uniform measure needs at least one atom")
         if len(set(words)) != len(words):
             raise ValueError("uniform measure needs distinct atoms")
         mass = Fraction(1, len(words))

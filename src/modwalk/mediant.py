@@ -222,22 +222,15 @@ def _runs(word: str) -> list[tuple[str, int]]:
     return [(ch, len(list(grp))) for ch, grp in itertools.groupby(word)]
 
 
-def lr_to_cf(word: Union[str, LRCode]) -> tuple[int, ...]:
-    """Continued-fraction digits of an L/R word, one digit per syllable run.
+def lr_to_cf(word: str) -> tuple[int, ...]:
+    """Continued-fraction digits of a finite L/R word, one digit per syllable run.
 
     The first digit counts the leading run of R (zero for words starting
-    with L).  For an :class:`LRCode` the infinite tail run is dropped: a
-    trailing ``1/oo`` term vanishes, so truncation is exact.
+    with L).  An infinite code reads its digits from its stem: its constant
+    tail adds a vanishing ``1/oo`` term, so truncation is exact.
     """
-    if isinstance(word, LRCode):
-        runs = _runs(word.stem)
-        if runs and runs[-1][0] == word.tail:
-            runs.pop()
-        elif not runs:
-            return ()
-    else:
-        _check_lr(word)
-        runs = _runs(word)
+    _check_lr(word)
+    runs = _runs(word)
     if not runs:
         return ()
     digits = []
@@ -281,8 +274,7 @@ def rational_to_cf(q: RationalLike) -> tuple[int, ...]:
     is 1 unless ``w`` ends in ``R``: ``1/2`` gives ``(0, 1, 1)``, not the
     canonical ``(0, 2)``.  :func:`cf_value` of the digits is ``q``.
     """
-    codes = rational_to_lr(q)
-    return lr_to_cf(codes.right)
+    return lr_to_cf(rational_to_lr(q).stem + "R")
 
 
 def tau_enclosure(prefix: GroupWord) -> MediantInterval:

@@ -142,15 +142,11 @@ class SimReport:
             "degenerate_support": self.degenerate_support,
             "cylinders": {
                 str(c): {"estimate": e, "stderr": s, "count": self.cylinder_counts[c]}
-                for c, (e, s) in sorted(
-                    self.cylinder_freq.items(), key=lambda kv: kv[0].sort_key()
-                )
+                for c, (e, s) in self.cylinder_freq.items()
             },
             "passage": {
                 str(w): {"estimate": e, "stderr": s, "count": self.passage_counts[w]}
-                for w, (e, s) in sorted(
-                    self.passage.items(), key=lambda kv: kv[0].sort_key()
-                )
+                for w, (e, s) in self.passage.items()
             },
         }
         return json.dumps(payload, sort_keys=True)
@@ -565,6 +561,25 @@ def _run(mu: GroupMeasure, cfg: SimConfig, targets: Sequence[GroupWord]):
     return visit_counts, leaf_counts, unresolved
 
 
+def _warn_if_degenerate(words: Sequence[GroupWord]) -> bool:
+    """Whether ``_provably_degenerate`` holds for the support ``words``; if so,
+    warn the caller of the estimator that called this."""
+    degenerate = _provably_degenerate(words)
+    if degenerate:
+        warnings.warn(
+            "the support provably fails to generate the group as a semigroup;"
+            " estimates describe this restricted walk only",
+            stacklevel=3,
+        )
+    return degenerate
+
+
+def _binomial(counts: Sequence[int], n: int) -> list[tuple[float, float]]:
+    """Each count's fraction of ``n`` with its binomial standard error."""
+    est = np.asarray(counts, dtype=np.int64) / n
+    return list(zip(est.tolist(), np.sqrt(est * (1 - est) / n).tolist()))
+
+
 def simulate(
     mu: GroupMeasure,
     cfg: SimConfig,
@@ -593,13 +608,7 @@ def simulate(
     """
     targets = sorted(set(targets), key=GroupWord.sort_key)
     words = _support_table(mu)[0]
-    degenerate = _provably_degenerate(words)
-    if degenerate:
-        warnings.warn(
-            "the support provably fails to generate the group as a semigroup;"
-            " estimates describe this restricted walk only",
-            stacklevel=2,
-        )
+    degenerate = _warn_if_degenerate(words)
     most_a = _reach(words)[0]
     if cfg.depth > most_a and max_unresolved_fraction < 1:
         raise UnresolvedPathsError(
@@ -626,23 +635,11 @@ def simulate(
             prefix = leaf[:end]
             prefix_counts[prefix] = prefix_counts.get(prefix, 0) + n
     cylinders = [Cylinder._unchecked(prefix) for prefix in prefix_counts]
-    est = np.fromiter(prefix_counts.values(), dtype=np.int64, count=len(cylinders)) / resolved
-    se = np.sqrt(est * (1 - est) / resolved)  # the same float operations as math's
-    counts = dict(zip(cylinders, prefix_counts.values()))
-    freq = dict(zip(cylinders, zip(est.tolist(), se.tolist())))
-
-    passage = {}
-    passage_counts = {}
-    for word, n in zip(targets, visit_counts):
-        est = int(n) / cfg.paths
-        passage[word] = (est, math.sqrt(est * (1 - est) / cfg.paths))
-        passage_counts[word] = int(n)
-
     return SimReport(
-        cylinder_freq=freq,
-        cylinder_counts=counts,
-        passage=passage,
-        passage_counts=passage_counts,
+        cylinder_freq=dict(zip(cylinders, _binomial(list(prefix_counts.values()), resolved))),
+        cylinder_counts=dict(zip(cylinders, prefix_counts.values())),
+        passage=dict(zip(targets, _binomial(visit_counts, cfg.paths))),
+        passage_counts=dict(zip(targets, visit_counts.tolist())),
         paths_used=cfg.paths,
         resolved=resolved,
         unresolved=unresolved,
@@ -728,11 +725,14 @@ def estimate_alpha(mu: GroupMeasure, cfg: SimConfig) -> AlphaEstimate:
     before any path is drawn when no path can hold ``cfg.depth`` such letters
     (``_reach``).  Fewer than two resolved paths, or resolved paths that all hold the same
     count of ``b``, leave no standard error to test with and raise
-    ``ValueError``.  Paths are tallied by their integer count of ``b``, so
+    ``ValueError``.  A provably degenerate support warns, as in
+    :func:`simulate`.  Paths are tallied by their integer count of ``b``, so
     the result obeys RNG contract v1 exactly whatever the batch layout is.
     """
     k = cfg.depth
-    most = _reach(_support_table(mu)[0])[1]
+    words = _support_table(mu)[0]
+    _warn_if_degenerate(words)
+    most = _reach(words)[1]
     if k > most:
         raise UnresolvedPathsError(
             f"no path can hold {k} letters 'b'/'B': on this degenerate support"

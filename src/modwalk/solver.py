@@ -240,12 +240,19 @@ def _bisection_midpoint(coeffs: tuple[int, int, int], hi: Fraction, width: Fract
     return Fraction((2 * k + 1) * u, 2 * E)
 
 
-def _passage_weights(x: Scalar, y: Scalar) -> PiWeights:
-    """``PiWeights(x, y, 1 - y)``, once each passage probability is checked to lie in (0, 1)."""
-    for name, value in (("x", x), ("y", y), ("ybar", 1 - y)):
-        if not 0 < value < 1:
-            raise ValueError(f"{name} must lie in (0,1), got {value}")
-    return PiWeights(x, y, 1 - y)
+def _residual_numerators(
+    weights: tuple[int, ...], X: int, N: int, Y: int, M: int
+) -> tuple[int, int, int]:
+    """``D M N`` times the signed residuals (right side minus left side) of the three
+    stationarity equations at ``x = X/N``, ``y = Y/M``, ``ybar = 1 - y``; ``weights``
+    as ``_integer_weights`` gives them."""
+    D, af, bf, bb, bp, bbp = weights
+    Yb, MN = M - Y, M * N  # ybar = Yb / M
+    return (
+        af * MN + bf * Yb * N + bb * Y * N + bp * X * Yb + bbp * X * Y - D * M * X,
+        af * X * Y + bf * X * M + bb * Yb * N + bp * MN + bbp * X * Yb - D * Y * N,
+        af * X * Yb + bf * Y * N + bb * X * M + bp * X * Y + bbp * MN - D * Yb * N,
+    )
 
 
 def solve_master(mu: StepOnS, tol: float = 1e-15) -> PiWeights:
@@ -260,8 +267,9 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PiWeights:
     Everything runs on the integers of ``_y_equation_integers``: the
     discriminant over ``D^4`` is a rational square exactly when its integer
     numerator is a perfect square, and with ``y = Y/M`` and ``x = X/N`` the
-    residuals are three integers over ``D M N``, so one correctly rounded
-    division decides the tolerance as the float residuals would.
+    residuals are three integers over ``D M N`` (``_residual_numerators``),
+    so one correctly rounded division decides the tolerance as the float
+    residuals would.
     """
     if isinstance(tol, bool) or not (isinstance(tol, Real) and tol > 0 and isfinite(tol)):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
@@ -272,44 +280,37 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PiWeights:
             f"no sign change of the y-equation on (0,1) for weights {mu.as_tuple()}"
         )
 
-    y: Fraction
-    if A == 0:
-        y = Fraction(-C, B)
+    sq = _exact_isqrt(B * B - 4 * A * C)
+    if sq is not None:
+        # f(0) < 0 < f(1) puts exactly one root in (0, 1): the larger root
+        # when A > 0 (0 lies between the roots), the smaller when A < 0 (1
+        # does); either way it is (-B + sq) / 2A = 2C / (-B - sq), and the
+        # second form is also the root -C/B of the linear case A = 0.  As
+        # 4AC = B^2 - sq^2 and C < 0, -B - sq is never 0.
+        y = Fraction(2 * C, -B - sq)
     else:
-        sq = _exact_isqrt(B * B - 4 * A * C)
-        if sq is not None:
-            # f(0) < 0 < f(1) puts exactly one root in (0, 1): the larger
-            # root when A > 0 (0 lies between the roots), the smaller when
-            # A < 0 (1 does); either way it is (-B + sq) / 2A.
-            y = Fraction(-B + sq, 2 * A)
-        else:
-            y = _bisection_midpoint((A, B, C), Fraction(1), Fraction(tol) / 8)
+        y = _bisection_midpoint((A, B, C), Fraction(1), Fraction(tol) / 8)
 
     D, af, bf, bb, bp, bbp = weights
     Y, M = y.numerator, y.denominator
     Yb = M - Y  # ybar = Yb / M
     x = Fraction(D * M - bf * Y - bb * Yb - (bp + bbp) * M, D * M - bp * Yb - bbp * Y)
-    triple = _passage_weights(x, y)
     X, N = x.numerator, x.denominator
-    MN = M * N
-    numerators = (  # D M N times the residuals of ``residual``
-        af * MN + bf * Yb * N + bb * Y * N + bp * X * Yb + bbp * X * Y - D * M * X,
-        af * X * Y + bf * X * M + bb * Yb * N + bp * MN + bbp * X * Yb - D * Y * N,
-        af * X * Yb + bf * Y * N + bb * X * M + bp * X * Y + bbp * MN - D * Yb * N,
-    )
-    if max(map(abs, numerators)) / (D * MN) > tol:
+    if not (0 < X < N and 0 < Y < M):
+        raise ValueError(f"passage probabilities must lie in (0,1), got x = {x}, y = {y}")
+    if max(map(abs, _residual_numerators(weights, X, N, Y, M))) / (D * M * N) > tol:
         raise SolverContradictionError("residuals exceed tolerance at the located root")
-    return triple
+    return PiWeights(x, y)
 
 
-def residual(mu: StepOnS, t: PiWeights) -> tuple[Scalar, Scalar, Scalar]:
-    """Signed residuals (right side minus left side) of the three stationarity equations."""
-    af, bf, bb, bp, bbp = mu.as_tuple()
-    x, y, yb = t.x, t.y, t.ybar
-    r1 = af + bf * yb + bb * y + bp * x * yb + bbp * x * y - x
-    r2 = af * x * y + bf * x + bb * yb + bp + bbp * x * yb - y
-    r3 = af * x * yb + bf * y + bb * x + bp * x * y + bbp - yb
-    return (r1, r2, r3)
+def residual(mu: StepOnS, t: PiWeights) -> tuple[Fraction, Fraction, Fraction]:
+    """Signed residuals (right side minus left side) of the three stationarity
+    equations, exact; a float weight counts at its binary value."""
+    weights = _integer_weights(mu)
+    X, N = Fraction(t.x).as_integer_ratio()
+    Y, M = Fraction(t.y).as_integer_ratio()
+    DMN = weights[0] * M * N
+    return tuple(Fraction(r, DMN) for r in _residual_numerators(weights, X, N, Y, M))
 
 
 def harmonic_params(mu: StepOnS) -> DenjoyParams:

@@ -64,9 +64,9 @@ def swap_involution(d: DenjoyParams) -> DenjoyParams:
 
 
 def params_to_pi(d: DenjoyParams) -> PiWeights:
-    """Radon-Nikodym weights ``(x, y, ybar)`` of a family member: the inverse
+    """Radon-Nikodym weights ``(x, y)`` of a family member: the inverse
     of ``pi_to_params``."""
-    return PiWeights(d.p / (1 - d.p), d.alpha, 1 - d.alpha)
+    return PiWeights(d.p / (1 - d.p), d.alpha)
 
 
 def cylinder_diameter(c: Cylinder) -> float:

@@ -75,7 +75,7 @@ def test_criterion_02_symmetric_fixture():
     mu = StepOnS(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), Fraction(0), Fraction(0))
     params = harmonic_params(mu)
     ok = (
-        solve_master(mu) == PiWeights(Fraction(2, 3), Fraction(1, 2), Fraction(1, 2))
+        solve_master(mu) == PiWeights(Fraction(2, 3), Fraction(1, 2))
         and params == DenjoyParams(Fraction(1, 2), Fraction(2, 5))
     )
     report("2", ok, f"af=1/3 symmetric walk: alpha={params.alpha}, p={params.p} (=2/5 exactly)")

@@ -443,3 +443,21 @@ class TestExitCodes:
             code, out, err = run(capsys, *argv, mu)
             assert code == 2 and out == "", mu
             assert "invalid input" in err
+
+    @pytest.mark.parametrize(
+        "argv, mu",
+        [
+            (("solve", "--mu"), '{"a":"1/3","b":"1/3","bb":"1/3"}'),
+            (("classify", "--alpha", "1/2", "--mu"), '{"a":"1/3","b":"1/3","bb":"1/3"}'),
+            (("simulate", "--paths", "4", "--mu"), '{"a":"1/3","b":"1/3","B":"1/3"}'),
+        ],
+        ids=["solve", "classify", "simulate"],
+    )
+    def test_duplicate_key_exit_2(self, capsys, argv, mu):
+        # json.loads would keep the last value; here the repeat, even of an
+        # equal value that leaves the walk valid, is refused
+        assert run(capsys, *argv, mu)[0] == 0
+        repeated = mu[:-1] + ',"a":"1/3"}'
+        code, out, err = run(capsys, *argv, repeated)
+        assert code == 2 and out == ""
+        assert "duplicate key 'a'" in err

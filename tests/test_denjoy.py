@@ -10,7 +10,6 @@ from modwalk import (
     EX0_PAIR,
     DenjoyParams,
     GroupMeasure,
-    NotNormalizedError,
     PiWeights,
     check_stationarity,
     component_mass,
@@ -92,13 +91,26 @@ class TestParameterizations:
         assert type(hausdorff_constants()[1].p) is float
 
     def test_solve_rn_problem(self):
-        good = pi_to_params(PiWeights(1, Fraction(1, 2), Fraction(1, 2)))
+        good = pi_to_params(PiWeights(1, Fraction(1, 2)))
         assert good == DenjoyParams(Fraction(1, 2), Fraction(1, 2))
-        with pytest.raises(NotNormalizedError):
-            pi_to_params(PiWeights(1, Fraction(3, 10), Fraction(6, 10)))
-        hausdorff = pi_to_params(PiWeights(math.sqrt(2) / 2, 0.5, 0.5))
+        hausdorff = pi_to_params(PiWeights(math.sqrt(2) / 2, 0.5))
         assert hausdorff.p == pytest.approx(1 / (1 + math.sqrt(2)))
         assert hausdorff.alpha == 0.5
+
+    def test_pi_weights_are_normalized(self):
+        w = PiWeights(Fraction(3, 2), Fraction(3, 10))
+        assert w.ybar == Fraction(7, 10)
+        assert PiWeights(2, 0.25).ybar == 0.75
+
+    @pytest.mark.parametrize("x", [0, -1, Fraction(-1, 3), -0.5, True, "1/2"])
+    def test_pi_weights_refuse_x(self, x):
+        with pytest.raises(ValueError, match="x"):
+            PiWeights(x, Fraction(1, 2))
+
+    @pytest.mark.parametrize("y", [0, 1, Fraction(3, 2), -0.25, 1.0, True, "1/2"])
+    def test_pi_weights_refuse_y(self, y):
+        with pytest.raises(ValueError, match="y"):
+            PiWeights(1, y)
 
 
 class TestMasses:

@@ -165,7 +165,7 @@ def reference_triple(mu: StepOnS, tol: float) -> PiWeights:
     for name, value in (("x", x), ("y", y), ("ybar", ybar)):
         if not 0 < value < 1:
             raise ValueError(f"{name} must lie in (0,1), got {value}")
-    return PiWeights(x, y, ybar)
+    return PiWeights(x, y)
 
 
 def reference_membership_residual(mu: StepOnS, alpha):
@@ -252,7 +252,7 @@ class TestEncodings:
             codes = rational_to_lr(q)
             assert codes == reference_rational_to_lr(q), q
             assert lr_to_interval(codes.stem) == reference_lr_to_interval(codes.stem), q
-            assert rational_to_cf(q) == lr_to_cf(codes.right), q
+            assert rational_to_cf(q) == lr_to_cf(codes.right.stem), q
 
     def test_every_word_up_to_length_10(self):
         count = 0
@@ -315,6 +315,15 @@ class TestSolver:
         # every branch ran, the bisection with both leading signs
         assert {"linear", "rational"} < {b for b, _ in branches}
         assert {("irrational", True), ("irrational", False)} <= set(branches)
+
+    def test_residual_at_any_weights(self):
+        # exact off the solution too, a float weight at its binary value
+        rng = random.Random(1002)
+        for mu in criterion_01_walks()[:300]:
+            x, y = Fraction(rng.randint(1, 99), rng.randint(1, 99)), Fraction(rng.randint(1, 99), 100)
+            assert residual(mu, PiWeights(x, y)) == reference_residual(mu, PiWeights(x, y)), mu
+            binary = PiWeights(Fraction(float(x)), Fraction(float(y)))
+            assert residual(mu, PiWeights(float(x), float(y))) == reference_residual(mu, binary), mu
 
     def test_symmetric_walk_takes_the_linear_branch(self):
         mu = StepOnS(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), 0, 0)

@@ -261,6 +261,14 @@ class TestMeasures:
         decimals = GroupMeasure.from_json_dict({"a": "0.25", "b": "0.75"})
         assert decimals(parse_word("a")) == Fraction(1, 4)
 
+    def test_uniform(self):
+        a, b = parse_word("a"), parse_word("b")
+        assert GroupMeasure.uniform([a, b]) == GroupMeasure({a: Fraction(1, 2), b: Fraction(1, 2)})
+        with pytest.raises(ValueError, match="at least one atom"):
+            GroupMeasure.uniform([])
+        with pytest.raises(ValueError, match="distinct"):
+            GroupMeasure.uniform([a, a])
+
 
 BAD_WEIGHTS = [True, False, None, "1/0", float("inf"), float("nan"), Fraction(-1, 2)]
 

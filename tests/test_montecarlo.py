@@ -450,8 +450,9 @@ class TestEstimates:
         with pytest.warns(UserWarning, match="generate"):
             with pytest.raises(UnresolvedPathsError, match="no path can reach"):
                 simulate(mu, cfg)
-        with pytest.raises(UnresolvedPathsError, match="no path can hold"):
-            estimate_alpha(mu, cfg)
+        with pytest.warns(UserWarning, match="generate"):
+            with pytest.raises(UnresolvedPathsError, match="no path can hold"):
+                estimate_alpha(mu, cfg)
         # A fraction of 1 accepts every path unresolved, so the paths run.
         with pytest.warns(UserWarning, match="generate"):
             with pytest.raises(AssertionError, match="_batches entered"):
@@ -600,12 +601,24 @@ class TestLetterTest:
     def test_equal_counts_have_no_stderr(self):
         # Every path of the walk on {ba} ends at (ba)^steps: k letters b each.
         cfg = SimConfig(paths=20, steps=200, seed=1, depth=5)
-        with pytest.raises(ValueError, match="no standard error"):
-            estimate_alpha(GroupMeasure.dirac(parse_word("ba")), cfg)
+        with pytest.warns(UserWarning, match="generate"):
+            with pytest.raises(ValueError, match="no standard error"):
+                estimate_alpha(GroupMeasure.dirac(parse_word("ba")), cfg)
         # The same on a walk that does generate: ex2's compound at two paths.
         cfg = SimConfig(paths=2, steps=120, seed=2, depth=1)
         with pytest.raises(ValueError, match="no standard error"):
             estimate_alpha(example_ex2(Fraction(1, 2)).mu_prime.to_group_measure(), cfg)
+
+    def test_degenerate_support_warns(self):
+        # {ba, Ba} is trapped in the free semigroup of words b/B...a: the
+        # letter test still runs, and warns at its caller as simulate does
+        mu = GroupMeasure.from_json_dict({"ba": "1/2", "Ba": "1/2"})
+        cfg = SimConfig(paths=200, steps=200, seed=1, depth=5)
+        with pytest.warns(UserWarning, match="generate") as record:
+            est = estimate_alpha(mu, cfg)
+            assert simulate(mu, cfg).degenerate_support
+        assert est.resolved == cfg.paths
+        assert [w.filename for w in record] == [__file__, __file__]
 
     def test_unresolved_paths_error(self):
         # 20 steps cannot build a word holding 35 letters b/B

@@ -141,7 +141,7 @@ class TestMasterSystem:
             solve_master(EX0_PAIR[0], tol=tol)
 
     def test_residual_detects_wrong_triple(self):
-        wrong = PiWeights(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+        wrong = PiWeights(Fraction(1, 2), Fraction(1, 2))
         r = residual(SYMMETRIC, wrong)
         assert r[0] != 0
 
@@ -202,7 +202,7 @@ class TestNearestNeighbour:
         for af in (Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)):
             mu = nn_walk(af, (1 - af) / 2, (1 - af) / 2)
             assert phi(mu) == 0
-            assert solve_master(mu) == PiWeights((1 + af) / 2, Fraction(1, 2), Fraction(1, 2))
+            assert solve_master(mu) == PiWeights((1 + af) / 2, Fraction(1, 2))
 
     def test_half_half_hand_values(self):
         # the y-quadratic is a multiple of y^2 + 3y - 2, so alpha = (sqrt(17) - 3) / 2
