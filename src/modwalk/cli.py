@@ -25,6 +25,7 @@ from .mediant import (
     cf_value,
     lr_to_cf,
     lr_to_interval,
+    rational_to_cf,
     rational_to_lr,
 )
 from .montecarlo import SimConfig, UnresolvedPathsError, estimate_alpha, simulate
@@ -188,7 +189,7 @@ def _cmd_encode(args) -> str:
             "rational": str(args.rational),
             "stem": codes.stem,
             "codes": {"left": _code_dict(codes.left), "right": _code_dict(codes.right)},
-            "cf": list(lr_to_cf(codes.stem + "R")),
+            "cf": list(rational_to_cf(args.rational)),
             **_interval_dict(codes.stem),
         }
     elif args.lr is not None:

@@ -16,13 +16,14 @@ import functools
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .boundary import Cylinder, act_on_cylinder, cylinders_up_to_depth
 from .group import GroupMeasure, GroupWord, _integer, _rational, _require_probability, inverse
-from .mediant import _stem_runs
+from .mediant import _cf_digits
 
 __all__ = [
     "Scalar",
@@ -150,20 +151,26 @@ def _pullback_monomials(letters: str, depth: int) -> tuple[tuple[_Monomial, ...]
 
 
 @functools.lru_cache(maxsize=64)
-def _distinct_rows(
-    support: tuple[str, ...], depth: int
-) -> tuple[tuple[tuple[int, _Monomial], ...], tuple[tuple[int, ...], ...]]:
+def _distinct_rows(support: tuple[str, ...], depth: int) -> tuple[
+    tuple[_Monomial, ...], int, tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]
+]:
     """The distinct rows of the residuals over ``cylinders_up_to_depth(depth)``.
 
     A cylinder's row holds its pullback monomials under the identity (table 0) and
     under each word spelled in ``support`` (table ``i + 1``); a residual depends on
-    its cylinder only through its row.  Returns the distinct ``(table, monomial)``
-    terms and each distinct row as the indices of its terms, one per piece."""
+    its cylinder only through its row.  Returns the distinct monomials, sorted; ``K``,
+    the most ``b``/``B`` letters in one; the distinct terms as ``(table, monomial
+    index)``; and each distinct row as the indices of its terms, one per piece."""
     rows = set(zip(*(_pullback_monomials(h, depth) for h in ("", *support))))
     terms = sorted({(t, m) for row in rows for t, pieces in enumerate(row) for m in pieces})
+    monomials = sorted({m for _, m in terms})
+    at = {m: k for k, m in enumerate(monomials)}
     index = {term: k for k, term in enumerate(terms)}
-    return tuple(terms), tuple(
-        sorted(tuple(index[t, m] for t, pieces in enumerate(row) for m in pieces) for row in rows)
+    return (
+        tuple(monomials),
+        max(i + j for _, i, j in monomials),
+        tuple((t, at[m]) for t, m in terms),
+        tuple(sorted(tuple(index[t, m] for t, pieces in enumerate(row) for m in pieces) for row in rows)),
     )
 
 
@@ -175,7 +182,8 @@ def check_stationarity(d: DenjoyParams, mu: GroupMeasure, depth: int = 8) -> flo
     ``W pq q^K`` (``K`` the most ``b``/``B`` letters in a piece).  Cylinders with equal
     rows (``_distinct_rows``: 108 of 765 at depth 8 on the support ``{a, b, B, ba, Ba}``)
     have equal residuals, so each row is summed once, and only the largest numerator is
-    divided: rounding is monotone, so that is the largest rounded residual."""
+    divided: rounding is monotone, so that is the largest rounded residual.  Each distinct
+    monomial's mass is one product from the power tables ``n^i``, ``(q-n)^j``, ``q^k``."""
     depth = _integer(depth, "depth")
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -185,13 +193,9 @@ def check_stationarity(d: DenjoyParams, mu: GroupMeasure, depth: int = 8) -> flo
     weights = sorted((h.letters, w) for h, w in mu.weights.items())
     W = math.lcm(*(w.denominator for _, w in weights))
     factors = (-W, *(w.numerator * (W // w.denominator) for _, w in weights))  # table 0 holds nu(C)
-    terms, rows = _distinct_rows(tuple(h for h, _ in weights), depth)
-    monomials = {m for _, m in terms}
-    K = max(i + j for _, i, j in monomials)
-    mass = {
-        (first, i, j): (pn if first else pq - pn) * n**i * (q - n) ** j * q ** (K - i - j)
-        for first, i, j in monomials
-    }
+    monomials, K, terms, rows = _distinct_rows(tuple(h for h, _ in weights), depth)
+    nb, nB, nq = (list(itertools.accumulate([r] * K, operator.mul, initial=1)) for r in (n, q - n, q))
+    mass = [(pn if first else pq - pn) * nb[i] * nB[j] * nq[K - i - j] for first, i, j in monomials]
     values = [factors[t] * mass[m] for t, m in terms]
     worst = max(abs(sum(map(values.__getitem__, row))) for row in rows)
     return worst / (W * pq * q**K)
@@ -215,9 +219,9 @@ def question_mark(x: Union[Fraction, int, str], depth: int = 256) -> Fraction:
     after the leading L gives 0, R gives 1); the repeating tail of a
     rational resolves exactly, so the result is an exact dyadic whenever
     ``w R`` fits within ``depth + 1`` letters, and a truncation to ``depth``
-    digits otherwise.  Only those letters are built, run by run from
-    Euclid's digits of ``x``, so the cost is bounded by ``depth`` however
-    long the code.
+    digits otherwise.  The bits are shifted in run by run from Euclid's
+    digits of ``x``, so the cost is bounded by ``depth`` however long the
+    code, and no letter string is built.
     """
     depth = _integer(depth, "depth")
     if depth < 1:
@@ -229,12 +233,16 @@ def question_mark(x: Union[Fraction, int, str], depth: int = 256) -> Fraction:
         return Fraction(0)
     if x == 1:
         return Fraction(1)
-    word, size = [], 0
-    for letter, k in itertools.chain(_stem_runs(x), [("R", 1)]):  # w R
-        word.append(letter * min(k, depth + 1 - size))
+    # Euclid's digits [0; a1, ..., an] spell R^0 L^a1 R^a2 ..., which is w R but
+    # for its last letter: that one is always R, so its bit is set unless cut off
+    value, size = 0, 0
+    for i, digit in enumerate(_cf_digits(x)):
+        k = min(digit, depth + 1 - size)
+        value = value << k | (0 if i % 2 else (1 << k) - 1)
         size += k
-        if size > depth:
+        if k < digit:
             break
-    bits = "".join(word)[1:]  # the dropped tail L^oo adds nothing
-    value = int(bits.replace("L", "0").replace("R", "1"), 2)
-    return Fraction(value, 1 << len(bits))
+    else:
+        value |= 1
+    # the leading L is a 0 bit, and the dropped tail L^oo adds nothing
+    return Fraction(value, 1 << (size - 1))

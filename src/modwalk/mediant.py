@@ -9,13 +9,15 @@ involution ``z -> -1/z`` carries the encoding to the negative ray.  L/R
 syllable runs translate to continued-fraction digits, so addresses come
 from Euclid's algorithm and intervals are built a whole run at a time
 (``R^k`` adds ``k`` times the right endpoint to the left one, ``L^k`` the
-reverse).
+reverse).  One Euclid loop (``_cf_digits``) yields the digits of a
+rational: its address takes them as runs, and :func:`rational_to_cf` takes
+them as they are, so no letter string is built to get them.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -194,32 +196,33 @@ def rational_to_lr(q: RationalLike) -> RationalCodes:
     with the two infinite codes of ``q``: the left one ``w L R^oo`` and the
     right one ``w R L^oo``.
     """
-    q = _rational(q, "q")
-    if q <= 0:
-        raise ValueError(f"need a positive rational, got {q}")
-    word = "".join(letter * k for letter, k in _stem_runs(q))
+    # R^a0 L^a1 R^a2 ... over Euclid's digits [a0; a1, ..., an] is w and one more letter
+    word = "".join("RL"[i % 2] * digit for i, digit in enumerate(_cf_digits(_positive(q))))[:-1]
     return RationalCodes(word, LRCode(word + "L", "R"), LRCode(word + "R", "L"))
 
 
-def _stem_runs(q: Fraction) -> Iterator[tuple[str, int]]:
-    """Runs of the mediant-tree address of a positive rational, lazily.
+def _positive(q: RationalLike) -> Fraction:
+    q = _rational(q, "q")
+    if q <= 0:
+        raise ValueError(f"need a positive rational, got {q}")
+    return q
 
-    Euclid's digits ``q = [a0; a1, ..., an]`` (``an >= 2`` unless ``q`` is
-    an integer) give ``R^a0 L^a1 R^a2 ...`` with the last run one shorter;
-    ``a0`` and the last run may be zero.
-    """
-    num, den, letter = q.numerator, q.denominator, "R"
-    while True:
+
+def _cf_digits(q: Fraction) -> Iterator[int]:
+    """Euclid's digits ``q = [a0; a1, ..., an]`` of a positive rational, lazily;
+    ``an >= 2`` unless ``q`` is an integer."""
+    num, den = q.numerator, q.denominator
+    while den:
         digit, rest = divmod(num, den)
-        if not rest:
-            yield letter, digit - 1
-            return
-        yield letter, digit
-        num, den, letter = den, rest, "L" if letter == "R" else "R"
+        yield digit
+        num, den = den, rest
+
+
+_RUN = re.compile("L+|R+")
 
 
 def _runs(word: str) -> list[tuple[str, int]]:
-    return [(ch, len(list(grp))) for ch, grp in itertools.groupby(word)]
+    return [(run[0], len(run)) for run in _RUN.findall(word)]
 
 
 def lr_to_cf(word: str) -> tuple[int, ...]:
@@ -272,9 +275,14 @@ def rational_to_cf(q: RationalLike) -> tuple[int, ...]:
 
     These are the runs of ``w R L^oo`` (:func:`lr_to_cf`), so the last digit
     is 1 unless ``w`` ends in ``R``: ``1/2`` gives ``(0, 1, 1)``, not the
-    canonical ``(0, 2)``.  :func:`cf_value` of the digits is ``q``.
+    canonical ``(0, 2)``.  :func:`cf_value` of the digits is ``q``.  They are
+    Euclid's digits of ``q``, the last one split as ``(an - 1, 1)`` when their
+    count is even (``w`` ends in ``L``), so the cost is bounded by the digit count.
     """
-    return lr_to_cf(rational_to_lr(q).stem + "R")
+    digits = tuple(_cf_digits(_positive(q)))
+    if len(digits) % 2:
+        return digits
+    return (*digits[:-1], digits[-1] - 1, 1)
 
 
 def tau_enclosure(prefix: GroupWord) -> MediantInterval:

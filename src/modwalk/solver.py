@@ -206,8 +206,10 @@ def _exact_isqrt(n: int) -> int | None:
     return root if root * root == n else None
 
 
-def _bisection_midpoint(coeffs: tuple[int, int, int], hi: Fraction, width: Fraction) -> Fraction:
+def _bisection_midpoint(coeffs: tuple[int, int, int], hi: Fraction, width: tuple[int, int]) -> Fraction:
     """Midpoint of the enclosure that bisecting ``[0, hi]`` to ``width`` ends on.
+
+    ``width`` is a positive ratio ``(num, den)`` of integers, in any terms.
 
     ``f(t) = a t^2 + b t + c`` (integers, ``a != 0``) must satisfy
     ``f(0) < 0 < f(hi)`` and have an irrational root between.  Bisection
@@ -221,7 +223,7 @@ def _bisection_midpoint(coeffs: tuple[int, int, int], hi: Fraction, width: Fract
     """
     a, b, c = coeffs
     u, v = hi.numerator, hi.denominator
-    span, cell = u * width.denominator, v * width.numerator  # hi / width = span / cell
+    span, cell = u * width[1], v * width[0]  # hi / width = span / cell
     n = max(0, span.bit_length() - cell.bit_length())
     if cell << n < span:
         n += 1
@@ -289,7 +291,8 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PiWeights:
         # 4AC = B^2 - sq^2 and C < 0, -B - sq is never 0.
         y = Fraction(2 * C, -B - sq)
     else:
-        y = _bisection_midpoint((A, B, C), Fraction(1), Fraction(tol) / 8)
+        num, den = tol.as_integer_ratio()
+        y = _bisection_midpoint((A, B, C), Fraction(1), (num, 8 * den))  # width tol / 8
 
     D, af, bf, bb, bp, bbp = weights
     Y, M = y.numerator, y.denominator
@@ -374,7 +377,7 @@ def hyperbola_point(bbarf: RationalLike, bits: int = 64) -> StepOnS:
         a, b, c = -2 * v * v, 2 * (u + v) * v, u * (u - v)
         # it is v^2 bbarf (bbarf - 1) < 0 at 0 and v^2 (1 - bbarf^2) / 2 > 0 at hi
         hi = Fraction(v - u, 2 * v)
-        bf = _bisection_midpoint((a, b, c), hi, Fraction(1, 2**bits))
+        bf = _bisection_midpoint((a, b, c), hi, (1, 1 << bits))
     return StepOnS(1 - 2 * bf - bb, bf, bb, bf, Fraction(0))
 
 

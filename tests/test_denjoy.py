@@ -316,8 +316,11 @@ class TestDistinctRows:
         assert denjoy._distinct_rows.cache_info().currsize == 1  # one entry per support
 
     def test_full_support_has_108_rows_at_depth_8(self):
-        _, rows = denjoy._distinct_rows(("B", "Ba", "a", "b", "ba"), 8)
+        monomials, K, terms, rows = denjoy._distinct_rows(("B", "Ba", "a", "b", "ba"), 8)
         assert len(rows) == 108
+        assert len(monomials) == 89 and list(monomials) == sorted(set(monomials))
+        assert K == 8 == max(i + j for _, i, j in monomials)
+        assert {m for _, m in terms} == set(range(len(monomials)))
         assert len(denjoy._pullback_monomials("", 8)) == len(list(cylinders_up_to_depth(8))) == 765
 
     def test_row_cache_is_bounded(self):

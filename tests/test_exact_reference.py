@@ -254,6 +254,13 @@ class TestEncodings:
             assert lr_to_interval(codes.stem) == reference_lr_to_interval(codes.stem), q
             assert rational_to_cf(q) == lr_to_cf(codes.right.stem), q
 
+    def test_rational_to_cf_reads_the_right_code(self):
+        # POINTS run through test_rational_to_lr_and_interval, against the same reference
+        rng = random.Random(1919)
+        for _ in range(20_000):
+            q = Fraction(rng.randint(1, 1000), rng.randint(1, 1000))
+            assert rational_to_cf(q) == lr_to_cf(reference_rational_to_lr(q).right.stem), q
+
     def test_every_word_up_to_length_10(self):
         count = 0
         for n in range(11):
@@ -267,7 +274,15 @@ class TestEncodings:
         for x in POINTS:
             if x < 1:
                 word = reference_rational_to_lr(x).right.stem
-                for depth in (1, 5, 64, 25_000):
+                # cut w R one letter short, exactly, with room to spare, and
+                # one letter short of the end of its longest run
+                start, (k, at) = 0, (0, 0)
+                for _, grp in itertools.groupby(word):
+                    run = len(list(grp))
+                    k, at = max((k, at), (run, start))
+                    start += run
+                cuts = (len(word) - 2, len(word) - 1, len(word), at + k - 2 if k > 1 else 0)
+                for depth in (1, 5, 64, 25_000, *(d for d in cuts if d >= 1)):
                     assert question_mark(x, depth) == reference_question_mark(word, depth), (x, depth)
 
 

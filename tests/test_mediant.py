@@ -144,6 +144,14 @@ class TestContinuedFractions:
         assert rational_to_cf(Fraction(2, 5)) == (0, 2, 2)
         assert rational_to_cf(Fraction(9, 4)) == (2, 3, 1)
 
+    def test_cf_cost_is_bounded_by_the_digits(self):
+        # read off the code, each of these digits would be a 10^9-letter run
+        big = 10**9
+        assert rational_to_cf(Fraction(1, big)) == (0, big - 1, 1)
+        assert rational_to_cf(big) == (big,)
+        assert rational_to_cf(cf_value((0, 2, big))) == (0, 2, big)  # odd count: as is
+        assert rational_to_cf(cf_value((2, 3, 5, big))) == (2, 3, 5, big - 1, 1)  # even: split
+
 
 class TestBoundaryCorrespondence:
     def test_letterwise_image(self):
