@@ -76,10 +76,6 @@ def _step_from_json(text: str) -> StepOnS:
     return StepOnS.from_json_dict(_json_weights(text, "step distribution"))
 
 
-def _maybe_exact(value) -> str | None:
-    return str(value) if isinstance(value, Fraction) else None
-
-
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -106,17 +102,17 @@ def _cmd_solve(args) -> str:
         "p": float(params.p),
         "residuals": [float(r) for r in res],
         "minkowski_residual": float(mink),
+        # The solution is exact when it solves the system exactly; a bisection
+        # midpoint is a Fraction too, but leaves nonzero residuals.
         "exact": {
-            k: s
-            for k, s in {
-                "x": _maybe_exact(triple.x),
-                "y": _maybe_exact(triple.y),
-                "ybar": _maybe_exact(triple.ybar),
-                "alpha": _maybe_exact(params.alpha),
-                "p": _maybe_exact(params.p),
-                "minkowski_residual": str(mink),
-            }.items()
-            if s is not None
+            "minkowski_residual": str(mink),
+            **({} if any(res) else {
+                "x": str(triple.x),
+                "y": str(triple.y),
+                "ybar": str(triple.ybar),
+                "alpha": str(params.alpha),
+                "p": str(params.p),
+            }),
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -132,7 +128,7 @@ def _cmd_classify(args) -> str:
         "alpha": float(args.alpha),
         "residual": float(defect),
         "residual_exact": str(defect),
-        "is_member": abs(float(defect)) <= args.tol,
+        "is_member": abs(defect) <= Fraction(args.tol),  # exact: a float is a dyadic
         "tol": args.tol,
         "harmonic_alpha": float(params.alpha),
         "harmonic_p": float(params.p),

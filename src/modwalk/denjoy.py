@@ -88,16 +88,21 @@ def pi_to_params(w: PiWeights) -> DenjoyParams:
     return DenjoyParams(w.y, w.x / (1 + w.x))
 
 
+def _letter_mass(mass: Scalar, alpha: Scalar, letters: str) -> Scalar:
+    """``mass`` times ``alpha`` per ``b`` and ``1 - alpha`` per ``B`` of ``letters``,
+    one factor at a time in letter order (a float product depends on the order)."""
+    for ch in letters:
+        if ch == "b":
+            mass = mass * alpha
+        elif ch == "B":
+            mass = mass * (1 - alpha)
+    return mass
+
+
 def cylinder_mass(d: DenjoyParams, c: Cylinder) -> Scalar:
     """Measure of a cylinder: ``p`` or ``1-p`` times one letter factor per ``b``/``B``."""
     s = c.prefix.letters
-    mass = d.p if s[0] == "a" else 1 - d.p
-    for ch in s:
-        if ch == "b":
-            mass = mass * d.alpha
-        elif ch == "B":
-            mass = mass * (1 - d.alpha)
-    return mass
+    return _letter_mass(d.p if s[0] == "a" else 1 - d.p, d.alpha, s)
 
 
 def component_mass(alpha: Scalar, c: Cylinder) -> Scalar:
@@ -110,13 +115,7 @@ def component_mass(alpha: Scalar, c: Cylinder) -> Scalar:
     s = c.prefix.letters
     if s[0] != "a":
         return alpha * 0
-    mass = alpha / alpha  # one of matching arithmetic type
-    for ch in s:
-        if ch == "b":
-            mass = mass * alpha
-        elif ch == "B":
-            mass = mass * (1 - alpha)
-    return mass
+    return _letter_mass(alpha / alpha, alpha, s)  # from a one of matching arithmetic type
 
 
 def rn_derivative(d: DenjoyParams, g: GroupWord, c: Cylinder) -> Scalar:

@@ -433,10 +433,11 @@ def sample_path(
     return position, frozenset(visited)
 
 
-def _batches(mu: GroupMeasure, cfg: SimConfig, targets, read):
-    """Run ``cfg.paths`` paths under RNG contract v1; yields ``read(W, L,
-    visited)`` of the kernel's output (``_evolve`` on ``targets``) for each
-    batch, in path order.
+def _batches(table, cfg: SimConfig, targets, read):
+    """Run ``cfg.paths`` paths of the walk with support table ``table``
+    (``_support_table``'s ``(words, cum)``) under RNG contract v1; yields
+    ``read(W, L, visited)`` of the kernel's output (``_evolve`` on
+    ``targets``) for each batch, in path order.
 
     The paths are cut into up to ``CPUS`` contiguous shares, one per
     process: this process runs the first share, and each other share runs
@@ -451,7 +452,7 @@ def _batches(mu: GroupMeasure, cfg: SimConfig, targets, read):
     steps on them with one scatter and one gather per letter ``b``/``B`` of
     an increment.  The codes are freed when the kernel returns and the word
     array when ``read`` does, so no two batches of one process overlap."""
-    words, cum = _support_table(mu)
+    words, cum = table
     packed, phases = _phase_codes(words)
     size = _batch_paths(cfg.steps, _nmax(words))
     n = min(CPUS, -(-cfg.paths // size))
@@ -526,41 +527,6 @@ def _fork(reads):
         os._exit(code)
 
 
-def _run(mu: GroupMeasure, cfg: SimConfig, targets: Sequence[GroupWord]):
-    stacks = [_stack(t) for t in targets]
-    identity = [j for j, t in enumerate(targets) if t.is_identity()]
-    d = cfg.depth
-
-    def read(W, L, visited):
-        visited[:, identity] = True  # the start position counts as visited
-        # The depth-d cylinder is the prefix ending at the d-th 'a': the
-        # first d letter cells, or d - 1 after a leading 'a' (cell 0), the
-        # last of which must be followed by an 'a'.
-        P = W[:, : d + 1]
-        need = d - (P[:, 0] & _A > 0)
-        last = P[np.arange(P.shape[0]), np.minimum(need, L)]
-        resolved_mask = (need <= L) & (last & _A > 0)
-        P = P[resolved_mask]
-        P[np.arange(P.shape[1]) > need[resolved_mask, None]] = 0
-        # Count equal prefixes as single items over their row bytes.
-        uniq, counts = np.unique(P.view(np.dtype((np.void, P.shape[1]))), return_counts=True)
-        leaves = [
-            (_spell(row), int(n))
-            for row, n in zip(uniq.view(np.uint8).reshape(-1, P.shape[1]), counts)
-        ]
-        return visited.sum(axis=0), leaves, int(W.shape[0] - resolved_mask.sum())
-
-    visit_counts = np.zeros(len(targets), dtype=np.int64)
-    leaf_counts: dict[str, int] = {}
-    unresolved = 0
-    for visits, leaves, short in _batches(mu, cfg, stacks, read):
-        visit_counts += visits
-        for key, n in leaves:
-            leaf_counts[key] = leaf_counts.get(key, 0) + n
-        unresolved += short
-    return visit_counts, leaf_counts, unresolved
-
-
 def _warn_if_degenerate(words: Sequence[GroupWord]) -> bool:
     """Whether ``_provably_degenerate`` holds for the support ``words``; if so,
     warn the caller of the estimator that called this."""
@@ -607,19 +573,48 @@ def simulate(
     depth-``depth`` leaf.
     """
     targets = sorted(set(targets), key=GroupWord.sort_key)
-    words = _support_table(mu)[0]
-    degenerate = _warn_if_degenerate(words)
-    most_a = _reach(words)[0]
-    if cfg.depth > most_a and max_unresolved_fraction < 1:
+    table = _support_table(mu)
+    degenerate = _warn_if_degenerate(table[0])
+    d = cfg.depth
+    most_a = _reach(table[0])[0]
+    if d > most_a and max_unresolved_fraction < 1:
         raise UnresolvedPathsError(
-            f"no path can reach depth {cfg.depth}: on this degenerate support"
+            f"no path can reach depth {d}: on this degenerate support"
             f" every word holds at most {most_a} of the letters 'a'"
         )
-    visit_counts, leaf_counts, unresolved = _run(mu, cfg, targets)
+    identity = [j for j, t in enumerate(targets) if t.is_identity()]
+
+    def read(W, L, visited):
+        visited[:, identity] = True  # the start position counts as visited
+        # The depth-d cylinder is the prefix ending at the d-th 'a': the
+        # first d letter cells, or d - 1 after a leading 'a' (cell 0), the
+        # last of which must be followed by an 'a'.
+        P = W[:, : d + 1]
+        need = d - (P[:, 0] & _A > 0)
+        last = P[np.arange(P.shape[0]), np.minimum(need, L)]
+        resolved_mask = (need <= L) & (last & _A > 0)
+        P = P[resolved_mask]
+        P[np.arange(P.shape[1]) > need[resolved_mask, None]] = 0
+        # Count equal prefixes as single items over their row bytes.
+        uniq, counts = np.unique(P.view(np.dtype((np.void, P.shape[1]))), return_counts=True)
+        leaves = [
+            (_spell(row), int(n))
+            for row, n in zip(uniq.view(np.uint8).reshape(-1, P.shape[1]), counts)
+        ]
+        return visited.sum(axis=0), leaves, int(W.shape[0] - resolved_mask.sum())
+
+    visit_counts = np.zeros(len(targets), dtype=np.int64)
+    leaf_counts: dict[str, int] = {}
+    unresolved = 0
+    for visits, leaves, short in _batches(table, cfg, [_stack(t) for t in targets], read):
+        visit_counts += visits
+        for key, n in leaves:
+            leaf_counts[key] = leaf_counts.get(key, 0) + n
+        unresolved += short
 
     if unresolved > max_unresolved_fraction * cfg.paths:
         raise UnresolvedPathsError(
-            f"{unresolved} of {cfg.paths} paths never reached depth {cfg.depth};"
+            f"{unresolved} of {cfg.paths} paths never reached depth {d};"
             " raise steps or lower depth"
         )
     resolved = cfg.paths - unresolved
@@ -631,7 +626,7 @@ def simulate(
     prefix_counts: dict[str, int] = {}
     for leaf, n in leaf_counts.items():
         first = leaf[0] == "a"
-        for end in range(2 - first, 2 * cfg.depth + 1 - first, 2):
+        for end in range(2 - first, 2 * d + 1 - first, 2):
             prefix = leaf[:end]
             prefix_counts[prefix] = prefix_counts.get(prefix, 0) + n
     cylinders = [Cylinder._unchecked(prefix) for prefix in prefix_counts]
@@ -730,9 +725,9 @@ def estimate_alpha(mu: GroupMeasure, cfg: SimConfig) -> AlphaEstimate:
     the result obeys RNG contract v1 exactly whatever the batch layout is.
     """
     k = cfg.depth
-    words = _support_table(mu)[0]
-    _warn_if_degenerate(words)
-    most = _reach(words)[1]
+    table = _support_table(mu)
+    _warn_if_degenerate(table[0])
+    most = _reach(table[0])[1]
     if k > most:
         raise UnresolvedPathsError(
             f"no path can hold {k} letters 'b'/'B': on this degenerate support"
@@ -746,7 +741,7 @@ def estimate_alpha(mu: GroupMeasure, cfg: SimConfig) -> AlphaEstimate:
         b_count = (W[resolved_mask, 1 : k + 1] & 3 == 1).sum(axis=1)
         return np.bincount(b_count, minlength=k + 1)
 
-    for counts in _batches(mu, cfg, (), read):
+    for counts in _batches(table, cfg, (), read):
         tally += counts
 
     resolved = int(tally.sum())

@@ -6,10 +6,11 @@ For a non-degenerate step distribution on this set the passage probabilities
 stationarity system whose unique solution in the open unit cube has
 ``y + ybar = 1``: the weights ``denjoy.PiWeights`` of the harmonic measure,
 which ``denjoy.pi_to_params`` realizes in the Denjoy family.  The ``y``
-variable solves a quadratic with exact rational coefficients.  Rational roots
-are returned exactly; an irrational root is returned as the midpoint of the
-dyadic bisection enclosure that brackets it, computed in closed form from
-one integer square root (``_bisection_midpoint``).  The solver works on one
+variable solves a quadratic with exact rational coefficients.  One routine,
+``_quadratic_root``, finds that root and the hyperbola family's: rational
+roots exactly, and an irrational root as the midpoint of the dyadic
+bisection enclosure that brackets it, computed in closed form from one
+integer square root (``_bisection_midpoint``).  The solver works on one
 integer core: the weights and the quadratic are taken over the common
 denominator of the weights (``_y_equation_integers``), and a solve stays on
 integers until it builds the ``Fraction``s it returns.
@@ -26,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, isqrt, lcm
-from numbers import Real
+from math import inf, isqrt, lcm
+from numbers import Integral, Real
 from typing import Mapping, Sequence, Union
 
 from .denjoy import DenjoyParams, PiWeights, Scalar, _check_open_unit, pi_to_params
@@ -198,14 +199,6 @@ def minkowski_residual(mu: StepOnS) -> Fraction:
     return denjoy_membership_residual(mu, Fraction(1, 2))
 
 
-def _exact_isqrt(n: int) -> int | None:
-    """The square root of ``n`` if ``n`` is a perfect square, else ``None``."""
-    if n < 0:
-        return None
-    root = isqrt(n)
-    return root if root * root == n else None
-
-
 def _bisection_midpoint(coeffs: tuple[int, int, int], hi: Fraction, width: tuple[int, int]) -> Fraction:
     """Midpoint of the enclosure that bisecting ``[0, hi]`` to ``width`` ends on.
 
@@ -242,6 +235,24 @@ def _bisection_midpoint(coeffs: tuple[int, int, int], hi: Fraction, width: tuple
     return Fraction((2 * k + 1) * u, 2 * E)
 
 
+def _quadratic_root(coeffs: tuple[int, int, int], hi: Fraction, width: tuple[int, int]) -> Fraction:
+    """The root of ``f(t) = a t^2 + b t + c`` (integers) in ``(0, hi)``, where ``f(0) < 0 < f(hi)``.
+
+    Exact when the discriminant is a perfect square, else ``_bisection_midpoint``
+    (``a != 0`` there).  The sign change puts exactly one root in ``(0, hi)``:
+    the larger root when ``a > 0`` (0 lies between the roots), the smaller when
+    ``a < 0`` (``hi`` does); either way it is ``(-b + sq) / 2a = 2c / (-b - sq)``,
+    and the second form is also the root ``-c/b`` of the linear case ``a = 0``.
+    As ``4ac = b^2 - sq^2`` and ``c < 0``, ``-b - sq`` is never 0.
+    """
+    a, b, c = coeffs
+    disc = b * b - 4 * a * c  # >= 0, since f has a real root
+    sq = isqrt(disc)
+    if sq * sq == disc:
+        return Fraction(2 * c, -b - sq)
+    return _bisection_midpoint(coeffs, hi, width)
+
+
 def _residual_numerators(
     weights: tuple[int, ...], X: int, N: int, Y: int, M: int
 ) -> tuple[int, int, int]:
@@ -260,11 +271,13 @@ def _residual_numerators(
 def solve_master(mu: StepOnS, tol: float = 1e-15) -> PiWeights:
     """Unique solution of the stationarity system in the open unit cube.
 
-    The quadratic in ``y`` is solved exactly when its discriminant is a
-    rational square (in particular in the linear symmetric case).  Otherwise
-    ``y`` is the midpoint of the dyadic enclosure of width at most
-    ``tol / 8`` that bisecting the guaranteed sign change on ``(0, 1)``
-    reaches, computed directly; all three residuals must stay below ``tol``.
+    ``y`` is the root of the quadratic on ``(0, 1)`` that ``_quadratic_root``
+    gives: exact when its discriminant is a rational square (in particular in
+    the linear symmetric case), and otherwise the midpoint of the dyadic
+    enclosure of width at most ``tol / 8`` that bisecting the guaranteed sign
+    change reaches, computed directly; all three residuals must stay below
+    ``tol``, which may be any positive finite real number (numpy scalars
+    included).
 
     Everything runs on the integers of ``_y_equation_integers``: the
     discriminant over ``D^4`` is a rational square exactly when its integer
@@ -273,7 +286,7 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PiWeights:
     so one correctly rounded division decides the tolerance as the float
     residuals would.
     """
-    if isinstance(tol, bool) or not (isinstance(tol, Real) and tol > 0 and isfinite(tol)):
+    if isinstance(tol, bool) or not (isinstance(tol, Real) and 0 < tol < inf):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     weights = _integer_weights(mu)
     A, B, C = _y_equation_integers(weights)
@@ -282,17 +295,8 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PiWeights:
             f"no sign change of the y-equation on (0,1) for weights {mu.as_tuple()}"
         )
 
-    sq = _exact_isqrt(B * B - 4 * A * C)
-    if sq is not None:
-        # f(0) < 0 < f(1) puts exactly one root in (0, 1): the larger root
-        # when A > 0 (0 lies between the roots), the smaller when A < 0 (1
-        # does); either way it is (-B + sq) / 2A = 2C / (-B - sq), and the
-        # second form is also the root -C/B of the linear case A = 0.  As
-        # 4AC = B^2 - sq^2 and C < 0, -B - sq is never 0.
-        y = Fraction(2 * C, -B - sq)
-    else:
-        num, den = tol.as_integer_ratio()
-        y = _bisection_midpoint((A, B, C), Fraction(1), (num, 8 * den))  # width tol / 8
+    num, den = (int(tol), 1) if isinstance(tol, Integral) else tol.as_integer_ratio()
+    y = _quadratic_root((A, B, C), Fraction(1), (num, 8 * den))  # width tol / 8
 
     D, af, bf, bb, bp, bbp = weights
     Y, M = y.numerator, y.denominator
@@ -355,11 +359,13 @@ def hyperbola_equation(bf: Fraction, bbarf: Fraction) -> Fraction:
 def hyperbola_point(bbarf: RationalLike, bits: int = 64) -> StepOnS:
     """The Minkowski-filling member of the family with the given ``B`` weight.
 
-    The branch value ``bf = ((bbarf+1) - sqrt(3 bbarf^2 + 1)) / 2`` is
-    returned exactly when the square root is rational and otherwise as the
-    midpoint of the bisection enclosure of width at most ``2^-bits`` on
-    ``[0, (1-bbarf)/2]``, tight enough at the default that the Minkowski
-    residual stays far below 1e-12.
+    The branch value ``bf = ((bbarf+1) - sqrt(3 bbarf^2 + 1)) / 2`` comes from
+    ``_quadratic_root``, as ``solve_master``'s ``y`` does: exactly when the
+    square root is rational (``bbarf = 2m/(3 - m^2)`` for rational ``m``, such
+    as 4/11, 3/13, 8/47 and 12/23; the Minkowski residual is then exactly 0),
+    and otherwise as the midpoint of the bisection enclosure of width at most
+    ``2^-bits`` on ``[0, (1-bbarf)/2]``, tight enough at the default that the
+    Minkowski residual stays far below 1e-12.
     """
     bb, bits = _weight(bbarf), _integer(bits, "bits")
     if not 0 < bb < 1:
@@ -368,16 +374,12 @@ def hyperbola_point(bbarf: RationalLike, bits: int = 64) -> StepOnS:
         raise ValueError(f"bits must be >= 0, got {bits}")
 
     u, v = bb.numerator, bb.denominator
-    sq = _exact_isqrt(3 * u * u + v * v)  # v^2 (3 bbarf^2 + 1)
-    if sq is not None:
-        bf = Fraction(u + v - sq, 2 * v)
-    else:
-        # v^2 times minus the branch quadratic 2 t^2 - 2 (bbarf+1) t + bbarf - bbarf^2,
-        # which rises through the root, as the helper requires
-        a, b, c = -2 * v * v, 2 * (u + v) * v, u * (u - v)
-        # it is v^2 bbarf (bbarf - 1) < 0 at 0 and v^2 (1 - bbarf^2) / 2 > 0 at hi
-        hi = Fraction(v - u, 2 * v)
-        bf = _bisection_midpoint((a, b, c), hi, (1, 1 << bits))
+    # v^2 times minus the branch quadratic 2 t^2 - 2 (bbarf+1) t + bbarf - bbarf^2:
+    # v^2 bbarf (bbarf - 1) < 0 at 0 and v^2 (1 - bbarf^2) / 2 > 0 at hi.  Its
+    # discriminant is 4 v^2 (3 u^2 + v^2), so the root is exact when 3 bbarf^2 + 1
+    # is a rational square, and then equals (u + v - sqrt(3 u^2 + v^2)) / 2v.
+    coeffs = (-2 * v * v, 2 * (u + v) * v, u * (u - v))
+    bf = _quadratic_root(coeffs, Fraction(v - u, 2 * v), (1, 1 << bits))
     return StepOnS(1 - 2 * bf - bb, bf, bb, bf, Fraction(0))
 
 

@@ -46,6 +46,18 @@ class TestSolve:
         assert payload["exact"]["p"] == "2/5"
         assert max(abs(r) for r in payload["residuals"]) <= 1e-12
 
+    def test_exact_block_only_for_exact_solutions(self, capsys):
+        # An irrational root: its bisection midpoint is a Fraction, not the solution.
+        mu = '{"a":"1/5","b":"1/7","bb":"2/9","ba":"1/11","bba":"1192/3465"}'
+        code, out, _ = run(capsys, "solve", "--mu", mu)
+        payload = parse(out)
+        validate(payload, "solve.schema.json")
+        assert code == 0 and payload["exact"] == {"minkowski_residual": "3613/48510"}
+        code, out, _ = run(capsys, "solve", "--mu", '{"a":"1/3","b":"1/3","bb":"1/3"}')
+        assert parse(out)["exact"] == {
+            "x": "2/3", "y": "1/2", "ybar": "1/2", "alpha": "1/2", "p": "2/5", "minkowski_residual": "0",
+        }
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys, "solve", "--mu", '{"a":"1/3","b":"1/3","bb":"1/3"}', "--format", "csv"
@@ -125,6 +137,17 @@ class TestClassify:
         other = '{"a":"1/3","b":"1/2","bb":"1/6"}'
         code, out, _ = run(capsys, "classify", "--mu", other, "--alpha", "1/2", "--tol", "0")
         assert code == 0 and parse(out)["is_member"] is False
+
+    def test_zero_tol_sees_a_residual_below_float_range(self, capsys):
+        # alpha = 1/2 + 10^-400 leaves the residual 1/(9 10^399), which is 0.0 as a float.
+        alpha = "0.5" + "0" * 398 + "1"
+        code, out, _ = run(
+            capsys, "classify", "--mu", '{"a":"1/3","b":"1/3","bb":"1/3"}', "--alpha", alpha, "--tol", "0"
+        )
+        payload = parse(out)
+        assert code == 0 and payload["residual"] == 0.0
+        assert payload["residual_exact"] == f"1/{9 * 10**399}"
+        assert payload["is_member"] is False
 
 
 class TestSimulate:

@@ -134,6 +134,25 @@ class TestMasses:
         assert component_mass(alpha, Cylinder.of("ba")) == 0
         assert component_mass(alpha, Cylinder.of("a")) == 1
 
+    def test_float_masses_are_the_per_letter_product(self):
+        # One factor per letter b/B, multiplied in letter order: bit for bit.
+        def reference(first, alpha, letters):
+            mass = first
+            for ch in letters:
+                if ch == "b":
+                    mass = mass * alpha
+                elif ch == "B":
+                    mass = mass * (1 - alpha)
+            return mass
+
+        alpha, p = 0.3, 0.7
+        d = DenjoyParams(alpha, p)
+        for c in cylinders_up_to_depth(8):
+            s = str(c)
+            starts_a = s[0] == "a"
+            assert cylinder_mass(d, c) == reference(p if starts_a else 1 - p, alpha, s)
+            assert component_mass(alpha, c) == (reference(1.0, alpha, s) if starts_a else 0.0)
+
 
 class TestRadonNikodym:
     def test_generator_closed_forms(self):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import modwalk.montecarlo as montecarlo
-from modwalk import GroupMeasure, SimConfig, parse_word
+from modwalk import GroupMeasure, SimConfig, parse_word, simulate
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +181,10 @@ def test_run_matches_reference(monkeypatch, name, depth):
     mu = WALKS[name]
     cfg = SimConfig(paths=100, steps=20 * depth + 100, seed=depth, depth=depth)
     monkeypatch.setattr(montecarlo, "BATCH_PATHS", 64)
-    got = montecarlo._run(mu, cfg, TARGETS)
+    report = simulate(mu, cfg, TARGETS, max_unresolved_fraction=1.0)
     visits, leaves, unresolved = reference_run(mu, cfg, TARGETS, 64)
-    assert np.array_equal(got[0], visits)
-    assert got[1] == leaves
-    assert got[2] == unresolved
+    assert [report.passage_counts[t] for t in TARGETS] == visits.tolist()
+    # the depth-d cylinders are the leaves
+    assert {str(c): n for c, n in report.cylinder_counts.items() if c.depth == depth} == leaves
+    assert report.unresolved == unresolved
     assert unresolved < cfg.paths // 2  # most paths reach the readout's depth

@@ -329,6 +329,17 @@ class TestProcesses:
         assert runs[1][:2] == runs[0][:2] and runs[2][:2] == runs[0][:2]
         self.no_children()
 
+    def test_one_support_table_per_run(self, monkeypatch):
+        # The batches run on the table their caller built; no call builds a second.
+        calls, support_table = [], montecarlo._support_table
+        monkeypatch.setattr(
+            montecarlo, "_support_table", lambda mu: calls.append(mu) or support_table(mu)
+        )
+        simulate(self.MU, self.CFG, targets=self.TARGETS)
+        assert len(calls) == 1
+        estimate_alpha(self.MU, self.CFG)
+        assert len(calls) == 2
+
     def test_child_exception_reaches_the_parent(self, monkeypatch):
         # Two processes: the child's share starts at path 1001 // 2.
         monkeypatch.setattr(montecarlo, "CPUS", 2)
@@ -348,7 +359,8 @@ class TestProcesses:
     def test_closing_early_leaves_no_child(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "CPUS", 3)
         monkeypatch.setattr(montecarlo, "BATCH_PATHS", 128)
-        batches = montecarlo._batches(self.MU, self.CFG, (), lambda W, L, visited: L.size)
+        table = montecarlo._support_table(self.MU)
+        batches = montecarlo._batches(table, self.CFG, (), lambda W, L, visited: L.size)
         assert next(batches) == 42  # 128 // 3 paths per batch
         batches.close()
         self.no_children()
@@ -483,7 +495,8 @@ class TestEstimates:
         )
         cfg = SimConfig(paths=2000, steps=500, seed=4, depth=20)
         report = simulate(mu, cfg, targets=[parse_word("ba")])
-        _, leaf_counts, _ = montecarlo._run(mu, cfg, [parse_word("ba")])
+        # the leaves are the depth-d cylinders, in the order they were read
+        leaf_counts = {str(c): n for c, n in report.cylinder_counts.items() if c.depth == cfg.depth}
         counts = {}
         for leaf, n in leaf_counts.items():
             for depth in range(1, cfg.depth + 1):

@@ -140,6 +140,20 @@ class TestMasterSystem:
         with pytest.raises(ValueError, match="tol"):
             solve_master(EX0_PAIR[0], tol=tol)
 
+    @pytest.mark.parametrize(
+        "tol",
+        [np.int64(1), np.float32(1e-6), 1, Fraction(1, 10**20), 10**400],
+        ids=["int64", "float32", "int", "Fraction", "huge-int"],
+    )
+    def test_every_admitted_tol_solves(self, tol):
+        # An irrational root, so the bisection reads tol's ratio.
+        mu = StepOnS(Fraction(1, 5), Fraction(1, 7), Fraction(2, 9), Fraction(1, 11), Fraction(1192, 3465))
+        t = solve_master(mu, tol)
+        assert t.y.denominator & (t.y.denominator - 1) == 0  # a dyadic midpoint
+        assert max(abs(float(r)) for r in residual(mu, t)) <= tol
+        if tol == 1:
+            assert solve_master(mu, np.int64(1)) == t
+
     def test_residual_detects_wrong_triple(self):
         wrong = PiWeights(Fraction(1, 2), Fraction(1, 2))
         r = residual(SYMMETRIC, wrong)
@@ -261,7 +275,13 @@ class TestHyperbola:
         mu = hyperbola_point(Fraction(3, 13))
         assert mu.bf == Fraction(1, 13)
         assert hyperbola_equation(mu.bf, mu.bbarf) == 0
-        assert minkowski_residual(mu) == 0
+        # bb = 2m/(3 - m^2) makes 3 bb^2 + 1 the square of (3 + m^2)/(3 - m^2):
+        # bb = 4/11, 3/13, 8/47 and 12/23
+        for m in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 3)):
+            bb = 2 * m / (3 - m**2)
+            mu = hyperbola_point(bb)
+            assert mu.bf == (bb + 1 - (3 + m**2) / (3 - m**2)) / 2
+            assert minkowski_residual(mu) == 0
 
     def test_branch_certified_in_quadratic_field(self):
         # the true branch value ((bb+1) - sqrt(3 bb^2 + 1))/2 satisfies the
