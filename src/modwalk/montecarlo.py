@@ -63,7 +63,7 @@ RNG_CONTRACT = "philox-per-path-v1"
 Z_THRESHOLD = 4.0  # standard errors at which the z tests reject
 BATCH_PATHS = 16384  # paths in one batch at most
 BATCH_BYTES = 256 << 20  # memory budget of one batch of paths
-BLOCK_BYTES = 4 << 20  # uniforms drawn at a time within a batch
+BLOCK_BYTES = 512 << 10  # uniforms drawn at a time within a batch, L2-sized
 # Processes a run's paths are split across; 1 where there is no os.fork.
 CPUS = (
     len(os.sched_getaffinity(0))
@@ -226,12 +226,13 @@ def _code_bytes(phases: int) -> int:
 def _batch_paths(steps: int, nmax: int) -> int:
     """Paths per batch: at most ``BATCH_PATHS`` and, above a floor of one
     path, within ``BATCH_BYTES``.  Per step a path holds the codes of
-    ``2 nmax + 1`` phases and ``nmax`` cells of word stack, where ``nmax`` is
-    the most letters ``b``/``B`` in one support word; on top of that come
-    the bottom cell and ``_PATH_VECTOR_BYTES`` of the step loop's per-path
-    vectors.  The uniforms are drawn ``BLOCK_BYTES`` at a time outside this
-    budget."""
-    per_path = steps * (_code_bytes(2 * nmax + 1) + nmax) + 1 + _PATH_VECTOR_BYTES
+    ``2 nmax + 1`` phases, where ``nmax`` is the most letters ``b``/``B`` in
+    one support word.  Its word row is bounded by the worst case, a walk
+    whose words never cancel: ``steps * nmax + 1`` cells, held twice while
+    ``_evolve`` copies narrower rows into full-width ones.  On top of that
+    come ``_PATH_VECTOR_BYTES`` of the step loop's per-path vectors.  The
+    uniforms are drawn ``BLOCK_BYTES`` at a time outside this budget."""
+    per_path = steps * _code_bytes(2 * nmax + 1) + 2 * (steps * nmax + 1) + _PATH_VECTOR_BYTES
     return max(1, min(BATCH_PATHS, BATCH_BYTES // per_path))
 
 
@@ -244,7 +245,9 @@ def _step_codes(
     looked up in blocks of at most ``BLOCK_BYTES`` (and at least one path)
     into one reused buffer, so no batch-sized float64 or index array exists,
     and the heap is not cut up by a large buffer per block; each path keeps
-    its own stream."""
+    its own stream.  A block (163 paths at 400 steps) fits one core's L2
+    cache with ``_increments``' int16 counts and bool temporaries, so the
+    lookup passes read the uniforms from cache."""
     out = np.empty((packed.shape[0], steps, count), dtype=np.int8)
     block = max(1, BLOCK_BYTES // (8 * steps))
     u = np.empty((min(block, count), steps), dtype=np.float64)
@@ -257,10 +260,11 @@ def _step_codes(
 
 def _increments(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Atom index of each uniform: how many cumulative weights lie at or
-    below it, as ``searchsorted(cum, u, side="right")`` counts.  One
-    comparison pass per weight beats the binary search up to about 64 atoms
-    (0.31 s against 0.40 s for 16,384 x 400 uniforms on a 2-vCPU x86-64 host)."""
-    if cum.size > 64:
+    below it, as ``searchsorted(cum, u, side="right")`` counts.  On blocks of
+    ``BLOCK_BYTES`` one comparison pass per weight beats the binary search up
+    to about 200 atoms (16,384 x 400 uniforms on a 2-vCPU x86-64 host: 0.12 s
+    against 0.35 s at 64 atoms, 0.36 s against 0.46 s at 192, even at 224)."""
+    if cum.size > 192:
         return np.searchsorted(cum, u, side="right").astype(np.int16)
     out = np.zeros(u.shape, dtype=np.int16)
     for edge in cum[:-1]:  # u < 1.0 == cum[-1] always
@@ -329,23 +333,34 @@ def _phase_codes(words):
     return packed.view(np.int8), phases
 
 
-def _evolve(codes, phases, targets):
+def _evolve(codes, phases, targets, cells):
     """Multiply each path by its increments on the right.
 
     ``codes[g, t, i]`` is byte ``g`` of the phase codes of path ``i``'s
     increment at step ``t``, as ``_step_codes`` draws them, and ``phases``
     lists their slots in time order (both from ``_phase_codes``).  Each of
-    ``targets`` is the uint8 stack of a word (``_stack``).
+    ``targets`` is the uint8 stack of a word (``_stack``), and ``cells`` is
+    how many cells of each row the caller reads.
 
-    A path's stack lives in a flat row of ``steps * nmax + 1`` cells, and its
-    top cell in a register ``reg``.  An A-phase flips the register's _A bit
-    and touches no memory.  A B-phase with letter ``c`` spills the register
-    to the top cell, moves the top up on a push (the word is empty or ends
-    in 'a') or down on a cancel (``c`` inverts the top letter), gathers the
-    new top cell and blends: ``c`` on a push, else the gathered cell, with
-    its letter swapped (``^ 3``) on a merge (``c`` equals the top letter).
-    A B-phase without a letter changes nothing, and the register of an
-    empty word spills to cell 0, so ``""`` and ``"a"`` need no special case.
+    A path's stack lives in a flat row, and its top cell in a register
+    ``reg``.  An A-phase flips the register's _A bit and touches no memory.
+    A B-phase with letter ``c`` spills the register to the top cell, moves
+    the top up on a push (the word is empty or ends in 'a') or down on a
+    cancel (``c`` inverts the top letter), gathers the new top cell and
+    blends: ``c`` on a push, else the gathered cell, with its letter swapped
+    (``^ 3``) on a merge (``c`` equals the top letter).  A B-phase without a
+    letter changes nothing, and the register of an empty word spills to
+    cell 0, so ``""`` and ``"a"`` need no special case.
+
+    Rows start ``cells`` wide, or as wide as the longest target, and are
+    never wider than the ``steps * n + 1`` cells that ``n`` B-phases a step
+    can fill.  A step moves a top by at most ``n`` cells, so a bound on the
+    longest word grows by ``n`` a step; only when it reaches the row width
+    is the longest word measured, and if the next step might not fit, the
+    rows are copied into rows about twice as wide (or as wide as that step
+    needs), up to full width.  Widths below full are odd: the tops of rows
+    a power of two apart share a few cache sets, and 256-cell rows measured
+    twice as slow as 255 or 257.
 
     Returns ``(W, L, visited)``: path ``i`` ends at the word of the stack
     ``W[i, :L[i] + 1]`` (``_spell``; cells past ``L[i]`` are scratch), and
@@ -353,20 +368,37 @@ def _evolve(codes, phases, targets):
     """
     _, steps, B = codes.shape
     codes = codes.view(np.uint8)
-    stride = steps * sum(not a_phase for _, a_phase in phases) + 1
+    n = sum(not a_phase for _, a_phase in phases)  # cells a step can push
+    full = steps * n + 1
     K = len(targets)
+    longest = max((tgt.size - 1 for tgt in targets), default=0)
+    stride = min(full, max(cells, longest + 1) | 1)
     W = np.zeros(B * stride, dtype=np.uint8)
     base = np.arange(B, dtype=np.int64) * stride
     W[base] = _BOTTOM
     top_at = base.copy()
+    bound = 0  # no word holds more than this many letter cells
     reg = np.full(B, _BOTTOM, dtype=np.uint8)
     visited = np.zeros((B, K), dtype=np.bool_)
-    longest = max((tgt.size - 1 for tgt in targets), default=0)
     c, x, g = (np.empty(B, dtype=np.uint8) for _ in range(3))
     push, cancel, merge = (np.empty(B, dtype=np.bool_) for _ in range(3))
     d = np.empty(B, dtype=np.int8)
     three = np.uint8(3)
     for t in range(steps):
+        if bound + n >= stride:
+            L = top_at - base
+            bound = int(L.max())
+            if bound + n >= stride:
+                rows = W.reshape(B, stride)
+                base //= stride
+                stride = min(full, max(2 * stride + 1, (bound + n + 1) | 1))
+                W = np.zeros(B * stride, dtype=np.uint8)
+                W.reshape(B, stride)[:, : rows.shape[1]] = rows
+                del rows
+                base *= stride
+                np.add(base, L, out=top_at)
+            del L
+        bound += n
         for s, a_phase in phases:
             # An A-phase moves its slot's 'a' bit to bit 2 (_A), a B-phase
             # its letter code to bits 0-1.
@@ -450,7 +482,9 @@ def _batches(table, cfg: SimConfig, targets, read):
     A batch draws the phase codes of its increments step-major,
     ``BLOCK_BYTES`` of uniforms at a time (``_step_codes``), and the kernel
     steps on them with one scatter and one gather per letter ``b``/``B`` of
-    an increment.  The codes are freed when the kernel returns and the word
+    an increment.  Its word rows start ``cfg.depth + 1`` cells wide, the
+    cells ``read`` looks at, and widen only as far as the longest word
+    (``_evolve``).  The codes are freed when the kernel returns and the word
     array when ``read`` does, so no two batches of one process overlap."""
     words, cum = table
     packed, phases = _phase_codes(words)
@@ -465,7 +499,7 @@ def _batches(table, cfg: SimConfig, targets, read):
             yield read(
                 *_evolve(
                     _step_codes(cum, packed, cfg.seed, start, count, cfg.steps),
-                    phases, targets,
+                    phases, targets, cfg.depth + 1,
                 )
             )
 

@@ -111,7 +111,7 @@ def reference_run(mu, cfg, targets, batch_paths):
 
 
 # ---------------------------------------------------------------------------
-# Walks: support widths 1, 3, 5 and 40, the identity, and 65 atoms.
+# Walks: support widths 1, 3, 5 and 40, the identity, and 65 and 193 atoms.
 
 
 def _reduced_words(max_len):
@@ -136,6 +136,7 @@ WALKS = {
     "width40": _measure(["a", "B", "ba", "ab" * 20], 40),
     "identity": _measure(["", "a", "b", "Ba"], 7),
     "atoms65": _measure(list(_reduced_words(7))[:65], 65),
+    "atoms193": _measure(list(_reduced_words(10))[:193], 193),
 }
 TARGETS = [parse_word(w) for w in ("", "a", "ba", "aBa", "baBa")]  # lengths 0-4
 
@@ -147,7 +148,7 @@ def test_walks_cover_the_cases():
     assert [widths[n] for n in ("width1", "width3", "width5", "width40")] == [1, 3, 5, 40]
     assert montecarlo._code_bytes(40) == 10  # codes span many bytes
     assert parse_word("") in WALKS["identity"].support()
-    assert len(WALKS["atoms65"].support()) == 65  # above the threshold-count side
+    assert len(WALKS["atoms193"].support()) == 193  # the searchsorted side
 
 
 @pytest.mark.parametrize("name", sorted(WALKS))
@@ -162,10 +163,11 @@ def test_kernel_matches_reference(name):
     # the step-major phase codes that _step_codes draws
     packed, phases = montecarlo._phase_codes(words)
     W, L, visited = montecarlo._evolve(
-        packed[:, increments.T], phases, [montecarlo._stack(t) for t in TARGETS]
+        packed[:, increments.T], phases, [montecarlo._stack(t) for t in TARGETS], 1
     )
     nmax = max(len(w) - w.letters.count("a") for w in words)
-    assert W.shape == (paths, steps * nmax + 1)
+    # rows as wide as the longest word, and never wider than steps * nmax + 1
+    assert W.shape[0] == paths and L.max() < W.shape[1] <= steps * nmax + 1
     for i in range(paths):
         word = montecarlo._spell(W[i, : L[i] + 1])
         assert word == "".join("abB"[c] for c in W0[i, : L0[i]])
@@ -175,7 +177,7 @@ def test_kernel_matches_reference(name):
     assert v0[:, 1:].any(axis=0).sum() >= 2
 
 
-@pytest.mark.parametrize("depth", [1, 3, 8, 16, 35])
+@pytest.mark.parametrize("depth", [1, 3, 8, 16, 35, 64])
 @pytest.mark.parametrize("name", sorted(WALKS))
 def test_run_matches_reference(monkeypatch, name, depth):
     mu = WALKS[name]

@@ -104,7 +104,7 @@ class TestSamplePath:
         increments = np.searchsorted(cum, u, side="right").astype(np.int16)
         packed, phases = montecarlo._phase_codes(words)
         W, L, visited = montecarlo._evolve(
-            packed[:, increments.T], phases, [montecarlo._stack(t) for t in targets]
+            packed[:, increments.T], phases, [montecarlo._stack(t) for t in targets], 1
         )
         for i in range(cfg.paths):
             expected, seen = sample_path(mu, cfg.steps, _path_generator(cfg.seed, i), targets)
@@ -166,10 +166,10 @@ class TestBatchLayout:
     @pytest.mark.parametrize("words", [
         ("ba",),
         ("b", "ba", "ab", "aba", "B", "Ba", "aB", "aBa", "a"),
-        _reduced_words(65),
+        _reduced_words(193),
     ])
     def test_step_codes_gather_the_increments(self, monkeypatch, words, block_bytes):
-        # 1, 9 and 65 atoms; 65 take the searchsorted branch of _increments.
+        # 1, 9 and 193 atoms; 193 take the searchsorted branch of _increments.
         mu = GroupMeasure.uniform(parse_word(w) for w in words)
         support, cum = montecarlo._support_table(mu)
         assert cum.size == len(support) == len(words)
@@ -188,14 +188,19 @@ class TestBatchLayout:
         # Each step pushes nmax letters 'b'/'B' and none cancels, so every
         # path fills exactly steps * nmax cells: the widest rows the kernel
         # can need, and the last path's top is the word array's last cell.
+        # Rows start 5 cells wide (the readout's 4, made odd) and a widening
+        # takes width w to at most 2w + 1 while nmax is below w, so rows
+        # wider than 32 cells took at least three widenings.
         mu = GroupMeasure.dirac(parse_word(word))
         words, cum = montecarlo._support_table(mu)
         assert montecarlo._nmax(words) == nmax
         packed, phases = montecarlo._phase_codes(words)
-        seed, paths, steps = 6, 9, 41
+        seed, paths, steps, cells = 6, 9, 41, 4
         codes = montecarlo._step_codes(cum, packed, seed, 0, paths, steps)
-        W, L, _ = montecarlo._evolve(codes, phases, [])
-        assert W.shape == (paths, steps * nmax + 1)
+        W, L, _ = montecarlo._evolve(codes, phases, [], cells)
+        # the contract: as wide as the longest word and the readout, at most full
+        assert max(L.max() + 1, cells) <= W.shape[1] <= steps * nmax + 1
+        assert W.shape == (paths, steps * nmax + 1) and W.shape[1] > 8 * cells
         assert (L == steps * nmax).all()
         assert (paths - 1) * W.shape[1] + L[-1] == W.size - 1
         for i in range(paths):
@@ -212,14 +217,15 @@ class TestBatchLayout:
         with pytest.raises(UnresolvedPathsError):
             estimate_alpha(SYMMETRIC_NN, cfg)
 
-    @pytest.mark.parametrize("atoms", [1, 3, 9, 64, 65])
+    @pytest.mark.parametrize("atoms", [1, 3, 9, 64, 65, 192, 193])
     def test_increments_match_searchsorted(self, atoms):
+        # 192 atoms take the comparison passes, 193 the binary search.
         rng = np.random.default_rng(atoms)
         cum = np.cumsum(rng.random(atoms))
         cum /= cum[-1]
         cum[-1] = 1.0
         u = rng.random((30, 80))
-        u[0, : atoms - 1] = cum[:-1]  # a uniform on an edge belongs to the next atom
+        u.flat[: atoms - 1] = cum[:-1]  # a uniform on an edge belongs to the next atom
         got = montecarlo._increments(cum, u)
         assert got.dtype == np.int16
         assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
@@ -250,7 +256,7 @@ class TestBatchLayout:
             return evolve(codes, *args)
 
         monkeypatch.setattr(montecarlo, "_evolve", recording_evolve)
-        monkeypatch.setattr(montecarlo, "BATCH_BYTES", 40 * 690)  # 683 bytes per path
+        monkeypatch.setattr(montecarlo, "BATCH_BYTES", 40 * 1010)  # 1,002 bytes per path
         monkeypatch.setattr(montecarlo, "CPUS", 1)  # calls are recorded here only
         capped = simulate(SYMMETRIC_NN, cfg, targets=[parse_word("ba")])
         assert sizes == [40] * 7 + [20]
@@ -279,28 +285,35 @@ class TestBatchLayout:
         assert sizes == block_sizes
         assert estimate_alpha(mu, cfg) == alpha
 
-    def test_simulate_peaks_within_the_batch_budget(self, monkeypatch):
+    @pytest.mark.parametrize("words", [
+        ("b", "ba", "ab", "aba", "B", "Ba", "aB", "aBa", "a"),
+        ("ba",),
+    ], ids=["nine-atoms", "never-cancelling"])
+    def test_simulate_peaks_within_the_batch_budget(self, monkeypatch, words):
         # tracemalloc sees numpy's buffers.  The kernel holds at most
         # BATCH_BYTES, the batch's codes included; drawing adds one block of
         # uniforms with its atom indices and their codes, 12 bytes per 8 of
-        # uniforms on this walk, within 2.25 * BLOCK_BYTES; 64 KiB covers
+        # uniforms on these walks, within 2.25 * BLOCK_BYTES; 64 KiB covers
         # readout and report.
-        # Two batches alive at once would overshoot by a word array.
-        mu = GroupMeasure.uniform(
-            parse_word(w) for w in ("b", "ba", "ab", "aba", "B", "Ba", "aB", "aBa", "a")
-        )
+        # Two batches alive at once would overshoot by a word array.  The
+        # never-cancelling walk fills every row to full width, so its rows
+        # widen to full width with both copies alive at once.
+        mu = GroupMeasure.uniform(parse_word(w) for w in words)
         cfg = SimConfig(paths=3000, steps=400, seed=1, depth=3)
         monkeypatch.setattr(montecarlo, "BATCH_BYTES", 1 << 20)
         monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 16 << 10)
-        assert montecarlo._batch_paths(cfg.steps, 3) < cfg.paths // 4  # several batches
-        simulate(mu, SimConfig(paths=10, steps=400, seed=1, depth=3))  # first-call allocations
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            simulate(mu, cfg)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        monkeypatch.setattr(montecarlo, "CPUS", 1)  # this process holds the whole budget
+        assert 2 * montecarlo._batch_paths(cfg.steps, 1) < cfg.paths  # several batches
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a Dirac walk is degenerate
+            simulate(mu, SimConfig(paths=10, steps=400, seed=1, depth=3))  # first-call allocations
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                simulate(mu, cfg)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
         assert peak <= montecarlo.BATCH_BYTES + 2.25 * montecarlo.BLOCK_BYTES + (64 << 10)
 
 
@@ -605,6 +618,33 @@ class TestLetterTest:
         est = estimate_alpha(mu, cfg)
         assert est.resolved == resolved and est.letters == cfg.depth
         assert est.estimate == b_total / (cfg.depth * resolved)
+
+    def test_reads_letters_past_widened_rows(self, monkeypatch):
+        # k = 40: rows start at the 41 cells the letter test reads, and the
+        # kernel widens them as the words outgrow that; the estimate still
+        # counts each path's own first 40 letters b/B.
+        mu = GroupMeasure.uniform(
+            parse_word(w) for w in ("b", "ba", "ab", "aba", "B", "Ba", "aB", "aBa", "a")
+        )
+        cfg = SimConfig(paths=60, steps=900, seed=3, depth=40)
+        widths = []
+        evolve = montecarlo._evolve
+
+        def recording_evolve(codes, phases, targets, cells):
+            W, L, visited = evolve(codes, phases, targets, cells)
+            widths.append((cells, W.shape[1]))
+            return W, L, visited
+
+        monkeypatch.setattr(montecarlo, "_evolve", recording_evolve)
+        monkeypatch.setattr(montecarlo, "CPUS", 1)  # calls are recorded here only
+        est = estimate_alpha(mu, cfg)
+        assert widths == [(41, widths[0][1])] and widths[0][1] > 2 * 41
+        b_total = 0
+        for i in range(cfg.paths):
+            word, _ = sample_path(mu, cfg.steps, _path_generator(cfg.seed, i))
+            b_total += [ch for ch in word.letters if ch != "a"][: cfg.depth].count("b")
+        assert est.resolved == cfg.paths and est.letters == cfg.depth
+        assert est.estimate == b_total / (cfg.depth * cfg.paths)
 
     def test_single_path_has_no_stderr(self):
         cfg = SimConfig(paths=1, steps=400, seed=1, depth=3)
