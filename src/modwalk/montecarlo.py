@@ -228,11 +228,12 @@ def _batch_paths(steps: int, nmax: int) -> int:
     path, within ``BATCH_BYTES``.  Per step a path holds the codes of
     ``2 nmax + 1`` phases, where ``nmax`` is the most letters ``b``/``B`` in
     one support word.  Its word row is bounded by the worst case, a walk
-    whose words never cancel: ``steps * nmax + 1`` cells, held twice while
-    ``_evolve`` copies narrower rows into full-width ones.  On top of that
-    come ``_PATH_VECTOR_BYTES`` of the step loop's per-path vectors.  The
-    uniforms are drawn ``BLOCK_BYTES`` at a time outside this budget."""
-    per_path = steps * _code_bytes(2 * nmax + 1) + 2 * (steps * nmax + 1) + _PATH_VECTOR_BYTES
+    whose words never cancel: ``steps * nmax + 1`` cells, made odd, held
+    twice while ``_evolve`` copies narrower rows into full-width ones.  On
+    top of that come ``_PATH_VECTOR_BYTES`` of the step loop's per-path
+    vectors.  The uniforms are drawn ``BLOCK_BYTES`` at a time outside this
+    budget."""
+    per_path = steps * _code_bytes(2 * nmax + 1) + 2 * ((steps * nmax + 1) | 1) + _PATH_VECTOR_BYTES
     return max(1, min(BATCH_PATHS, BATCH_BYTES // per_path))
 
 
@@ -254,7 +255,7 @@ def _step_codes(
     for lo in range(0, count, block):
         hi = min(lo + block, count)
         block_u = _batch_uniforms(seed, start + lo, hi - lo, steps, u[: hi - lo])
-        out[:, :, lo:hi] = packed[:, _increments(cum, block_u).T]
+        out[:, :, lo:hi] = np.take(packed, _increments(cum, block_u), axis=1).transpose(0, 2, 1)
     return out
 
 
@@ -353,14 +354,21 @@ def _evolve(codes, phases, targets, cells):
     cell 0, so ``""`` and ``"a"`` need no special case.
 
     Rows start ``cells`` wide, or as wide as the longest target, and are
-    never wider than the ``steps * n + 1`` cells that ``n`` B-phases a step
-    can fill.  A step moves a top by at most ``n`` cells, so a bound on the
-    longest word grows by ``n`` a step; only when it reaches the row width
-    is the longest word measured, and if the next step might not fit, the
-    rows are copied into rows about twice as wide (or as wide as that step
-    needs), up to full width.  Widths below full are odd: the tops of rows
-    a power of two apart share a few cache sets, and 256-cell rows measured
-    twice as slow as 255 or 257.
+    never wider than full width: the ``steps * n + 1`` cells that ``n``
+    B-phases a step can fill, made odd.  A step moves a top by at most
+    ``n`` cells, so a bound on the longest word grows by ``n`` a step; only
+    when it reaches the row width is the longest word measured, and if the
+    next step might not fit, the rows are copied into rows about twice as
+    wide (or as wide as that step needs), up to full width.  Every width is
+    odd: the tops of rows a power of two apart share a few cache sets, and
+    256-cell rows measured twice as slow as 255 or 257.
+
+    After each step a path sits on a target of ``m`` letter cells when the
+    register holds the target's top cell and, for ``m >= 1``, the word has
+    ``m`` letter cells and the lower ones match.  Only cell 0 carries
+    _BOTTOM, so ``""`` and ``"a"`` need the register alone; lengths are
+    taken only for longer targets, and lower cells are read only where the
+    register and the length match.
 
     Returns ``(W, L, visited)``: path ``i`` ends at the word of the stack
     ``W[i, :L[i] + 1]`` (``_spell``; cells past ``L[i]`` are scratch), and
@@ -369,8 +377,7 @@ def _evolve(codes, phases, targets, cells):
     _, steps, B = codes.shape
     codes = codes.view(np.uint8)
     n = sum(not a_phase for _, a_phase in phases)  # cells a step can push
-    full = steps * n + 1
-    K = len(targets)
+    full = (steps * n + 1) | 1
     longest = max((tgt.size - 1 for tgt in targets), default=0)
     stride = min(full, max(cells, longest + 1) | 1)
     W = np.zeros(B * stride, dtype=np.uint8)
@@ -379,7 +386,10 @@ def _evolve(codes, phases, targets, cells):
     top_at = base.copy()
     bound = 0  # no word holds more than this many letter cells
     reg = np.full(B, _BOTTOM, dtype=np.uint8)
-    visited = np.zeros((B, K), dtype=np.bool_)
+    visited = np.zeros((len(targets), B), dtype=np.bool_)
+    hit = np.empty(B, dtype=np.bool_)
+    length = np.empty(B, dtype=np.int64)
+    of_length = {tgt.size - 1: np.empty(B, dtype=np.bool_) for tgt in targets if tgt.size > 1}
     c, x, g = (np.empty(B, dtype=np.uint8) for _ in range(3))
     push, cancel, merge = (np.empty(B, dtype=np.bool_) for _ in range(3))
     d = np.empty(B, dtype=np.int8)
@@ -428,19 +438,23 @@ def _evolve(codes, phases, targets, cells):
             np.subtract(c, g, out=x)
             x *= push
             reg += x
-        if K:
-            L = top_at - base
-            near = np.flatnonzero(L <= longest)
-            L_near = L[near]
-            for k, tgt in enumerate(targets):
-                m = tgt.size - 1
-                idx = near[L_near == m]
-                hit = reg[idx] == tgt[m]
-                for j in range(m):
-                    hit &= W[base[idx] + j] == tgt[j]
-                visited[idx[hit], k] = True
+        if of_length:
+            np.subtract(top_at, base, out=length)
+            for m, mask in of_length.items():
+                np.equal(length, m, out=mask)
+        for row, tgt in zip(visited, targets):
+            m = tgt.size - 1
+            np.equal(reg, tgt[m], out=hit)
+            if not m:
+                row |= hit
+                continue
+            hit &= of_length[m]
+            idx = np.flatnonzero(hit)
+            for j in range(m):
+                idx = idx[W[base[idx] + j] == tgt[j]]
+            row[idx] = True
     W[top_at] = reg
-    return W.reshape(B, stride), top_at - base, visited
+    return W.reshape(B, stride), top_at - base, visited.T
 
 
 def sample_path(

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import modwalk.montecarlo as montecarlo
-from modwalk import GroupMeasure, SimConfig, parse_word, simulate
+from modwalk import GroupMeasure, SimConfig, parse_word, sample_path, simulate
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +167,8 @@ def test_kernel_matches_reference(name):
     )
     nmax = max(len(w) - w.letters.count("a") for w in words)
     # rows as wide as the longest word, and never wider than steps * nmax + 1
-    assert W.shape[0] == paths and L.max() < W.shape[1] <= steps * nmax + 1
+    # made odd
+    assert W.shape[0] == paths and L.max() < W.shape[1] <= (steps * nmax + 1) | 1
     for i in range(paths):
         word = montecarlo._spell(W[i, : L[i] + 1])
         assert word == "".join("abB"[c] for c in W0[i, : L0[i]])
@@ -175,6 +176,32 @@ def test_kernel_matches_reference(name):
     assert np.array_equal(visited, v0)
     # every nonempty target is hit by some path, so its checks were exercised
     assert v0[:, 1:].any(axis=0).sum() >= 2
+
+
+# b/ab and ba/aba share their top cell and length, and bab shares both
+# with Bab: only their lower cells tell them apart.
+TWINS = [parse_word(w) for w in ("", "b", "ab", "ba", "aba", "bab")]
+
+
+@pytest.mark.parametrize("name", ["width1", "width3"])
+def test_targets_told_apart_by_lower_cells(name):
+    mu = WALKS[name]
+    words, cum = montecarlo._support_table(mu)
+    seed, paths, steps = 5, 60, 30
+    packed, phases = montecarlo._phase_codes(words)
+    codes = montecarlo._step_codes(cum, packed, seed, 0, paths, steps)
+    _, _, visited = montecarlo._evolve(codes, phases, [montecarlo._stack(t) for t in TWINS], 1)
+    # "" counts revisits of the identity after step 0, as the reference does
+    increments = montecarlo._increments(cum, montecarlo._batch_uniforms(seed, 0, paths, steps))
+    table = reference_table(words)
+    width = steps * table.shape[1] + 2
+    _, _, v0 = reference_evolve(increments, table, width, *reference_targets(TWINS))
+    assert np.array_equal(visited, v0)
+    for i in range(paths):
+        _, seen = sample_path(mu, steps, montecarlo._path_generator(seed, i), TWINS[1:])
+        assert {t for t, hit in zip(TWINS, visited[i]) if hit} - {TWINS[0]} == seen
+    # each target is hit by some path and missed by another
+    assert visited.any(axis=0).all() and not visited.all(axis=0).any()
 
 
 @pytest.mark.parametrize("depth", [1, 3, 8, 16, 35, 64])

@@ -187,7 +187,8 @@ class TestBatchLayout:
     def test_rows_hold_words_that_never_cancel(self, word, nmax):
         # Each step pushes nmax letters 'b'/'B' and none cancels, so every
         # path fills exactly steps * nmax cells: the widest rows the kernel
-        # can need, and the last path's top is the word array's last cell.
+        # can need, full width (steps * nmax + 1 cells, made odd), and the
+        # last path's top is the word array's last cell or the one before.
         # Rows start 5 cells wide (the readout's 4, made odd) and a widening
         # takes width w to at most 2w + 1 while nmax is below w, so rows
         # wider than 32 cells took at least three widenings.
@@ -198,11 +199,27 @@ class TestBatchLayout:
         seed, paths, steps, cells = 6, 9, 41, 4
         codes = montecarlo._step_codes(cum, packed, seed, 0, paths, steps)
         W, L, _ = montecarlo._evolve(codes, phases, [], cells)
+        full = (steps * nmax + 1) | 1
         # the contract: as wide as the longest word and the readout, at most full
-        assert max(L.max() + 1, cells) <= W.shape[1] <= steps * nmax + 1
-        assert W.shape == (paths, steps * nmax + 1) and W.shape[1] > 8 * cells
+        assert max(L.max() + 1, cells) <= W.shape[1] <= full
+        assert W.shape == (paths, full) and W.shape[1] > 8 * cells
         assert (L == steps * nmax).all()
-        assert (paths - 1) * W.shape[1] + L[-1] == W.size - 1
+        assert W.size - 1 - ((paths - 1) * W.shape[1] + L[-1]) == full - (steps * nmax + 1)
+        for i in range(paths):
+            expected, _ = sample_path(mu, steps, _path_generator(seed, i))
+            assert montecarlo._spell(W[i, : L[i] + 1]) == expected.letters
+
+    @pytest.mark.parametrize("steps", [255, 511])
+    def test_full_rows_have_odd_width(self, steps):
+        # steps + 1 is a power of two here; full-width rows get one more
+        # cell, since rows a power of two apart are slow to step on.
+        mu = GroupMeasure.dirac(parse_word("ba"))
+        words, cum = montecarlo._support_table(mu)
+        packed, phases = montecarlo._phase_codes(words)
+        seed, paths = 2, 5
+        codes = montecarlo._step_codes(cum, packed, seed, 0, paths, steps)
+        W, L, _ = montecarlo._evolve(codes, phases, [], 4)
+        assert W.shape == (paths, steps + 2) and (L == steps).all()
         for i in range(paths):
             expected, _ = sample_path(mu, steps, _path_generator(seed, i))
             assert montecarlo._spell(W[i, : L[i] + 1]) == expected.letters
