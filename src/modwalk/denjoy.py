@@ -19,10 +19,10 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .boundary import Cylinder, act_on_cylinder, cylinders_up_to_depth
-from .group import GroupMeasure, GroupWord, _integer, _rational, _require_probability, inverse
+from .group import GroupMeasure, GroupWord, _integer, _integer_masses, _rational, _require_probability, inverse
 from .mediant import _cf_digits
 
 __all__ = [
@@ -41,12 +41,28 @@ __all__ = [
 Scalar = Union[Fraction, float]
 
 
+def _real_between(value: object, hi: Optional[float]) -> Optional[bool]:
+    """The one real-number check: ``None`` unless ``value`` is a real number
+    (booleans and strings are not), else whether ``0 < value < hi``, or
+    ``0 < value`` when ``hi`` is None; ``hi`` is 1 or ``inf``.  A ``Fraction``,
+    always finite, compares its integer numerator and denominator; a ``float``
+    or an ``int`` compares directly; only other types reach ``numbers.Real``."""
+    kind = type(value)
+    if kind is Fraction:
+        n = value.numerator
+        return 0 < n and (hi != 1 or n < value.denominator)
+    if kind is not float and kind is not int and (kind is bool or not isinstance(value, numbers.Real)):
+        return None
+    return 0 < value if hi is None else 0 < value < hi
+
+
 def _check_open_unit(value: Scalar, name: str) -> None:
     """The one open-interval check: ``ValueError`` unless ``value`` is a real number
     strictly between 0 and 1.  Booleans and strings are refused, not read as numbers."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    inside = _real_between(value, 1)
+    if inside is None:
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not 0 < value < 1:
+    if not inside:
         raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
 
 
@@ -72,7 +88,7 @@ class PiWeights:
     y: Scalar
 
     def __post_init__(self) -> None:
-        if isinstance(self.x, bool) or not isinstance(self.x, numbers.Real) or not self.x > 0:
+        if not _real_between(self.x, None):
             raise ValueError(f"x must be a positive real number, got {self.x!r}")
         _check_open_unit(self.y, "y")
 
@@ -190,8 +206,8 @@ def check_stationarity(d: DenjoyParams, mu: GroupMeasure, depth: int = 8) -> flo
     n, q = Fraction(d.alpha).as_integer_ratio()
     pn, pq = Fraction(d.p).as_integer_ratio()
     weights = sorted((h.letters, w) for h, w in mu.weights.items())
-    W = math.lcm(*(w.denominator for _, w in weights))
-    factors = (-W, *(w.numerator * (W // w.denominator) for _, w in weights))  # table 0 holds nu(C)
+    W, *scaled = _integer_masses(w for _, w in weights)
+    factors = (-W, *scaled)  # table 0 holds nu(C)
     monomials, K, terms, rows = _distinct_rows(tuple(h for h, _ in weights), depth)
     nb, nB, nq = (list(itertools.accumulate([r] * K, operator.mul, initial=1)) for r in (n, q - n, q))
     mass = [(pn if first else pq - pn) * nb[i] * nB[j] * nq[K - i - j] for first, i, j in monomials]
@@ -226,11 +242,12 @@ def question_mark(x: Union[Fraction, int, str], depth: int = 256) -> Fraction:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     x = _rational(x, "x")
-    if not 0 <= x <= 1:
+    n, d = x.numerator, x.denominator
+    if not 0 <= n <= d:
         raise ValueError(f"need 0 <= x <= 1, got {x}")
-    if x == 0:
+    if n == 0:
         return Fraction(0)
-    if x == 1:
+    if n == d:
         return Fraction(1)
     # Euclid's digits [0; a1, ..., an] spell R^0 L^a1 R^a2 ..., which is w R but
     # for its last letter: that one is always R, so its bit is set unless cut off

@@ -49,18 +49,22 @@ WeightLike = Union[Fraction, int, str]
 
 
 def _rational(value: object, name: str, nonnegative: bool = False) -> Fraction:
-    """The one exact coercion: ``value`` as a ``Fraction``.  A ``Fraction``,
-    an ``int``, a finite ``float`` or a string such as ``"1/3"`` converts;
-    booleans, ``None``, non-finite floats and zero denominators raise
-    ``ValueError``, and so do negative values when ``nonnegative``."""
-    if not isinstance(value, bool):  # an int subclass: true and false are not numbers
+    """The one exact coercion: ``value`` as a ``Fraction``.  A ``Fraction`` is
+    returned as it is; an ``int``, a finite ``float`` or a string such as
+    ``"1/3"`` converts; booleans, ``None``, non-finite floats and zero
+    denominators raise ``ValueError``, and so do negative values when
+    ``nonnegative``."""
+    if type(value) is Fraction:
+        q = value
+    elif isinstance(value, bool):  # an int subclass: true and false are not numbers
+        q = None
+    else:
         try:
             q = Fraction(value)
         except (TypeError, ValueError, ArithmeticError):
-            pass
-        else:
-            if not nonnegative or q >= 0:
-                return q
+            q = None
+    if q is not None and (not nonnegative or q.numerator >= 0):
+        return q
     kind = "nonnegative rational" if nonnegative else "rational"
     raise ValueError(f"{name} {value!r} is not a finite {kind}")
 
@@ -79,6 +83,20 @@ def _integer(value: object, name: str) -> int:
 def _weight(value: object) -> Fraction:
     """``value`` as an exact nonnegative rational weight (``_rational``)."""
     return _rational(value, "weight", nonnegative=True)
+
+
+def _integer_masses(masses: Iterable[Fraction]) -> tuple[int, ...]:
+    """``D``, the lcm of the denominators of ``masses``, then each mass times ``D``."""
+    masses = tuple(masses)
+    D = math.lcm(*(m.denominator for m in masses))
+    return (D, *(m.numerator * (D // m.denominator) for m in masses))
+
+
+def _unit_mass(masses: Iterable[Fraction]) -> bool:
+    """The one total-mass test: whether ``masses`` sum to exactly 1, on the integers
+    of ``_integer_masses``."""
+    D, *scaled = _integer_masses(masses)
+    return sum(scaled) == D
 
 
 # The longest admissible prefix ('a' alternating with 'b'/'B') ends at a word's first fault.
@@ -254,7 +272,7 @@ class GroupMeasure:
         return sum(self._weights.values(), Fraction(0))
 
     def is_probability(self) -> bool:
-        return self.total_mass == 1
+        return _unit_mass(self._weights.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupMeasure):

@@ -145,6 +145,8 @@ class MediantInterval:
 
 
 def _check_lr(word: str) -> None:
+    if type(word) is str and not word.strip("LR"):  # no other letter
+        return
     bad = set(word) - {"L", "R"}
     if bad:
         raise ValueError(f"invalid L/R letters {sorted(bad)} in {word!r}")
@@ -203,7 +205,7 @@ def rational_to_lr(q: RationalLike) -> RationalCodes:
 
 def _positive(q: RationalLike) -> Fraction:
     q = _rational(q, "q")
-    if q <= 0:
+    if q.numerator <= 0:
         raise ValueError(f"need a positive rational, got {q}")
     return q
 

@@ -27,17 +27,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isqrt, lcm
-from numbers import Integral, Real
+from math import inf, isqrt
+from numbers import Integral
 from typing import Mapping, Sequence, Union
 
-from .denjoy import DenjoyParams, PiWeights, Scalar, _check_open_unit, pi_to_params
+from .denjoy import DenjoyParams, PiWeights, Scalar, _check_open_unit, _real_between, pi_to_params
 from .group import (
     GroupMeasure,
     _integer,
+    _integer_masses,
     _provably_degenerate,
     _rational,
     _require_probability,
+    _unit_mass,
     _weight,
     conjugate,
     convolve,
@@ -108,7 +110,7 @@ class StepOnS:
     def __post_init__(self) -> None:
         for name in ("af", "bf", "bbarf", "bprime", "bbarprime"):
             object.__setattr__(self, name, _weight(getattr(self, name)))
-        if sum(self.as_tuple()) != 1:
+        if not _unit_mass(self.as_tuple()):
             raise ValueError(f"weights must sum to 1, got {sum(self.as_tuple())}")
         if _provably_degenerate(w for w, m in zip(S_WORDS, self.as_tuple()) if m):
             raise DegenerateStepError(
@@ -160,9 +162,7 @@ class StepOnS:
 def _integer_weights(mu: StepOnS) -> tuple[int, ...]:
     """``D``, the lcm of the weight denominators, then the five weights times
     ``D``: integers that sum to ``D``."""
-    weights = mu.as_tuple()
-    D = lcm(*(w.denominator for w in weights))
-    return (D, *(w.numerator * (D // w.denominator) for w in weights))
+    return _integer_masses(mu.as_tuple())
 
 
 def _y_equation_integers(weights: tuple[int, ...]) -> tuple[int, int, int]:
@@ -286,7 +286,7 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PiWeights:
     so one correctly rounded division decides the tolerance as the float
     residuals would.
     """
-    if isinstance(tol, bool) or not (isinstance(tol, Real) and 0 < tol < inf):
+    if not _real_between(tol, inf):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     weights = _integer_weights(mu)
     A, B, C = _y_equation_integers(weights)
@@ -295,7 +295,10 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PiWeights:
             f"no sign change of the y-equation on (0,1) for weights {mu.as_tuple()}"
         )
 
-    num, den = (int(tol), 1) if isinstance(tol, Integral) else tol.as_integer_ratio()
+    if type(tol) is not float and isinstance(tol, Integral):  # numpy integers lack as_integer_ratio
+        num, den = int(tol), 1
+    else:
+        num, den = tol.as_integer_ratio()
     y = _quadratic_root((A, B, C), Fraction(1), (num, 8 * den))  # width tol / 8
 
     D, af, bf, bb, bp, bbp = weights

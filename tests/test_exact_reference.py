@@ -254,6 +254,10 @@ class TestEncodings:
             assert lr_to_interval(codes.stem) == reference_lr_to_interval(codes.stem), q
             assert rational_to_cf(q) == lr_to_cf(codes.right.stem), q
 
+    def test_a_million_letter_address(self):
+        q = Fraction(1, 10**6)
+        assert rational_to_lr(q) == reference_rational_to_lr(q)
+
     def test_rational_to_cf_reads_the_right_code(self):
         # POINTS run through test_rational_to_lr_and_interval, against the same reference
         rng = random.Random(1919)

@@ -36,7 +36,7 @@ from modwalk import (
     translate_right,
     word_to_matrix,
 )
-from modwalk.group import _check_letters, _provably_degenerate, _reach
+from modwalk.group import _check_letters, _provably_degenerate, _reach, _unit_mass
 
 from helpers import random_word, swap_b_letters
 
@@ -298,6 +298,49 @@ class TestWeights:
         assert m.to_json_dict() == {"a": "1/4", "b": "1/4", "B": "1"}
         mu = StepOnS.from_json_dict({"a": 0.5, "b": "1/4", "bb": Fraction(1, 4)})
         assert mu.as_tuple() == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), 0, 0)
+
+
+def mass_cases() -> list[list[Fraction]]:
+    """Seeded five-weight walks over coprime denominators: each sums to exactly 1,
+    or misses 1 by ``1/10**30`` either way in its last weight."""
+    rng = random.Random(2323)
+    primes = [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    cases = []
+    for _ in range(40):
+        head = [Fraction(rng.randint(1, d // 4), d) for d in rng.sample(primes, 4)]
+        last = 1 - sum(head)
+        for miss in (0, Fraction(1, 10**30), -Fraction(1, 10**30)):
+            cases.append([*head, last + miss])
+    return cases
+
+
+class TestUnitMass:
+    """The integer total-mass test decides as the ``Fraction`` sum does, and the
+    refusals print that sum."""
+
+    @pytest.mark.parametrize("weights", mass_cases(), ids=lambda w: str(sum(w)))
+    def test_integer_test_matches_the_fraction_sum(self, weights):
+        total = sum(weights)
+        assert _unit_mass(weights) == (total == 1)
+        m = GroupMeasure(dict(zip(map(parse_word, ("a", "b", "B", "ba", "Ba")), weights)))
+        assert m.is_probability() == (total == 1)
+        assert m.total_mass == total
+        if total == 1:
+            assert StepOnS(*weights).as_tuple() == tuple(weights)
+            assert convolve(m, m).is_probability()
+            return
+        with pytest.raises(ValueError) as exc:
+            StepOnS(*weights)
+        assert str(exc.value) == f"weights must sum to 1, got {total}"
+        with pytest.raises(ValueError) as exc:
+            convolve(m, m)
+        assert str(exc.value) == f"m1 must be a probability measure (total mass {total})"
+
+    def test_empty_and_single_masses(self):
+        assert not _unit_mass([])
+        assert _unit_mass([Fraction(1)])
+        assert not GroupMeasure({}).is_probability()
+        assert not GroupMeasure({IDENTITY: Fraction(1, 10**30)}).is_probability()
 
 
 BAD_RATIONALS = [True, None, "1/0", float("inf"), float("nan")]

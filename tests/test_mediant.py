@@ -105,6 +105,38 @@ class TestRationalCodes:
                 assert iv.left <= deep.left and deep.right <= iv.right
 
 
+LONG_WORD = "LR" * 50_000  # 10^5 letters
+
+
+def _with_letter(bad: str, at: int) -> str:
+    """``LONG_WORD`` with ``bad`` written over position ``at``."""
+    return LONG_WORD[:at] + bad + LONG_WORD[at + 1 :]
+
+
+class TestLetterCheck:
+    """Every L/R entry point refuses a stray letter anywhere in a long word with
+    the message the letter-set check has always given."""
+
+    @pytest.mark.parametrize("at", [0, len(LONG_WORD) // 2, len(LONG_WORD) - 1], ids=["start", "middle", "end"])
+    @pytest.mark.parametrize(
+        "check", [lr_to_interval, lr_to_cf, lambda w: LRCode(w, "L")], ids=["lr_to_interval", "lr_to_cf", "LRCode"]
+    )
+    def test_bad_letter_in_a_long_word(self, check, at):
+        word = _with_letter("X", at)
+        with pytest.raises(ValueError) as exc:
+            check(word)
+        assert str(exc.value) == f"invalid L/R letters ['X'] in {word!r}"
+
+    def test_bad_letters_are_listed_sorted(self):
+        word = "x" + _with_letter("Q", len(LONG_WORD) - 1)[1:]
+        with pytest.raises(ValueError) as exc:
+            lr_to_interval(word)
+        assert str(exc.value) == f"invalid L/R letters ['Q', 'x'] in {word!r}"
+
+    def test_long_good_word(self):
+        assert lr_to_cf(LONG_WORD) == (0,) + (1,) * len(LONG_WORD)
+
+
 class TestContinuedFractions:
     def test_syllable_examples(self):
         assert lr_to_cf("RRLLLR") == (2, 3, 1)
