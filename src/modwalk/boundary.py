@@ -57,18 +57,9 @@ class Cylinder:
             raise ValueError("the identity has no shadow cylinder")
         return cls(word if s[-1] == "a" else GroupWord(s + "a"))
 
-    @property
-    def depth(self) -> int:
-        """Number of ``a`` letters in the prefix; children are one level deeper."""
-        return self.prefix.letters.count("a")
-
     def children(self) -> tuple["Cylinder", "Cylinder"]:
         s = self.prefix.letters
         return (Cylinder.of(s + "ba"), Cylinder.of(s + "Ba"))
-
-    def extends(self, other: "Cylinder") -> bool:
-        """True when this cylinder is contained in ``other``."""
-        return self.prefix.letters.startswith(other.prefix.letters)
 
     def sort_key(self) -> tuple[int, str]:
         return (len(self.prefix.letters), self.prefix.letters)

@@ -257,7 +257,7 @@ def _cmd_example(args) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modwalk",
         description="Harmonic measures of random walks on the modular group Z2 * Z3",
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         output = args.handler(args)
     except DegenerateStepError as exc:

@@ -41,19 +41,19 @@ __all__ = [
 Scalar = Union[Fraction, float]
 
 
-def _real_between(value: object, hi: Optional[float]) -> Optional[bool]:
+def _real_between(value: object, hi: float) -> Optional[bool]:
     """The one real-number check: ``None`` unless ``value`` is a real number
-    (booleans and strings are not), else whether ``0 < value < hi``, or
-    ``0 < value`` when ``hi`` is None; ``hi`` is 1 or ``inf``.  A ``Fraction``,
-    always finite, compares its integer numerator and denominator; a ``float``
-    or an ``int`` compares directly; only other types reach ``numbers.Real``."""
+    (booleans and strings are not), else whether ``0 < value < hi``; ``hi`` is
+    1 or ``inf``.  A ``Fraction``, always finite, compares its integer
+    numerator and denominator; a ``float`` or an ``int`` compares directly;
+    only other types reach ``numbers.Real``."""
     kind = type(value)
     if kind is Fraction:
         n = value.numerator
         return 0 < n and (hi != 1 or n < value.denominator)
     if kind is not float and kind is not int and (kind is bool or not isinstance(value, numbers.Real)):
         return None
-    return 0 < value if hi is None else 0 < value < hi
+    return 0 < value < hi
 
 
 def _check_open_unit(value: Scalar, name: str) -> None:
@@ -80,15 +80,16 @@ class DenjoyParams:
 
 @dataclass(frozen=True, slots=True)
 class PiWeights:
-    """Weights ``x = pi_a > 0``, ``y = pi_ba`` in (0, 1) and ``ybar = pi_Ba = 1 - y``
-    (for a walk, its passage probabilities: ``solver.solve_master``).  They are
-    normalized, ``y + ybar = 1``, by construction."""
+    """Weights ``x = pi_a``, finite and positive, ``y = pi_ba`` in (0, 1) and
+    ``ybar = pi_Ba = 1 - y`` (for a walk, its passage probabilities:
+    ``solver.solve_master``).  They are normalized, ``y + ybar = 1``, by
+    construction."""
 
     x: Scalar
     y: Scalar
 
     def __post_init__(self) -> None:
-        if not _real_between(self.x, None):
+        if not _real_between(self.x, math.inf):
             raise ValueError(f"x must be a positive real number, got {self.x!r}")
         _check_open_unit(self.y, "y")
 

@@ -211,7 +211,7 @@ def _mat_mul(m: Matrix, n: Matrix) -> Matrix:
     )
 
 
-def canonical_sign(m: Matrix) -> Matrix:
+def _canonical_sign(m: Matrix) -> Matrix:
     """Representative of ``{m, -m}`` whose first nonzero top-row entry is positive."""
     lead = m[0] if m[0] != 0 else m[1]
     if lead < 0:
@@ -224,7 +224,7 @@ def word_to_matrix(w: GroupWord) -> Matrix:
     m: Matrix = (1, 0, 0, 1)
     for ch in w.letters:
         m = _mat_mul(m, _LETTER_MATRIX[ch])
-    return canonical_sign(m)
+    return _canonical_sign(m)
 
 
 class GroupMeasure:
@@ -242,10 +242,6 @@ class GroupMeasure:
             if mass:
                 clean[word] = mass
         self._weights = clean
-
-    @classmethod
-    def dirac(cls, word: GroupWord) -> "GroupMeasure":
-        return cls({word: Fraction(1)})
 
     @classmethod
     def uniform(cls, words: Iterable[GroupWord]) -> "GroupMeasure":

@@ -73,22 +73,13 @@ class ExtRational:
         g = gcd(abs(num), den)
         return cls(num // g, den // g)
 
-    @property
-    def is_finite(self) -> bool:
-        return self.den != 0
-
     def as_fraction(self) -> Fraction:
-        if not self.is_finite:
+        if not self.den:
             raise ValueError("infinity is not a fraction")
         return Fraction(self.num, self.den)
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
-
-    def __float__(self) -> float:
-        if not self.is_finite:
-            return float("inf") if self.num > 0 else float("-inf")
-        return self.num / self.den
 
     def __lt__(self, other: "ExtRational") -> bool:
         if self.den == 0 and other.den == 0:
@@ -125,17 +116,6 @@ class MediantInterval:
 
     def mediant(self) -> ExtRational:
         return self.left.mediant(self.right)
-
-    def child(self, letter: str) -> "MediantInterval":
-        m = self.mediant()
-        if letter == "L":
-            return MediantInterval(self.left, m)
-        if letter == "R":
-            return MediantInterval(m, self.right)
-        raise ValueError(f"invalid L/R letter {letter!r}")
-
-    def contains(self, point: ExtRational) -> bool:
-        return self.left <= point <= self.right
 
     def neg_reciprocal(self) -> "MediantInterval":
         return MediantInterval(self.left.neg_reciprocal(), self.right.neg_reciprocal())
@@ -176,11 +156,6 @@ class LRCode:
         if self.tail not in ("L", "R"):
             raise ValueError("tail must be 'L' or 'R'")
 
-    def prefix(self, n: int) -> str:
-        if n <= len(self.stem):
-            return self.stem[:n]
-        return self.stem + self.tail * (n - len(self.stem))
-
     def __str__(self) -> str:
         return f"{self.stem}({self.tail})^oo"
 
@@ -199,8 +174,21 @@ def rational_to_lr(q: RationalLike) -> RationalCodes:
     right one ``w R L^oo``.
     """
     # R^a0 L^a1 R^a2 ... over Euclid's digits [a0; a1, ..., an] is w and one more letter
-    word = "".join("RL"[i % 2] * digit for i, digit in enumerate(_cf_digits(_positive(q))))[:-1]
+    word = _syllables(tuple(_cf_digits(_positive(q))))[:-1]
     return RationalCodes(word, LRCode(word + "L", "R"), LRCode(word + "R", "L"))
+
+
+# Most letters of an L/R string built from digits: the digit sum is checked
+# before any string is, so 2**80 letters are refused, not attempted.
+_LETTER_LIMIT = 10**8
+
+
+def _syllables(digits: Sequence[int]) -> str:
+    """``R^d0 L^d1 R^d2 ...``; ``ValueError`` when it would exceed ``_LETTER_LIMIT`` letters."""
+    letters = sum(digits)
+    if letters > _LETTER_LIMIT:
+        raise ValueError(f"the L/R word would have {letters} letters, over the limit of {_LETTER_LIMIT}")
+    return "".join("RL"[i % 2] * d for i, d in enumerate(digits))
 
 
 def _positive(q: RationalLike) -> Fraction:
@@ -258,7 +246,7 @@ def _check_digits(digits: Sequence[int]) -> None:
 def cf_to_lr(digits: Sequence[int]) -> str:
     """Inverse of :func:`lr_to_cf` on finite words: digits back to syllables."""
     _check_digits(digits)
-    return "".join(("R" if i % 2 == 0 else "L") * d for i, d in enumerate(digits))
+    return _syllables(digits)
 
 
 def cf_value(digits: Sequence[int]) -> Fraction:

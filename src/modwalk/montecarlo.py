@@ -52,6 +52,7 @@ __all__ = [
     "sample_path",
     "simulate",
     "compare_with_analytic",
+    "ZTable",
     "estimate_alpha",
     "letter_test_power",
     "paths_for_power",
@@ -261,12 +262,11 @@ def _step_codes(
 
 def _increments(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Atom index of each uniform: how many cumulative weights lie at or
-    below it, as ``searchsorted(cum, u, side="right")`` counts.  On blocks of
-    ``BLOCK_BYTES`` one comparison pass per weight beats the binary search up
-    to about 200 atoms (16,384 x 400 uniforms on a 2-vCPU x86-64 host: 0.12 s
-    against 0.35 s at 64 atoms, 0.36 s against 0.46 s at 192, even at 224)."""
-    if cum.size > 192:
-        return np.searchsorted(cum, u, side="right").astype(np.int16)
+    below it, as ``searchsorted(cum, u, side="right")`` counts, by one
+    comparison pass per weight.  The cost grows linearly with the atoms: on
+    ``BLOCK_BYTES`` blocks (2-vCPU x86-64 host) the passes beat the binary
+    search about 8x at 12 atoms, break even between about 200 and 290 and
+    lose above; the bench, demo and example walks have at most 12 atoms."""
     out = np.zeros(u.shape, dtype=np.int16)
     for edge in cum[:-1]:  # u < 1.0 == cum[-1] always
         out += u >= edge
@@ -704,8 +704,7 @@ def _z(gap: float, se: float) -> float:
 
 @dataclass(frozen=True)
 class ZTable:
-    max_abs_z: float
-    passed: bool  # max_abs_z within Z_THRESHOLD
+    max_abs_z: float  # the z tests reject beyond Z_THRESHOLD
 
 
 def compare_with_analytic(report: SimReport, params: DenjoyParams) -> ZTable:
@@ -721,7 +720,7 @@ def compare_with_analytic(report: SimReport, params: DenjoyParams) -> ZTable:
         abs(_z(est - float(cylinder_mass(params, cyl)), se))
         for cyl, (est, se) in report.cylinder_freq.items()
     )
-    return ZTable(worst, worst <= Z_THRESHOLD)
+    return ZTable(worst)
 
 
 @dataclass(frozen=True, slots=True)

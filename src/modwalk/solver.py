@@ -34,7 +34,6 @@ from typing import Mapping, Sequence, Union
 from .denjoy import DenjoyParams, PiWeights, Scalar, _check_open_unit, _real_between, pi_to_params
 from .group import (
     GroupMeasure,
-    _integer,
     _integer_masses,
     _provably_degenerate,
     _rational,
@@ -119,10 +118,6 @@ class StepOnS:
 
     def as_tuple(self) -> tuple[Fraction, ...]:
         return (self.af, self.bf, self.bbarf, self.bprime, self.bbarprime)
-
-    def swapped(self) -> "StepOnS":
-        """Image under the automorphism exchanging ``b`` and ``B``."""
-        return StepOnS(self.af, self.bbarf, self.bf, self.bbarprime, self.bprime)
 
     def combine(self, other: "StepOnS", t: RationalLike) -> "StepOnS":
         """Convex combination ``t * self + (1-t) * other``."""
@@ -355,11 +350,11 @@ def phi(mu: StepOnS) -> Fraction:
 # Minkowski-filling exactly on the branch 2b^2 - 2b*bb - bb^2 - 2b + bb = 0
 # joining (0,0) to (0,1) in the (b, bb) plane.
 
-def hyperbola_equation(bf: Fraction, bbarf: Fraction) -> Fraction:
+def _hyperbola_equation(bf: Fraction, bbarf: Fraction) -> Fraction:
     return 2 * bf**2 - 2 * bf * bbarf - bbarf**2 - 2 * bf + bbarf
 
 
-def hyperbola_point(bbarf: RationalLike, bits: int = 64) -> StepOnS:
+def hyperbola_point(bbarf: RationalLike) -> StepOnS:
     """The Minkowski-filling member of the family with the given ``B`` weight.
 
     The branch value ``bf = ((bbarf+1) - sqrt(3 bbarf^2 + 1)) / 2`` comes from
@@ -367,14 +362,12 @@ def hyperbola_point(bbarf: RationalLike, bits: int = 64) -> StepOnS:
     square root is rational (``bbarf = 2m/(3 - m^2)`` for rational ``m``, such
     as 4/11, 3/13, 8/47 and 12/23; the Minkowski residual is then exactly 0),
     and otherwise as the midpoint of the bisection enclosure of width at most
-    ``2^-bits`` on ``[0, (1-bbarf)/2]``, tight enough at the default that the
-    Minkowski residual stays far below 1e-12.
+    ``2^-64`` on ``[0, (1-bbarf)/2]``, tight enough that the Minkowski
+    residual stays far below 1e-12.
     """
-    bb, bits = _weight(bbarf), _integer(bits, "bits")
+    bb = _weight(bbarf)
     if not 0 < bb < 1:
         raise ValueError(f"need 0 < bbarf < 1, got {bb}")
-    if bits < 0:
-        raise ValueError(f"bits must be >= 0, got {bits}")
 
     u, v = bb.numerator, bb.denominator
     # v^2 times minus the branch quadratic 2 t^2 - 2 (bbarf+1) t + bbarf - bbarf^2:
@@ -382,7 +375,7 @@ def hyperbola_point(bbarf: RationalLike, bits: int = 64) -> StepOnS:
     # discriminant is 4 v^2 (3 u^2 + v^2), so the root is exact when 3 bbarf^2 + 1
     # is a rational square, and then equals (u + v - sqrt(3 u^2 + v^2)) / 2v.
     coeffs = (-2 * v * v, 2 * (u + v) * v, u * (u - v))
-    bf = _quadratic_root(coeffs, Fraction(v - u, 2 * v), (1, 1 << bits))
+    bf = _quadratic_root(coeffs, Fraction(v - u, 2 * v), (1, 1 << 64))
     return StepOnS(1 - 2 * bf - bb, bf, bb, bf, Fraction(0))
 
 
@@ -561,7 +554,7 @@ def example_ex2(bbarf: RationalLike = Fraction(1, 2)) -> Ex2Report:
     mu_prime = StepOnS.from_group_measure(reduced)
     defect = minkowski_residual(mu_prime)
     quadric = 2 * bf**2 - 2 * bf * bb - bb**2
-    on_branch = hyperbola_equation(bf, bb)
+    on_branch = _hyperbola_equation(bf, bb)
     witness = quadric - on_branch  # identically 2 bf - bb
     if witness != 2 * bf - bb or witness == 0:
         raise SolverContradictionError("incompatibility witness degenerated")

@@ -197,7 +197,7 @@ class TestRadonNikodym:
 
 class TestStationarity:
     def test_dirac_identity_is_stationary_for_everything(self):
-        mu = GroupMeasure.dirac(parse_word(""))
+        mu = GroupMeasure({parse_word(""): 1})
         d = DenjoyParams(Fraction(2, 5), Fraction(1, 5))
         assert check_stationarity(d, mu, depth=4) == 0
 

@@ -51,10 +51,16 @@ class MultipleRoots(SolverContradictionError):
 ROOT_INTERVAL = MediantInterval(ExtRational(0, 1), ExtRational(1, 0))
 
 
+def reference_child(iv: MediantInterval, letter: str) -> MediantInterval:
+    """One step of the descent: L keeps the left endpoint, R the right one."""
+    m = iv.mediant()
+    return MediantInterval(iv.left, m) if letter == "L" else MediantInterval(m, iv.right)
+
+
 def reference_lr_to_interval(word: str) -> MediantInterval:
     iv = ROOT_INTERVAL
     for ch in word:
-        iv = iv.child(ch)
+        iv = reference_child(iv, ch)
     return iv
 
 
@@ -69,7 +75,7 @@ def reference_rational_to_lr(q) -> RationalCodes:
             break
         letter = "L" if point < m else "R"
         stem.append(letter)
-        iv = iv.child(letter)
+        iv = reference_child(iv, letter)
     word = "".join(stem)
     return RationalCodes(word, LRCode(word + "L", "R"), LRCode(word + "R", "L"))
 
@@ -179,7 +185,7 @@ def reference_membership_residual(mu: StepOnS, alpha):
     return (a1 * alpha + a0) * (b1 * alpha + b0) - (c1 * alpha + c0) * (d1 * alpha + d0)
 
 
-def reference_hyperbola_point(bbarf, bits: int) -> StepOnS:
+def reference_hyperbola_point(bbarf) -> StepOnS:
     bb = Fraction(bbarf)
     sq = reference_exact_sqrt(3 * bb**2 + 1)
     if sq is not None:
@@ -189,7 +195,7 @@ def reference_hyperbola_point(bbarf, bits: int) -> StepOnS:
             return 2 * t * t - 2 * (bb + 1) * t + (bb - bb * bb)
 
         lo, hi = Fraction(0), (1 - bb) / 2
-        width = Fraction(1, 2**bits)
+        width = Fraction(1, 2**64)
         while hi - lo > width:
             mid = (lo + hi) / 2
             if q(mid) > 0:
@@ -353,7 +359,7 @@ class TestSolver:
     def test_hyperbola_walks(self, bbarf):
         # exact branch points (4/11, 3/13) and bisected ones
         mu = hyperbola_point(bbarf)
-        assert mu == reference_hyperbola_point(bbarf, 64)
+        assert mu == reference_hyperbola_point(bbarf)
         assert outcome(solve_master, mu, 1e-15) == outcome(reference_solve_master, mu, 1e-15)
 
     def test_failures_on_the_same_inputs(self):
@@ -399,10 +405,9 @@ class TestSolver:
                 expected = reference_membership_residual(mu, alpha)
                 assert denjoy_membership_residual(mu, alpha) == expected, (mu, alpha)
 
-    @pytest.mark.parametrize("bits", [1, 8, 64])
     @pytest.mark.parametrize(
         "bbarf",
         ["1/1000", "1/7", "1/3", "4/11", "2/5", "1/2", "3/4", "9/10", "999/1000"],
     )
-    def test_hyperbola_point(self, bbarf, bits):
-        assert hyperbola_point(bbarf, bits) == reference_hyperbola_point(bbarf, bits)
+    def test_hyperbola_point(self, bbarf):
+        assert hyperbola_point(bbarf) == reference_hyperbola_point(bbarf)

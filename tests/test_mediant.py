@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modwalk.mediant as mediant
 from modwalk import (
     ExtRational,
     LRCode,
@@ -59,7 +61,7 @@ class TestIntervals:
         det = iv.right.num * iv.left.den - iv.left.num * iv.right.den
         assert det == 1
         m = iv.mediant()
-        left, right = iv.child("L"), iv.child("R")
+        left, right = lr_to_interval(word + "L"), lr_to_interval(word + "R")
         assert left.right == m == right.left
         assert left.left == iv.left and right.right == iv.right
 
@@ -100,7 +102,7 @@ class TestRationalCodes:
             assert lr_to_interval(codes.stem).mediant().as_fraction() == q
             # both infinite codes truncate into the stem's interval
             for code in (codes.left, codes.right):
-                deep = lr_to_interval(code.prefix(len(codes.stem) + 5))
+                deep = lr_to_interval(code.stem + code.tail * 4)
                 iv = lr_to_interval(codes.stem)
                 assert iv.left <= deep.left and deep.right <= iv.right
 
@@ -156,6 +158,29 @@ class TestContinuedFractions:
         assert cf_to_lr(()) == ""
         with pytest.raises(ValueError):
             cf_to_lr((1, 0, 2))
+
+    @pytest.mark.parametrize(
+        "call, arg", [(rational_to_lr, 10**10), (cf_to_lr, [0, 10**10])], ids=["rational_to_lr", "cf_to_lr"]
+    )
+    def test_letter_limit_refuses_before_building(self, call, arg):
+        # 10^10 letters are over the limit: refused before any string of them exists
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="10000000000 letters, over the limit of 100000000"):
+                call(arg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_letter_limit_counts_every_letter(self, monkeypatch):
+        # the address R^q of q spells its q digits' letters; so does cf_to_lr
+        monkeypatch.setattr(mediant, "_LETTER_LIMIT", 10)
+        assert rational_to_lr(10).left == LRCode("R" * 9 + "L", "R")
+        assert cf_to_lr([3, 7]) == "RRRLLLLLLL"
+        for call, arg in ((rational_to_lr, 11), (rational_to_lr, Fraction(1, 11)), (cf_to_lr, [3, 8])):
+            with pytest.raises(ValueError, match="11 letters, over the limit of 10"):
+                call(arg)
 
     def test_round_trip_random_syllables(self):
         rng = random.Random(31)

@@ -20,6 +20,7 @@ from modwalk import (
     GroupMeasure,
     PiWeights,
     StepOnS,
+    cf_to_lr,
     component_mass,
     denjoy_membership_residual,
     example_ex0,
@@ -67,6 +68,7 @@ ENTRY_POINTS = {
     "question_mark-x": question_mark,
     "rational_to_lr-q": rational_to_lr,
     "rational_to_cf-q": rational_to_cf,
+    "cf_to_lr-digit": lambda v: cf_to_lr([0, v]),
     "DenjoyParams-alpha": lambda v: DenjoyParams(v, THIRD),
     "DenjoyParams-p": lambda v: DenjoyParams(HALF, v),
     "PiWeights-x": lambda v: PiWeights(v, HALF),
@@ -178,8 +180,9 @@ REFUSALS = {
         "nan": "ValueError: q nan is not a finite rational",
         "inf": "ValueError: q inf is not a finite rational",
         "-inf": "ValueError: q -inf is not a finite rational",
-        # an integer's address R^q has q letters: past the string size limit
-        "2**80": "OverflowError: cannot fit 'int' into an index-sized integer",
+        # an integer's address R^q has q letters: past the letter limit
+        "2**80": "ValueError: the L/R word would have 1208925819614629174706176 letters,"
+        " over the limit of 100000000",
         "Fraction(0)": "ValueError: need a positive rational, got 0",
     },
     "rational_to_cf-q": {
@@ -189,6 +192,14 @@ REFUSALS = {
         "inf": "ValueError: q inf is not a finite rational",
         "-inf": "ValueError: q -inf is not a finite rational",
         "Fraction(0)": "ValueError: need a positive rational, got 0",
+    },
+    "cf_to_lr-digit": {  # anything but an int is not a digit, named by its repr
+        **{
+            value: f"ValueError: digit {VALUES[value]!r} at position 1 is not an integer"
+            for value in VALUES
+        },
+        "2**80": "ValueError: the L/R word would have 1208925819614629174706176 letters,"
+        " over the limit of 100000000",
     },
     "DenjoyParams-alpha": {
         "True": "ValueError: alpha must be a real number, got True",
@@ -214,11 +225,12 @@ REFUSALS = {
         "Fraction(0)": "ValueError: p must lie strictly between 0 and 1, got 0",
         "Fraction(1)": "ValueError: p must lie strictly between 0 and 1, got 1",
     },
-    "PiWeights-x": {  # x is unbounded above, so inf passes
+    "PiWeights-x": {  # x is unbounded above but finite
         "True": "ValueError: x must be a positive real number, got True",
         "None": "ValueError: x must be a positive real number, got None",
         "'1/3'": "ValueError: x must be a positive real number, got '1/3'",
         "nan": "ValueError: x must be a positive real number, got nan",
+        "inf": "ValueError: x must be a positive real number, got inf",
         "-inf": "ValueError: x must be a positive real number, got -inf",
         "Fraction(0)": "ValueError: x must be a positive real number, got Fraction(0, 1)",
     },
