@@ -77,39 +77,24 @@ def cylinders_up_to_depth(depth: int) -> Iterator[Cylinder]:
         level = [child for c in level for child in c.children()]
 
 
-def _compact(prefixes: set[str]) -> set[str]:
-    # Merge full sibling pairs ...xba / ...xBa into their parent (the prefix less its last
-    # two letters), longest first; a merged parent is pushed back to meet its own sibling.
-    work = sorted(prefixes, key=len)
-    while work:
-        s = work.pop()
-        if len(s) < 3 or s not in prefixes:
-            continue
-        sibling = s[:-2] + ("B" if s[-2] == "b" else "b") + "a"
-        if sibling in prefixes:
-            prefixes -= {s, sibling}
-            prefixes.add(s[:-2])
-            work.append(s[:-2])
-    return prefixes
-
-
 def act_on_cylinder(h: GroupWord, c: Cylinder) -> tuple[Cylinder, ...]:
     """Image ``h . c`` of a cylinder under left translation, as disjoint cylinders.
 
     The cylinder is refined until every refined prefix is at least two
     letters longer than ``h``, so cancellation in ``h . prefix`` can never
     swallow a whole prefix; each refined piece then maps onto a single
-    cylinder, and full sibling families are merged back.
+    cylinder.  The images of the refined pieces are returned sorted; they
+    are disjoint and cover ``h . c``.
     """
     if h.is_identity():
         return (c,)
     target = len(h) + 2
     stack = [c]
-    images: set[str] = set()
+    images: list[str] = []
     while stack:
         cyl = stack.pop()
         if len(cyl.prefix) < target:
             stack.extend(cyl.children())
         else:
-            images.add(reduce_concat(h, cyl.prefix).letters)
-    return tuple(sorted(map(Cylinder.of, _compact(images)), key=Cylinder.sort_key))
+            images.append(reduce_concat(h, cyl.prefix).letters)
+    return tuple(sorted(map(Cylinder.of, images), key=Cylinder.sort_key))

@@ -82,7 +82,7 @@ def _seed(args) -> int:
     return int(os.environ.get("MODWALK_SEED", "1"))
 
 
-def _cmd_solve(args) -> str:
+def _cmd_solve(args) -> str | dict:
     mu = _step_from_json(args.mu)
     triple = solve_master(mu, args.tol)
     res = residual(mu, triple)
@@ -94,7 +94,7 @@ def _cmd_solve(args) -> str:
             "x,y,ybar,alpha,p,residual1,residual2,residual3,minkowski_residual\n"
             + ",".join(repr(float(v)) for v in row)
         )
-    payload = {
+    return {
         "x": float(triple.x),
         "y": float(triple.y),
         "ybar": float(triple.ybar),
@@ -115,16 +115,15 @@ def _cmd_solve(args) -> str:
             }),
         },
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _cmd_classify(args) -> str:
+def _cmd_classify(args) -> dict:
     if not (args.tol >= 0 and math.isfinite(args.tol)):
         raise ValueError(f"tol must be nonnegative and finite, got {args.tol}")
     mu = _step_from_json(args.mu)
     defect = denjoy_membership_residual(mu, args.alpha)
     params = harmonic_params(mu)
-    payload = {
+    return {
         "alpha": float(args.alpha),
         "residual": float(defect),
         "residual_exact": str(defect),
@@ -133,7 +132,6 @@ def _cmd_classify(args) -> str:
         "harmonic_alpha": float(params.alpha),
         "harmonic_p": float(params.p),
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _cmd_simulate(args) -> str:
@@ -152,15 +150,14 @@ def _cmd_simulate(args) -> str:
     return report.to_json()
 
 
-def _cmd_qmark(args) -> str:
+def _cmd_qmark(args) -> dict:
     value = question_mark(args.x, args.depth)
-    payload = {
+    return {
         "x": str(args.x),
         "depth": args.depth,
         "dyadic": str(value),
         "decimal": float(value),
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _code_dict(code: LRCode) -> dict:
@@ -175,7 +172,7 @@ def _interval_dict(word: str) -> dict:
     }
 
 
-def _cmd_encode(args) -> str:
+def _cmd_encode(args) -> dict:
     given = [name for name in ("rational", "lr", "cf") if getattr(args, name) is not None]
     if len(given) != 1:
         raise ValueError("pass exactly one of --rational, --lr, --cf")
@@ -201,21 +198,20 @@ def _cmd_encode(args) -> str:
         payload = {"cf": digits, "lr": word}
         if digits:
             payload["value"] = str(cf_value(digits))
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return payload
 
 
-def _cmd_measure(args) -> str:
+def _cmd_measure(args) -> dict:
     params = DenjoyParams(args.alpha, args.p)
     cyl = Cylinder.canonical(parse_word(args.cylinder))
     mass = cylinder_mass(params, cyl)
-    payload = {
+    return {
         "alpha": str(args.alpha),
         "p": str(args.p),
         "cylinder": str(cyl),
         "mass": float(mass),
         "mass_exact": str(mass),
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 # The parameters each example reads, with their defaults.
@@ -226,7 +222,7 @@ _EXAMPLE_FLAGS = {
 }
 
 
-def _cmd_example(args) -> str:
+def _cmd_example(args) -> dict:
     given = {f: getattr(args, f) for f in ("bbar", "bbar2", "t") if getattr(args, f) is not None}
     stray = [f"--{f}" for f in given if f not in _EXAMPLE_FLAGS[args.name]]
     if stray:
@@ -254,7 +250,7 @@ def _cmd_example(args) -> str:
             "seed": cfg.seed,
             **est.as_dict(class_alpha, harmonic_params(step).alpha),
         }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return payload
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -263,6 +259,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Harmonic measures of random walks on the modular group Z2 * Z3",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The Monte Carlo flags of simulate and example --simulate.
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--paths", type=int, default=100_000)
+    sampling.add_argument("--steps", type=int, default=400)
+    sampling.add_argument("--depth", type=int, default=3)
+    sampling.add_argument("--seed", type=int, default=None, help="default: $MODWALK_SEED, else 1")
 
     p = sub.add_parser("solve", help="passage probabilities and harmonic parameters")
     p.add_argument("--mu", required=True, help='step weights, e.g. \'{"a":"1/3","b":"1/3","bb":"1/3"}\'')
@@ -276,12 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("simulate", help="Monte Carlo passage and cylinder estimates")
+    p = sub.add_parser("simulate", parents=[sampling], help="Monte Carlo passage and cylinder estimates")
     p.add_argument("--mu", required=True, help='measure as word weights, e.g. \'{"a":"1/3","ba":"2/3"}\'')
-    p.add_argument("--paths", type=int, default=100_000)
-    p.add_argument("--steps", type=int, default=400)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--seed", type=int, default=None, help="default: $MODWALK_SEED, else 1")
     p.add_argument("--targets", default="", help="comma-separated words")
     p.add_argument("--allow-short-steps", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -304,16 +302,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cylinder", required=True)
     p.set_defaults(handler=_cmd_measure)
 
-    p = sub.add_parser("example", help="compound-walk counterexample reports")
+    p = sub.add_parser("example", parents=[sampling], help="compound-walk counterexample reports")
     p.add_argument("name", choices=("ex0", "ex1", "ex2"))
     p.add_argument("--t", type=_fraction, help="ex0, ex1 (default 1/2)")
     p.add_argument("--bbar", type=_fraction, help="ex1, ex2 (default 1/2)")
     p.add_argument("--bbar2", type=_fraction, help="ex1 (default 1/3)")
     p.add_argument("--simulate", action="store_true")
-    p.add_argument("--paths", type=int, default=100_000)
-    p.add_argument("--steps", type=int, default=400)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(handler=_cmd_example)
 
     return parser
@@ -323,6 +317,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         output = args.handler(args)
+        if not isinstance(output, str):  # a JSON payload
+            output = json.dumps(output, indent=2, sort_keys=True)
     except DegenerateStepError as exc:
         print(f"error: degenerate step distribution: {exc}", file=sys.stderr)
         return 3

@@ -22,7 +22,9 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .boundary import Cylinder, act_on_cylinder, cylinders_up_to_depth
-from .group import GroupMeasure, GroupWord, _integer, _integer_masses, _rational, _require_probability, inverse
+from .group import (
+    GroupMeasure, GroupWord, RationalLike, _integer, _integer_masses, _rational, _require_probability, inverse
+)
 from .mediant import _cf_digits
 
 __all__ = [
@@ -101,8 +103,14 @@ class PiWeights:
 def pi_to_params(w: PiWeights) -> DenjoyParams:
     """The realization problem: the unique measure whose Radon-Nikodym cocycle has
     weights ``w``: ``alpha = y``, ``p = x/(1+x)``.  Its cylinder masses are
-    Kolmogorov-consistent because ``y + ybar = 1``."""
-    return DenjoyParams(w.y, w.x / (1 + w.x))
+    Kolmogorov-consistent because ``y + ybar = 1``.  An integer ``x`` is read
+    exactly, so a rational ``x`` gives a rational ``p``; a float ``x`` whose
+    ``p`` rounds to 1 (from about ``2**53`` up) raises ``ValueError``."""
+    x = Fraction(int(w.x)) if isinstance(w.x, numbers.Integral) else w.x
+    p = x / (1 + x)
+    if p == 1:
+        raise ValueError(f"x = {w.x!r} is too large: p = x/(1 + x) rounds to 1")
+    return DenjoyParams(w.y, p)
 
 
 def _letter_mass(mass: Scalar, alpha: Scalar, letters: str) -> Scalar:
@@ -228,7 +236,7 @@ def hausdorff_constants() -> tuple[float, DenjoyParams]:
     return dimension, DenjoyParams(Fraction(1, 2), 1 / (1 + math.sqrt(2)))
 
 
-def question_mark(x: Union[Fraction, int, str], depth: int = 256) -> Fraction:
+def question_mark(x: RationalLike, depth: int = 256) -> Fraction:
     """Minkowski's question-mark function at a rational of ``[0, 1]``.
 
     Reads binary digits off the right L/R code ``w R L^oo`` of ``x`` (L

@@ -45,7 +45,7 @@ _LETTER_MATRIX: dict[str, Matrix] = {
     "B": (-1, -1, 1, 0),
 }
 
-WeightLike = Union[Fraction, int, str]
+RationalLike = Union[Fraction, int, str]  # what _rational reads
 
 
 def _rational(value: object, name: str, nonnegative: bool = False) -> Fraction:
@@ -235,7 +235,7 @@ class GroupMeasure:
 
     __slots__ = ("_weights",)
 
-    def __init__(self, weights: Mapping[GroupWord, WeightLike]):
+    def __init__(self, weights: Mapping[GroupWord, RationalLike]):
         clean: dict[GroupWord, Fraction] = {}
         for word, mass in weights.items():
             mass = _weight(mass)
@@ -291,7 +291,7 @@ class GroupMeasure:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping[str, WeightLike]) -> "GroupMeasure":
+    def from_json_dict(cls, data: Mapping[str, RationalLike]) -> "GroupMeasure":
         return cls({parse_word(k): v for k, v in data.items()})
 
 

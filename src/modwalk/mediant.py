@@ -21,9 +21,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence
 
-from .group import GroupWord, _rational
+from .group import GroupWord, RationalLike, _rational
 
 __all__ = [
     "ExtRational",
@@ -38,8 +38,6 @@ __all__ = [
     "rational_to_cf",
     "tau_enclosure",
 ]
-
-RationalLike = Union[Fraction, int, str]
 
 
 @functools.total_ordering

@@ -248,9 +248,10 @@ def _step_codes(
     into one reused buffer, so no batch-sized float64 or index array exists,
     and the heap is not cut up by a large buffer per block; each path keeps
     its own stream.  A block (163 paths at 400 steps) fits one core's L2
-    cache with ``_increments``' int16 counts and bool temporaries, so the
-    lookup passes read the uniforms from cache."""
-    out = np.empty((packed.shape[0], steps, count), dtype=np.int8)
+    cache with ``_increments``' counts (one byte each up to 256 atoms) and
+    bool temporaries, so the lookup passes read the uniforms from cache.
+    The codes are uint8, as ``_phase_codes`` packs them."""
+    out = np.empty((packed.shape[0], steps, count), dtype=np.uint8)
     block = max(1, BLOCK_BYTES // (8 * steps))
     u = np.empty((min(block, count), steps), dtype=np.float64)
     for lo in range(0, count, block):
@@ -266,8 +267,10 @@ def _increments(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     comparison pass per weight.  The cost grows linearly with the atoms: on
     ``BLOCK_BYTES`` blocks (2-vCPU x86-64 host) the passes beat the binary
     search about 8x at 12 atoms, break even between about 200 and 290 and
-    lose above; the bench, demo and example walks have at most 12 atoms."""
-    out = np.zeros(u.shape, dtype=np.int16)
+    lose above; the bench, demo and example walks have at most 12 atoms.
+    The counts are of the smallest unsigned type that holds the last atom
+    index, so up to 256 atoms count in uint8."""
+    out = np.zeros(u.shape, dtype=np.min_scalar_type(len(cum) - 1))
     for edge in cum[:-1]:  # u < 1.0 == cum[-1] always
         out += u >= edge
     return out
@@ -311,7 +314,7 @@ def _phase_codes(words):
     as the register holds it; slot ``s`` is byte ``s // 4`` at bits
     ``2 (s % 4)`` of column ``i`` for atom ``i``.
 
-    Returns the int8 ``(bytes, atoms)`` table and the ``(slot, is A-phase)``
+    Returns the uint8 ``(bytes, atoms)`` table and the ``(slot, is A-phase)``
     pairs in time order, without A-phases that no atom has.
     """
     n = _nmax(words)
@@ -331,7 +334,7 @@ def _phase_codes(words):
         for s in [2 * n, *range(2 * n)]
         if used[s // 4] >> 2 * (s % 4) & 3
     ]
-    return packed.view(np.int8), phases
+    return packed, phases
 
 
 def _evolve(codes, phases, targets, cells):
@@ -375,7 +378,6 @@ def _evolve(codes, phases, targets, cells):
     ``visited[i, k]`` says whether it sat on target ``k`` after some step.
     """
     _, steps, B = codes.shape
-    codes = codes.view(np.uint8)
     n = sum(not a_phase for _, a_phase in phases)  # cells a step can push
     full = (steps * n + 1) | 1
     longest = max((tgt.size - 1 for tgt in targets), default=0)
@@ -614,11 +616,11 @@ def simulate(
     reach the depth: the support has no 'a', or only ``""`` and ``"a"`` with
     ``cfg.depth >= 2``.
 
-    The tally adds each leaf's count to its prefixes in one scan and builds
-    one ``Cylinder`` per distinct prefix from the readout's strings, without
-    parsing them again.  The report itself still holds up to about
-    ``paths * depth`` cylinders when most paths have their own
-    depth-``depth`` leaf.
+    The tally adds each batch's leaf counts straight to their prefixes, in
+    the order the leaves are read, and builds one ``Cylinder`` per distinct
+    prefix from the readout's strings, without parsing them again.  The
+    report itself still holds up to about ``paths * depth`` cylinders when
+    most paths have their own depth-``depth`` leaf.
     """
     targets = sorted(set(targets), key=GroupWord.sort_key)
     table = _support_table(mu)
@@ -651,13 +653,20 @@ def simulate(
         ]
         return visited.sum(axis=0), leaves, int(W.shape[0] - resolved_mask.sum())
 
+    # A leaf ends at its depth-th 'a', and the cylinder at depth j is the
+    # prefix ending at its j-th 'a': letter 2j, or 2j - 1 after a leading
+    # 'a', since reduced words alternate 'a' with 'b'/'B'.  Each prefix is
+    # a valid cylinder, so it is built once without a second parse.
     visit_counts = np.zeros(len(targets), dtype=np.int64)
-    leaf_counts: dict[str, int] = {}
+    prefix_counts: dict[str, int] = {}
     unresolved = 0
     for visits, leaves, short in _batches(table, cfg, [_stack(t) for t in targets], read):
         visit_counts += visits
-        for key, n in leaves:
-            leaf_counts[key] = leaf_counts.get(key, 0) + n
+        for leaf, n in leaves:
+            first = leaf[0] == "a"
+            for end in range(2 - first, 2 * d + 1 - first, 2):
+                prefix = leaf[:end]
+                prefix_counts[prefix] = prefix_counts.get(prefix, 0) + n
         unresolved += short
 
     if unresolved > max_unresolved_fraction * cfg.paths:
@@ -666,17 +675,6 @@ def simulate(
             " raise steps or lower depth"
         )
     resolved = cfg.paths - unresolved
-
-    # A leaf ends at its depth-th 'a', and the cylinder at depth j is the
-    # prefix ending at its j-th 'a': letter 2j, or 2j - 1 after a leading
-    # 'a', since reduced words alternate 'a' with 'b'/'B'.  Each prefix is
-    # a valid cylinder, so it is built once without a second parse.
-    prefix_counts: dict[str, int] = {}
-    for leaf, n in leaf_counts.items():
-        first = leaf[0] == "a"
-        for end in range(2 - first, 2 * d + 1 - first, 2):
-            prefix = leaf[:end]
-            prefix_counts[prefix] = prefix_counts.get(prefix, 0) + n
     cylinders = [Cylinder._unchecked(prefix) for prefix in prefix_counts]
     return SimReport(
         cylinder_freq=dict(zip(cylinders, _binomial(list(prefix_counts.values()), resolved))),

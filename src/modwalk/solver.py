@@ -29,11 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isqrt
 from numbers import Integral
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .denjoy import DenjoyParams, PiWeights, Scalar, _check_open_unit, _real_between, pi_to_params
 from .group import (
     GroupMeasure,
+    RationalLike,
     _integer_masses,
     _provably_degenerate,
     _rational,
@@ -86,8 +87,6 @@ class NoRootInCube(SolverContradictionError):
 # JSON field names for the five step weights, in order (bb = B, bba = Ba).
 S_KEYS = ("a", "b", "bb", "ba", "bba")
 S_WORDS = tuple(parse_word(w) for w in ("a", "b", "B", "ba", "Ba"))
-
-RationalLike = Union[Fraction, int, str]
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,12 +153,6 @@ class StepOnS:
         return cls(*(data.get(k, 0) for k in S_KEYS))
 
 
-def _integer_weights(mu: StepOnS) -> tuple[int, ...]:
-    """``D``, the lcm of the weight denominators, then the five weights times
-    ``D``: integers that sum to ``D``."""
-    return _integer_masses(mu.as_tuple())
-
-
 def _y_equation_integers(weights: tuple[int, ...]) -> tuple[int, int, int]:
     """``D^2`` times the coefficients of the quadratic ``A t^2 + B t + C`` in ``y``."""
     # The membership relation reads (a1 t + a0)(b1 t + b0) = (c1 t + c0)(d1 t + d0)
@@ -184,7 +177,7 @@ def denjoy_membership_residual(mu: StepOnS, alpha: Scalar) -> Scalar:
     parameter ``alpha``; exact rational for rational ``alpha``.
     """
     _check_open_unit(alpha, "alpha")
-    weights = _integer_weights(mu)
+    weights = _integer_masses(mu.as_tuple())
     A, B, C = _y_equation_integers(weights)
     return ((A * alpha + B) * alpha + C) / weights[0] ** 2
 
@@ -253,7 +246,7 @@ def _residual_numerators(
 ) -> tuple[int, int, int]:
     """``D M N`` times the signed residuals (right side minus left side) of the three
     stationarity equations at ``x = X/N``, ``y = Y/M``, ``ybar = 1 - y``; ``weights``
-    as ``_integer_weights`` gives them."""
+    as ``_integer_masses(mu.as_tuple())`` gives them."""
     D, af, bf, bb, bp, bbp = weights
     Yb, MN = M - Y, M * N  # ybar = Yb / M
     return (
@@ -283,7 +276,7 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PiWeights:
     """
     if not _real_between(tol, inf):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
-    weights = _integer_weights(mu)
+    weights = _integer_masses(mu.as_tuple())
     A, B, C = _y_equation_integers(weights)
     if not C < 0 < A + B + C:  # D^2 f(0) and D^2 f(1)
         raise NoRootInCube(
@@ -311,7 +304,7 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PiWeights:
 def residual(mu: StepOnS, t: PiWeights) -> tuple[Fraction, Fraction, Fraction]:
     """Signed residuals (right side minus left side) of the three stationarity
     equations, exact; a float weight counts at its binary value."""
-    weights = _integer_weights(mu)
+    weights = _integer_masses(mu.as_tuple())
     X, N = Fraction(t.x).as_integer_ratio()
     Y, M = Fraction(t.y).as_integer_ratio()
     DMN = weights[0] * M * N

@@ -35,7 +35,8 @@ from modwalk import (
     residual,
     solve_master,
 )
-from modwalk.solver import _integer_weights, _y_equation_integers
+from modwalk.group import _integer_masses
+from modwalk.solver import _y_equation_integers
 
 from helpers import random_step
 
@@ -329,7 +330,7 @@ class TestSolver:
         branches = set()
         for mu in criterion_01_walks():
             A, B, C = reference_y_equation_coefficients(mu)
-            weights = _integer_weights(mu)
+            weights = _integer_masses(mu.as_tuple())
             D = weights[0]
             assert tuple(Fraction(c, D * D) for c in _y_equation_integers(weights)) == (A, B, C), mu
             branches.add((reference_branch(mu), A > 0))

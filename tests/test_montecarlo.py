@@ -180,7 +180,7 @@ class TestBatchLayout:
         ).T  # the step-major layout the kernel used to gather from
         monkeypatch.setattr(montecarlo, "BLOCK_BYTES", block_bytes)
         codes = montecarlo._step_codes(cum, packed, seed, start, count, steps)
-        assert codes.dtype == np.int8
+        assert codes.dtype == np.uint8
         assert np.array_equal(codes, packed[:, increments])
 
     @pytest.mark.parametrize("word, nmax", [("ba", 1), ("baBa", 2)])
@@ -234,17 +234,22 @@ class TestBatchLayout:
         with pytest.raises(UnresolvedPathsError):
             estimate_alpha(SYMMETRIC_NN, cfg)
 
-    @pytest.mark.parametrize("atoms", [1, 3, 9, 64, 65, 192, 193, 400, 1000])
+    @pytest.mark.parametrize("atoms", [1, 3, 9, 64, 65, 192, 193, 256, 257, 400, 1000, 40_000])
     def test_increments_match_searchsorted(self, atoms):
-        # 400 and 1,000 atoms lie past the passes' break-even with a binary search.
+        # 400 and 1,000 atoms lie past the passes' break-even with a binary
+        # search; 40,000 overflow a signed 16-bit count.
         rng = np.random.default_rng(atoms)
         cum = np.cumsum(rng.random(atoms))
         cum /= cum[-1]
         cum[-1] = 1.0
         u = rng.random((30, 80))
-        u.flat[: atoms - 1] = cum[:-1]  # a uniform on an edge belongs to the next atom
+        # A uniform on an edge belongs to the next atom.  Edges fill at most
+        # half of u, so random uniforms still reach the last atoms.
+        edges = min(atoms - 1, u.size // 2)
+        u.flat[:edges] = cum[:edges]
         got = montecarlo._increments(cum, u)
-        assert got.dtype == np.int16
+        # the smallest unsigned type that holds the last atom index
+        assert got.dtype == (np.uint8 if atoms <= 256 else np.uint16)
         assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
 
     def test_batch_size_bounds_memory(self, monkeypatch):
@@ -620,9 +625,17 @@ class TestLetterTest:
         monkeypatch.setattr(montecarlo, "BATCH_PATHS", 7)
         assert estimate_alpha(mu, cfg) == full
 
-    def test_matches_per_path_reference(self):
-        mu = ex1_fixture().combination.to_group_measure()
-        cfg = SimConfig(paths=60, steps=200, seed=8, depth=5)
+    @pytest.mark.parametrize("words, cfg", [
+        (None, SimConfig(paths=60, steps=200, seed=8, depth=5)),
+        (_reduced_words(40_000), SimConfig(paths=8, steps=120, seed=3, depth=1)),
+    ], ids=["ex1", "40000-atoms"])
+    def test_matches_per_path_reference(self, words, cfg):
+        # RNG contract v1; the uniform walk's 40,000 atoms overflow a signed
+        # 16-bit atom count.
+        if words is None:
+            mu = ex1_fixture().combination.to_group_measure()
+        else:
+            mu = GroupMeasure.uniform(parse_word(w) for w in words)
         b_total = resolved = 0
         for i in range(cfg.paths):
             word, _ = sample_path(mu, cfg.steps, _path_generator(cfg.seed, i))

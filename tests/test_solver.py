@@ -23,11 +23,10 @@ from modwalk import (
     residual,
     solve_master,
 )
-from modwalk.group import _provably_degenerate
+from modwalk.group import _integer_masses, _provably_degenerate
 from modwalk.solver import (
     S_WORDS,
     _hyperbola_equation,
-    _integer_weights,
     _y_equation_integers,
 )
 
@@ -192,7 +191,7 @@ class TestMasterSystem:
         grid = np.linspace(0.0, 1.0, 10_001)
         for _ in range(1000):
             mu = random_step(rng)
-            weights = _integer_weights(mu)
+            weights = _integer_masses(mu.as_tuple())
             A, B, C = (c / weights[0] ** 2 for c in _y_equation_integers(weights))
             values = (A * grid + B) * grid + C
             signs = np.sign(values[values != 0.0])
@@ -203,7 +202,7 @@ class TestMasterSystem:
         # number of roots in (0, 1), so exactly one.
         rng = random.Random(113)
         for _ in range(200):
-            A, B, C = _y_equation_integers(_integer_weights(random_step(rng)))
+            A, B, C = _y_equation_integers(_integer_masses(random_step(rng).as_tuple()))
             assert C < 0 < A + B + C
 
 
@@ -222,7 +221,7 @@ class TestNearestNeighbour:
     def test_half_half_hand_values(self):
         # the y-quadratic is a multiple of y^2 + 3y - 2, so alpha = (sqrt(17) - 3) / 2
         mu = nn_walk(Fraction(1, 2), Fraction(1, 2), Fraction(0))
-        A, B, C = _y_equation_integers(_integer_weights(mu))
+        A, B, C = _y_equation_integers(_integer_masses(mu.as_tuple()))
         assert (B, C) == (3 * A, -2 * A)
         t = solve_master(mu)
         assert float(t.y) == pytest.approx((math.sqrt(17) - 3) / 2, abs=1e-15)

@@ -28,6 +28,7 @@ from modwalk import (
     letter_test_power,
     lr_to_interval,
     parse_word,
+    pi_to_params,
     question_mark,
     rational_to_cf,
     rational_to_lr,
@@ -324,3 +325,25 @@ REFUSALS = {
 @pytest.mark.parametrize("value", VALUES)
 def test_acceptance_and_refusal_are_pinned(entry, value):
     assert outcome(ENTRY_POINTS[entry], VALUES[value]) == REFUSALS[entry].get(value, "ok")
+
+
+@pytest.mark.parametrize("x, p", [
+    (3, Fraction(3, 4)),
+    (np.int64(3), Fraction(3, 4)),
+    (2**80, Fraction(2**80, 2**80 + 1)),
+    (Fraction(3, 2), Fraction(3, 5)),
+])
+def test_pi_to_params_reads_an_integer_x_exactly(x, p):
+    # rational inputs give rational outputs
+    got = pi_to_params(PiWeights(x, HALF)).p
+    assert type(got) is Fraction and got == p
+
+
+def test_pi_to_params_refuses_a_float_x_whose_p_rounds_to_1():
+    # p = x/(1 + x) is 1.0 in floating point from about 2**53 up; the refusal
+    # names x, not p
+    for x in (2.0**53, 1e17, 1e308, np.float64(1e17)):
+        assert outcome(lambda v: pi_to_params(PiWeights(v, HALF)), x) == (
+            f"ValueError: x = {x!r} is too large: p = x/(1 + x) rounds to 1"
+        )
+    assert pi_to_params(PiWeights(2.0**52, HALF)).p == 1 - 2.0**-52
