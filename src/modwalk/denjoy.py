@@ -204,10 +204,27 @@ def check_stationarity(d: DenjoyParams, mu: GroupMeasure, depth: int = 8) -> flo
     Exact, float params taken at their binary values: with ``alpha = n/q``, ``p = pn/pq``
     and ``W`` the lcm of the weight denominators, each residual is one integer over
     ``W pq q^K`` (``K`` the most ``b``/``B`` letters in a piece).  Cylinders with equal
-    rows (``_distinct_rows``: 108 of 765 at depth 8 on the support ``{a, b, B, ba, Ba}``)
-    have equal residuals, so each row is summed once, and only the largest numerator is
-    divided: rounding is monotone, so that is the largest rounded residual.  Each distinct
-    monomial's mass is one product from the power tables ``n^i``, ``(q-n)^j``, ``q^k``."""
+    rows (``_distinct_rows``) have equal residuals, so each row is summed once, and only
+    the largest numerator is divided: rounding is monotone, so that is the largest
+    rounded residual.  Each distinct monomial's mass is one product from the power
+    tables ``n^i``, ``(q-n)^j``, ``q^k``.
+
+    Rows are built only to depth ``min(depth, D)``, ``D = L // 2 + 2`` for ``L`` the
+    letters of the longest support word (18 rows at depth 3 on ``{a, b, B, ba, Ba}``,
+    against 108 at depth 8), because the value at every depth ``>= D`` is the value
+    at ``D``:
+
+    - A depth-``k`` prefix has ``2k - 1`` letters (``a`` first) or ``2k``.  At
+      ``k >= D`` that is at least ``L + 2``, so ``act_on_cylinder(h^-1, C)`` returns
+      one piece for every support word ``h``.
+    - ``reduce_concat`` rewrites only the first ``|h| + 1`` letters of the prefix, and
+      a cylinder's mass is a product over its letters.  So ``nu(h^-1 C) / nu(C)``
+      equals the same ratio on ``C``'s depth-``D`` ancestor ``A``.
+    - Hence ``residual(C) = (nu(C) / nu(A)) residual(A)``, and
+      ``|residual(C)| <= |residual(A)|``: no cylinder deeper than ``D`` raises the max.
+
+    The max is then the same rational at every depth ``>= D``; ``K`` may differ, but
+    ``int / int`` is correctly rounded, so it is the same float too."""
     depth = _integer(depth, "depth")
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -217,7 +234,8 @@ def check_stationarity(d: DenjoyParams, mu: GroupMeasure, depth: int = 8) -> flo
     weights = sorted((h.letters, w) for h, w in mu.weights.items())
     W, *scaled = _integer_masses(w for _, w in weights)
     factors = (-W, *scaled)  # table 0 holds nu(C)
-    monomials, K, terms, rows = _distinct_rows(tuple(h for h, _ in weights), depth)
+    support = tuple(h for h, _ in weights)
+    monomials, K, terms, rows = _distinct_rows(support, min(depth, max(map(len, support)) // 2 + 2))
     nb, nB, nq = (list(itertools.accumulate([r] * K, operator.mul, initial=1)) for r in (n, q - n, q))
     mass = [(pn if first else pq - pn) * nb[i] * nB[j] * nq[K - i - j] for first, i, j in monomials]
     values = [factors[t] * mass[m] for t, m in terms]

@@ -164,8 +164,9 @@ class SimReport:
 def _support_table(mu: GroupMeasure):
     """The support words in sort order and their cumulative weights."""
     _require_probability(mu, "mu")
-    words = sorted(mu.support(), key=GroupWord.sort_key)
-    cum = np.cumsum(np.array([float(mu(w)) for w in words], dtype=np.float64))
+    atoms = sorted(mu.weights.items(), key=lambda atom: atom[0].sort_key())
+    words = [w for w, _ in atoms]
+    cum = np.cumsum(np.array([float(m) for _, m in atoms], dtype=np.float64))
     cum[-1] = 1.0  # guard float rounding of the total mass
     return words, cum
 

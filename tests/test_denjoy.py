@@ -39,11 +39,11 @@ from helpers import (
 )
 
 
-def _check_stationarity_reference(d, mu, depth):
+def _reference_residuals(d, mu, depth):
     # The per-cylinder Fraction loop that check_stationarity used before its
     # cached integer form: one act_on_cylinder and one cylinder_mass per piece.
+    # Yields each cylinder's rounded residual, level by level.
     pulled_by = {h: inverse(h) for h in mu.support()}
-    worst = 0.0
     for c in cylinders_up_to_depth(depth):
         expected = cylinder_mass(d, c)
         convolved = 0
@@ -51,8 +51,18 @@ def _check_stationarity_reference(d, mu, depth):
             pulled = act_on_cylinder(pulled_by[h], c)
             for piece in pulled:
                 convolved = convolved + weight * cylinder_mass(d, piece)
-        worst = max(worst, abs(float(expected - convolved)))
-    return worst
+        yield abs(float(expected - convolved))
+
+
+def _check_stationarity_reference(d, mu, depth):
+    return max(_reference_residuals(d, mu, depth))
+
+
+def _reference_at_each_depth(d, mu, depth):
+    """``_check_stationarity_reference`` at depths 1 to ``depth`` from one pass:
+    the first ``3 (2^k - 1)`` cylinders are those of depth at most ``k``."""
+    residuals = list(_reference_residuals(d, mu, depth))
+    return [max(residuals[: 3 * (2**k - 1)]) for k in range(1, depth + 1)]
 
 
 class TestParameterizations:
@@ -344,6 +354,84 @@ class TestDistinctRows:
 
     def test_row_cache_is_bounded(self):
         assert denjoy._distinct_rows.cache_info().maxsize is not None
+
+
+def _capped_walks():
+    """``_walks()``, two supports whose longest word has 4 letters, and three seeded
+    random supports of four words, one of 4 letters and three of 1 to 4.
+    Outside ``S`` there is no solver, so those take ``(1/2, 1/2)`` and params off it.
+    On ``late`` the value still grows from depth 2 to 3."""
+    walks = _walks()
+    half = DenjoyParams(Fraction(1, 2), Fraction(1, 2))
+    four = GroupMeasure.uniform(parse_word(w) for w in ("a", "b", "B", "baba"))
+    walks["four-letter"] = (four, (half, DenjoyParams(Fraction(2, 7), Fraction(3, 11))))
+    late = GroupMeasure.uniform(parse_word(w) for w in ("a", "b", "aBab"))
+    walks["late"] = (late, (half, DenjoyParams(Fraction(1, 10), Fraction(49, 50))))
+    rng = random.Random(26)
+    for k in range(3):
+        words = set()
+        while len(words) < 4:
+            w = random_word(rng, 6)
+            if len(w) == 4 or words and 0 < len(w) < 4:
+                words.add(w)
+        weights = {w: rng.randint(1, 5) for w in words}
+        total = sum(weights.values())
+        mu = GroupMeasure({w: Fraction(m, total) for w, m in weights.items()})
+        walks[f"random-{k}"] = (mu, (half, DenjoyParams(random_rational(rng, 20), random_rational(rng, 20))))
+    return walks
+
+
+def _cap(mu):
+    """The depth ``D = L // 2 + 2`` at which ``check_stationarity`` stops building rows."""
+    return max(len(h) for h in mu.support()) // 2 + 2
+
+
+class TestDepthCap:
+    @pytest.mark.parametrize("name", [
+        "S", "lazy", "nine-atom", "outside", "four-letter", "late", "random-0", "random-1", "random-2",
+    ])
+    def test_matches_reference_at_every_depth_to_8(self, name):
+        mu, params = _capped_walks()[name]
+        for d in params:
+            expected = _reference_at_each_depth(d, mu, 8)
+            assert [check_stationarity(d, mu, depth) for depth in range(1, 9)] == expected
+            # from depth D on, the value no longer changes
+            assert len(set(expected[_cap(mu) - 1 :])) == 1
+
+    def test_longer_supports_have_four_letter_words(self):
+        walks = _capped_walks()
+        for name in ("four-letter", "late", "random-0", "random-1", "random-2"):
+            assert max(len(h) for h in walks[name][0].support()) == 4
+            assert _cap(walks[name][0]) == 4
+        late, (_, off) = walks["late"]
+        assert check_stationarity(off, late, 2) < check_stationarity(off, late, 3)
+
+    @pytest.mark.parametrize("name", ["S", "lazy", "four-letter"])
+    def test_rows_are_built_only_to_depth_D(self, name):
+        mu, (d, _) = _capped_walks()[name]
+        D = _cap(mu)
+        support = ("", *sorted(h.letters for h in mu.support()))
+        denjoy._distinct_rows.cache_clear()
+        denjoy._pullback_monomials.cache_clear()
+        for depth in range(D, 9):
+            check_stationarity(d, mu, depth)
+        assert denjoy._distinct_rows.cache_info().currsize == 1
+        # one table per word (the identity's twice for a lazy walk), each at depth D
+        cold = denjoy._pullback_monomials.cache_info()
+        assert cold.currsize == len(set(support))
+        for h in support:
+            denjoy._pullback_monomials(h, D)
+        warm = denjoy._pullback_monomials.cache_info()
+        assert (warm.hits - cold.hits, warm.misses, warm.currsize) == (len(support), cold.misses, cold.currsize)
+
+    @pytest.mark.parametrize("name, counts", [
+        ("S", [3, 9, 18]), ("outside", [3, 9, 20]), ("nine-atom", [3, 9, 19]),
+    ])
+    def test_row_counts_to_depth_D(self, name, counts):
+        mu, _ = _walks()[name]
+        assert _cap(mu) == 3
+        support = tuple(sorted(h.letters for h in mu.support()))
+        assert [len(denjoy._distinct_rows(support, depth)[3]) for depth in (1, 2, 3)] == counts
 
 
 class TestHausdorff:
