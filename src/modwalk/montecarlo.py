@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .boundary import Cylinder
-from .denjoy import DenjoyParams, _check_open_unit, cylinder_mass
+from .denjoy import DenjoyParams, _check_open_unit, _real_between, cylinder_mass
 from .group import (
     IDENTITY,
     GroupMeasure,
@@ -111,7 +111,7 @@ class SimConfig:
             warnings.warn(
                 f"steps={self.steps} below the policy floor {floor}; truncation bias"
                 " may not be negligible",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass's generated __init__
             )
 
 
@@ -243,37 +243,35 @@ def _step_codes(
     cum: np.ndarray, packed: np.ndarray, seed: int, start: int, count: int, steps: int
 ) -> np.ndarray:
     """Phase codes (``packed``, from ``_phase_codes``) of the increments of
-    paths ``start`` to ``start + count - 1`` as a step-major
-    ``(code bytes, steps, count)`` array.  Uniforms are drawn, counted and
-    looked up in blocks of at most ``BLOCK_BYTES`` (and at least one path)
-    into one reused buffer, so no batch-sized float64 or index array exists,
+    paths ``start`` to ``start + count - 1`` as a step-major uint8
+    ``(code bytes, steps, count)`` array.  Uniforms are drawn and turned into
+    codes (``_lookup``) in blocks of at most ``BLOCK_BYTES`` (and at least
+    one path) into one reused buffer, so no batch-sized float64 array exists,
     and the heap is not cut up by a large buffer per block; each path keeps
     its own stream.  A block (163 paths at 400 steps) fits one core's L2
-    cache with ``_increments``' counts (one byte each up to 256 atoms) and
-    bool temporaries, so the lookup passes read the uniforms from cache.
-    The codes are uint8, as ``_phase_codes`` packs them."""
+    cache with the lookup's uint8 temporaries, so its passes read the
+    uniforms from cache."""
     out = np.empty((packed.shape[0], steps, count), dtype=np.uint8)
     block = max(1, BLOCK_BYTES // (8 * steps))
     u = np.empty((min(block, count), steps), dtype=np.float64)
     for lo in range(0, count, block):
         hi = min(lo + block, count)
         block_u = _batch_uniforms(seed, start + lo, hi - lo, steps, u[: hi - lo])
-        out[:, :, lo:hi] = np.take(packed, _increments(cum, block_u), axis=1).transpose(0, 2, 1)
+        out[:, :, lo:hi] = _lookup(cum, packed, block_u).transpose(0, 2, 1)
     return out
 
 
-def _increments(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Atom index of each uniform: how many cumulative weights lie at or
-    below it, as ``searchsorted(cum, u, side="right")`` counts, by one
-    comparison pass per weight.  The cost grows linearly with the atoms: on
-    ``BLOCK_BYTES`` blocks (2-vCPU x86-64 host) the passes beat the binary
-    search about 8x at 12 atoms, break even between about 200 and 290 and
-    lose above; the bench, demo and example walks have at most 12 atoms.
-    The counts are of the smallest unsigned type that holds the last atom
-    index, so up to 256 atoms count in uint8."""
-    out = np.zeros(u.shape, dtype=np.min_scalar_type(len(cum) - 1))
-    for edge in cum[:-1]:  # u < 1.0 == cum[-1] always
-        out += u >= edge
+def _lookup(cum: np.ndarray, packed: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``packed[:, searchsorted(cum, u, side="right")]`` without an atom
+    index: each code byte starts at the first atom's and, for each
+    cumulative weight a uniform reaches, adds the uint8 rise to the next
+    atom's.  The rises wrap mod 256, so the sum telescopes to the atom's
+    byte at any atom count.  One pass per weight covers all code bytes; the
+    cost is linear in the atoms, and no workload has more than 12."""
+    out = np.empty((packed.shape[0], *u.shape), dtype=np.uint8)
+    out[...] = packed[:, :1, None]
+    for edge, rise in zip(cum[:-1], np.diff(packed, axis=1).T):  # u < 1.0 == cum[-1]
+        out += (u >= edge).view(np.uint8) * rise[:, None, None]
     return out
 
 
@@ -615,7 +613,8 @@ def simulate(
     ``max_unresolved_fraction`` raises :class:`UnresolvedPathsError`.  Below
     a fraction of 1 it is raised before any path is drawn when no path can
     reach the depth: the support has no 'a', or only ``""`` and ``"a"`` with
-    ``cfg.depth >= 2``.
+    ``cfg.depth >= 2``.  ``max_unresolved_fraction`` must be a real number
+    in ``[0, 1]``; booleans, strings and NaN raise ``ValueError``.
 
     The tally adds each batch's leaf counts straight to their prefixes, in
     the order the leaves are read, and builds one ``Cylinder`` per distinct
@@ -623,6 +622,9 @@ def simulate(
     report itself still holds up to about ``paths * depth`` cylinders when
     most paths have their own depth-``depth`` leaf.
     """
+    f = max_unresolved_fraction
+    if _real_between(f, 1) is None or not 0 <= f <= 1:
+        raise ValueError(f"max_unresolved_fraction must be a real number in [0, 1], got {f!r}")
     targets = sorted(set(targets), key=GroupWord.sort_key)
     table = _support_table(mu)
     degenerate = _warn_if_degenerate(table[0])

@@ -315,13 +315,6 @@ def _walks():
 
 
 class TestDistinctRows:
-    @pytest.mark.parametrize("name", ["S", "lazy", "nine-atom", "outside"])
-    def test_matches_reference_to_depth_6(self, name):
-        mu, params = _walks()[name]
-        for d in params:
-            for depth in range(1, 7):
-                assert check_stationarity(d, mu, depth) == _check_stationarity_reference(d, mu, depth)
-
     def test_matches_reference_at_depth_8_cold_and_warm(self):
         # float params are taken at their binary values, so the reference
         # run on those values as Fractions gives the same float

@@ -7,7 +7,8 @@ the ``b``/``B`` letters of each word on a stack and read cylinders off the
 first ``d + 1`` cells only.  They keep that batch's input formats: a
 ``-1``-padded letter table of the support and the targets as one flat code
 array with offsets.  The words the stacks spell, their lengths, target
-visits and leaf counts must be equal to theirs.
+visits and leaf counts must be equal to theirs.  The references take each
+uniform's atom from ``np.searchsorted``, not from the simulator's lookup.
 """
 
 import itertools
@@ -88,7 +89,7 @@ def reference_run(mu, cfg, targets, batch_paths):
         count = min(batch_paths, cfg.paths - start)
         u = montecarlo._batch_uniforms(cfg.seed, start, count, cfg.steps)
         W, L, visited = reference_evolve(
-            montecarlo._increments(cum, u), table, width, tgt_flat, tgt_off
+            np.searchsorted(cum, u, side="right"), table, width, tgt_flat, tgt_off
         )
         for j, t in enumerate(targets):
             if t.is_identity():
@@ -157,7 +158,8 @@ def test_kernel_matches_reference(name):
     words, cum = montecarlo._support_table(mu)
     table = reference_table(words)
     steps, paths = 150, 97
-    increments = montecarlo._increments(cum, montecarlo._batch_uniforms(3, 11, paths, steps))
+    u = montecarlo._batch_uniforms(3, 11, paths, steps)
+    increments = np.searchsorted(cum, u, side="right")
     width = steps * table.shape[1] + 2
     W0, L0, v0 = reference_evolve(increments, table, width, *reference_targets(TARGETS))
     # the step-major phase codes that _step_codes draws
@@ -192,7 +194,8 @@ def test_targets_told_apart_by_lower_cells(name):
     codes = montecarlo._step_codes(cum, packed, seed, 0, paths, steps)
     _, _, visited = montecarlo._evolve(codes, phases, [montecarlo._stack(t) for t in TWINS], 1)
     # "" counts revisits of the identity after step 0, as the reference does
-    increments = montecarlo._increments(cum, montecarlo._batch_uniforms(seed, 0, paths, steps))
+    u = montecarlo._batch_uniforms(seed, 0, paths, steps)
+    increments = np.searchsorted(cum, u, side="right")
     table = reference_table(words)
     width = steps * table.shape[1] + 2
     _, _, v0 = reference_evolve(increments, table, width, *reference_targets(TWINS))

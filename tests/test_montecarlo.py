@@ -59,6 +59,11 @@ class TestConfig:
         with pytest.warns(UserWarning):
             SimConfig(paths=10, steps=100, seed=0, depth=3, allow_short_steps=True)
 
+    def test_short_steps_warning_names_the_caller(self):
+        with pytest.warns(UserWarning, match="floor") as records:
+            SimConfig(paths=10, steps=100, seed=0, depth=3, allow_short_steps=True)
+        assert records[0].filename == __file__
+
     def test_bounds(self):
         with pytest.raises(ValueError):
             SimConfig(paths=0, steps=200, seed=0, depth=1)
@@ -175,9 +180,9 @@ class TestBatchLayout:
         assert cum.size == len(support) == len(words)
         packed, _ = montecarlo._phase_codes(support)
         seed, start, count, steps = 4, 29, 70, 45
-        increments = montecarlo._increments(
-            cum, montecarlo._batch_uniforms(seed, start, count, steps)
-        ).T  # the step-major layout the kernel used to gather from
+        increments = np.searchsorted(
+            cum, montecarlo._batch_uniforms(seed, start, count, steps), side="right"
+        ).T  # step-major, as the kernel reads the codes
         monkeypatch.setattr(montecarlo, "BLOCK_BYTES", block_bytes)
         codes = montecarlo._step_codes(cum, packed, seed, start, count, steps)
         assert codes.dtype == np.uint8
@@ -235,9 +240,9 @@ class TestBatchLayout:
             estimate_alpha(SYMMETRIC_NN, cfg)
 
     @pytest.mark.parametrize("atoms", [1, 3, 9, 64, 65, 192, 193, 256, 257, 400, 1000, 40_000])
-    def test_increments_match_searchsorted(self, atoms):
-        # 400 and 1,000 atoms lie past the passes' break-even with a binary
-        # search; 40,000 overflow a signed 16-bit count.
+    def test_lookup_matches_searchsorted(self, atoms):
+        # 256 and 257 atoms straddle a one-byte atom index, and 40,000
+        # overflow a signed 16-bit one; the lookup keeps no index at all.
         rng = np.random.default_rng(atoms)
         cum = np.cumsum(rng.random(atoms))
         cum /= cum[-1]
@@ -247,10 +252,11 @@ class TestBatchLayout:
         # half of u, so random uniforms still reach the last atoms.
         edges = min(atoms - 1, u.size // 2)
         u.flat[:edges] = cum[:edges]
-        got = montecarlo._increments(cum, u)
-        # the smallest unsigned type that holds the last atom index
-        assert got.dtype == (np.uint8 if atoms <= 256 else np.uint16)
-        assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
+        # three code bytes of any values: the rises between atoms wrap mod 256
+        packed = rng.integers(0, 256, (3, atoms), dtype=np.uint8)
+        got = montecarlo._lookup(cum, packed, u)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, packed[:, np.searchsorted(cum, u, side="right")])
 
     def test_batch_size_bounds_memory(self, monkeypatch):
         # Sizing arithmetic only: nothing of this size is allocated.
@@ -307,6 +313,25 @@ class TestBatchLayout:
         assert sizes == block_sizes
         assert estimate_alpha(mu, cfg) == alpha
 
+    @pytest.mark.parametrize("words, code_bytes", [
+        (("a", "b", "baBa", "Bab", "aBaBa"), 2),
+        (("a", "b", "bababab", "BaBaBaB"), 3),
+    ], ids=["two-code-bytes", "three-code-bytes"])
+    def test_multi_byte_codes_keep_the_rng_contract(self, monkeypatch, words, code_bytes):
+        # Each lookup pass adds the rises of every code byte at once.
+        mu = GroupMeasure.uniform(parse_word(w) for w in words)
+        packed, _ = montecarlo._phase_codes(montecarlo._support_table(mu)[0])
+        assert packed.shape[0] == code_bytes
+        cfg = SimConfig(paths=300, steps=200, seed=13, depth=5)
+        targets = [parse_word("a"), parse_word("ba")]
+        runs, default = [], montecarlo.BLOCK_BYTES
+        for batch_paths in (16384, 97):
+            for block_bytes in (default, 1):
+                monkeypatch.setattr(montecarlo, "BATCH_PATHS", batch_paths)
+                monkeypatch.setattr(montecarlo, "BLOCK_BYTES", block_bytes)
+                runs.append((simulate(mu, cfg, targets).to_json(), estimate_alpha(mu, cfg)))
+        assert runs[1:] == runs[:1] * 3
+
     @pytest.mark.parametrize("words", [
         ("b", "ba", "ab", "aba", "B", "Ba", "aB", "aBa", "a"),
         ("ba",),
@@ -314,9 +339,9 @@ class TestBatchLayout:
     def test_simulate_peaks_within_the_batch_budget(self, monkeypatch, words):
         # tracemalloc sees numpy's buffers.  The kernel holds at most
         # BATCH_BYTES, the batch's codes included; drawing adds one block of
-        # uniforms with its atom indices and their codes, 12 bytes per 8 of
-        # uniforms on these walks, within 2.25 * BLOCK_BYTES; 64 KiB covers
-        # readout and report.
+        # uniforms with the lookup's codes, mask and rises, 11 bytes per 8 of
+        # uniforms on these one-byte walks, within 2.25 * BLOCK_BYTES; 64 KiB
+        # covers readout and report.
         # Two batches alive at once would overshoot by a word array.  The
         # never-cancelling walk fills every row to full width, so its rows
         # widen to full width with both copies alive at once.

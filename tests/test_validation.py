@@ -19,6 +19,7 @@ from modwalk import (
     DenjoyParams,
     GroupMeasure,
     PiWeights,
+    SimConfig,
     StepOnS,
     cf_to_lr,
     component_mass,
@@ -32,6 +33,7 @@ from modwalk import (
     question_mark,
     rational_to_cf,
     rational_to_lr,
+    simulate,
     solve_master,
 )
 
@@ -56,6 +58,8 @@ VALUES = {
 }
 
 HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
+NN = GroupMeasure.from_json_dict({"a": "1/3", "b": "1/3", "B": "1/3"})
+SIM = SimConfig(paths=20, steps=120, seed=1, depth=1)  # every path resolves
 # Each entry point with a call that reads the value under test where the
 # other arguments are valid.
 ENTRY_POINTS = {
@@ -80,6 +84,7 @@ ENTRY_POINTS = {
     "letter_test_power-alpha": lambda v: letter_test_power(v, 0.4, 3, 10),
     "letter_test_power-alpha0": lambda v: letter_test_power(0.5, v, 3, 10),
     "lr_to_interval": lr_to_interval,
+    "simulate-max_unresolved_fraction": lambda v: simulate(NN, SIM, max_unresolved_fraction=v),
 }
 
 
@@ -303,6 +308,10 @@ REFUSALS = {
         "2**80": "ValueError: alpha0 must lie strictly between 0 and 1, got 1208925819614629174706176",
         "Fraction(0)": "ValueError: alpha0 must lie strictly between 0 and 1, got 0",
         "Fraction(1)": "ValueError: alpha0 must lie strictly between 0 and 1, got 1",
+    },
+    "simulate-max_unresolved_fraction": {
+        value: f"ValueError: max_unresolved_fraction must be a real number in [0, 1], got {VALUES[value]!r}"
+        for value in ("True", "None", "'1/3'", "nan", "inf", "-inf", "2**80")
     },
     "lr_to_interval": {
         "True": "TypeError: 'bool' object is not iterable",
