@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .group import GroupWord, reduce_concat
+from .group import GroupWord, _trusted, reduce_concat
 
 __all__ = ["Cylinder", "cylinders_up_to_depth", "act_on_cylinder"]
 
@@ -38,11 +38,7 @@ class Cylinder:
     def _unchecked(cls, letters: str) -> "Cylinder":
         """``Cylinder.of(letters)`` without its checks, for a reduced prefix
         ending in ``a`` that the caller built as such."""
-        prefix = object.__new__(GroupWord)
-        object.__setattr__(prefix, "letters", letters)
-        cyl = object.__new__(cls)
-        object.__setattr__(cyl, "prefix", prefix)
-        return cyl
+        return _trusted(cls, prefix=_trusted(GroupWord, letters=letters))
 
     def __hash__(self) -> int:
         # Equal cylinders have equal prefix letters; one call of str's hash

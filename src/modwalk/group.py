@@ -92,11 +92,21 @@ def _integer_masses(masses: Iterable[Fraction]) -> tuple[int, ...]:
     return (D, *(m.numerator * (D // m.denominator) for m in masses))
 
 
-def _unit_mass(masses: Iterable[Fraction]) -> bool:
-    """The one total-mass test: whether ``masses`` sum to exactly 1, on the integers
-    of ``_integer_masses``."""
-    D, *scaled = _integer_masses(masses)
-    return sum(scaled) == D
+def _unit_mass(core: tuple[int, ...]) -> bool:
+    """The one total-mass test: whether masses whose ``_integer_masses`` are ``core`` sum to 1."""
+    return sum(core[1:]) == core[0]
+
+
+_new, _setattr = object.__new__, object.__setattr__  # looked up once, not per call of _trusted
+
+
+def _trusted(cls: type, **fields: object):
+    """An instance of the frozen slots dataclass ``cls`` holding ``fields``, built without
+    ``__post_init__``: for values valid by construction, whose public checks would pass."""
+    obj = _new(cls)
+    for name in fields:
+        _setattr(obj, name, fields[name])
+    return obj
 
 
 # The longest admissible prefix ('a' alternating with 'b'/'B') ends at a word's first fault.
@@ -268,7 +278,7 @@ class GroupMeasure:
         return sum(self._weights.values(), Fraction(0))
 
     def is_probability(self) -> bool:
-        return _unit_mass(self._weights.values())
+        return _unit_mass(_integer_masses(self._weights.values()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupMeasure):

@@ -9,9 +9,10 @@ involution ``z -> -1/z`` carries the encoding to the negative ray.  L/R
 syllable runs translate to continued-fraction digits, so addresses come
 from Euclid's algorithm and intervals are built a whole run at a time
 (``R^k`` adds ``k`` times the right endpoint to the left one, ``L^k`` the
-reverse).  One Euclid loop (``_cf_digits``) yields the digits of a
+reverse).  One Euclid pass (``_cf_digits``) lists the digits of a
 rational: its address takes them as runs, and :func:`rational_to_cf` takes
-them as they are, so no letter string is built to get them.
+them as they are, so no letter string is built to get them.  The intervals
+and codes built here are valid by construction (``group._trusted``).
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .group import GroupWord, RationalLike, _rational
+from .group import GroupWord, RationalLike, _rational, _trusted
 
 __all__ = [
     "ExtRational",
@@ -125,6 +126,8 @@ class MediantInterval:
 def _check_lr(word: str) -> None:
     if type(word) is str and not word.strip("LR"):  # no other letter
         return
+    if not isinstance(word, str):
+        raise ValueError(f"an L/R word must be a string, got {word!r}")
     bad = set(word) - {"L", "R"}
     if bad:
         raise ValueError(f"invalid L/R letters {sorted(bad)} in {word!r}")
@@ -134,12 +137,15 @@ def lr_to_interval(word: str) -> MediantInterval:
     """Interval addressed by a finite L/R word, starting from ``[0, oo]``."""
     _check_lr(word)
     ln, ld, rn, rd = 0, 1, 1, 0  # the root interval [0/1, 1/0]
-    for letter, k in _runs(word):
-        if letter == "R":
+    for run in _RUN.findall(word):
+        k = len(run)
+        if run[0] == "R":
             ln, ld = ln + k * rn, ld + k * rd
         else:
             rn, rd = rn + k * ln, rd + k * ld
-    return MediantInterval(ExtRational(ln, ld), ExtRational(rn, rd))
+    # each run keeps the determinant 1, so the endpoints are in lowest terms and in order
+    left, right = _trusted(ExtRational, num=ln, den=ld), _trusted(ExtRational, num=rn, den=rd)
+    return _trusted(MediantInterval, left=left, right=right)
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,22 +177,23 @@ def rational_to_lr(q: RationalLike) -> RationalCodes:
     with the two infinite codes of ``q``: the left one ``w L R^oo`` and the
     right one ``w R L^oo``.
     """
-    # R^a0 L^a1 R^a2 ... over Euclid's digits [a0; a1, ..., an] is w and one more letter
-    word = _syllables(tuple(_cf_digits(_positive(q))))[:-1]
-    return RationalCodes(word, LRCode(word + "L", "R"), LRCode(word + "R", "L"))
+    digits = _cf_digits(_positive(q))
+    digits[-1] -= 1  # R^a0 L^a1 R^a2 ... over Euclid's digits [a0; a1, ..., an - 1] is w
+    word = _syllables(digits, sum(digits) + 1)  # each code's stem has one letter more
+    left, right = _trusted(LRCode, stem=word + "L", tail="R"), _trusted(LRCode, stem=word + "R", tail="L")
+    return RationalCodes(word, left, right)
 
 
-# Most letters of an L/R string built from digits: the digit sum is checked
-# before any string is, so 2**80 letters are refused, not attempted.
+# Most letters of an L/R string built from digits: the letter count is checked
+# before any string is built, so 2**80 letters are refused, not attempted.
 _LETTER_LIMIT = 10**8
 
 
-def _syllables(digits: Sequence[int]) -> str:
-    """``R^d0 L^d1 R^d2 ...``; ``ValueError`` when it would exceed ``_LETTER_LIMIT`` letters."""
-    letters = sum(digits)
+def _syllables(digits: Sequence[int], letters: int) -> str:
+    """``R^d0 L^d1 R^d2 ...``; ``ValueError`` if ``letters``, the longest word built, is over the limit."""
     if letters > _LETTER_LIMIT:
         raise ValueError(f"the L/R word would have {letters} letters, over the limit of {_LETTER_LIMIT}")
-    return "".join("RL"[i % 2] * d for i, d in enumerate(digits))
+    return "".join(["RL"[i % 2] * d for i, d in enumerate(digits)])
 
 
 def _positive(q: RationalLike) -> Fraction:
@@ -196,21 +203,18 @@ def _positive(q: RationalLike) -> Fraction:
     return q
 
 
-def _cf_digits(q: Fraction) -> Iterator[int]:
-    """Euclid's digits ``q = [a0; a1, ..., an]`` of a positive rational, lazily;
+def _cf_digits(q: Fraction) -> list[int]:
+    """Euclid's digits ``q = [a0; a1, ..., an]`` of a positive rational;
     ``an >= 2`` unless ``q`` is an integer."""
     num, den = q.numerator, q.denominator
+    digits = []
     while den:
-        digit, rest = divmod(num, den)
-        yield digit
-        num, den = den, rest
+        digits.append(num // den)
+        num, den = den, num % den
+    return digits
 
 
-_RUN = re.compile("L+|R+")
-
-
-def _runs(word: str) -> list[tuple[str, int]]:
-    return [(run[0], len(run)) for run in _RUN.findall(word)]
+_RUN = re.compile("L+|R+")  # findall gives a word's syllable runs
 
 
 def lr_to_cf(word: str) -> tuple[int, ...]:
@@ -221,13 +225,13 @@ def lr_to_cf(word: str) -> tuple[int, ...]:
     tail adds a vanishing ``1/oo`` term, so truncation is exact.
     """
     _check_lr(word)
-    runs = _runs(word)
+    runs = _RUN.findall(word)
     if not runs:
         return ()
     digits = []
     if runs[0][0] == "L":
         digits.append(0)
-    digits.extend(n for _, n in runs)
+    digits.extend(map(len, runs))
     return tuple(digits)
 
 
@@ -244,7 +248,7 @@ def _check_digits(digits: Sequence[int]) -> None:
 def cf_to_lr(digits: Sequence[int]) -> str:
     """Inverse of :func:`lr_to_cf` on finite words: digits back to syllables."""
     _check_digits(digits)
-    return _syllables(digits)
+    return _syllables(digits, sum(digits))
 
 
 def cf_value(digits: Sequence[int]) -> Fraction:
@@ -267,10 +271,10 @@ def rational_to_cf(q: RationalLike) -> tuple[int, ...]:
     Euclid's digits of ``q``, the last one split as ``(an - 1, 1)`` when their
     count is even (``w`` ends in ``L``), so the cost is bounded by the digit count.
     """
-    digits = tuple(_cf_digits(_positive(q)))
-    if len(digits) % 2:
-        return digits
-    return (*digits[:-1], digits[-1] - 1, 1)
+    digits = _cf_digits(_positive(q))
+    if not len(digits) % 2:
+        digits[-1:] = digits[-1] - 1, 1
+    return tuple(digits)
 
 
 def tau_enclosure(prefix: GroupWord) -> MediantInterval:

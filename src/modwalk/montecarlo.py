@@ -468,7 +468,11 @@ def sample_path(
 
     The start position (the identity, time 0) counts as visited.
     """
-    words, cum = _support_table(mu)
+    return _sample_path(*_support_table(mu), steps, rng, targets)
+
+
+def _sample_path(words, cum, steps: int, rng: np.random.Generator, targets: Iterable[GroupWord] = ()):
+    """``sample_path`` on the support table ``words, cum``, built once by a caller of many paths."""
     targets = frozenset(targets)
     visited = {t for t in targets if t.is_identity()}
     position = IDENTITY

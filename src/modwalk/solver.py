@@ -25,7 +25,7 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf, isqrt
 from numbers import Integral
@@ -39,6 +39,7 @@ from .group import (
     _provably_degenerate,
     _rational,
     _require_probability,
+    _trusted,
     _unit_mass,
     _weight,
     conjugate,
@@ -104,11 +105,13 @@ class StepOnS:
     bbarf: Fraction
     bprime: Fraction
     bbarprime: Fraction
+    _core: tuple[int, ...] = field(init=False, repr=False, compare=False)  # _integer_masses, for the solver
 
     def __post_init__(self) -> None:
         for name in ("af", "bf", "bbarf", "bprime", "bbarprime"):
             object.__setattr__(self, name, _weight(getattr(self, name)))
-        if not _unit_mass(self.as_tuple()):
+        object.__setattr__(self, "_core", _integer_masses(self.as_tuple()))
+        if not _unit_mass(self._core):
             raise ValueError(f"weights must sum to 1, got {sum(self.as_tuple())}")
         if _provably_degenerate(w for w, m in zip(S_WORDS, self.as_tuple()) if m):
             raise DegenerateStepError(
@@ -177,9 +180,8 @@ def denjoy_membership_residual(mu: StepOnS, alpha: Scalar) -> Scalar:
     parameter ``alpha``; exact rational for rational ``alpha``.
     """
     _check_open_unit(alpha, "alpha")
-    weights = _integer_masses(mu.as_tuple())
-    A, B, C = _y_equation_integers(weights)
-    return ((A * alpha + B) * alpha + C) / weights[0] ** 2
+    A, B, C = _y_equation_integers(mu._core)
+    return ((A * alpha + B) * alpha + C) / mu._core[0] ** 2
 
 
 def minkowski_residual(mu: StepOnS) -> Fraction:
@@ -246,7 +248,7 @@ def _residual_numerators(
 ) -> tuple[int, int, int]:
     """``D M N`` times the signed residuals (right side minus left side) of the three
     stationarity equations at ``x = X/N``, ``y = Y/M``, ``ybar = 1 - y``; ``weights``
-    as ``_integer_masses(mu.as_tuple())`` gives them."""
+    as ``mu._core`` holds them."""
     D, af, bf, bb, bp, bbp = weights
     Yb, MN = M - Y, M * N  # ybar = Yb / M
     return (
@@ -276,7 +278,7 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PiWeights:
     """
     if not _real_between(tol, inf):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
-    weights = _integer_masses(mu.as_tuple())
+    weights = mu._core
     A, B, C = _y_equation_integers(weights)
     if not C < 0 < A + B + C:  # D^2 f(0) and D^2 f(1)
         raise NoRootInCube(
@@ -298,17 +300,16 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PiWeights:
         raise ValueError(f"passage probabilities must lie in (0,1), got x = {x}, y = {y}")
     if max(map(abs, _residual_numerators(weights, X, N, Y, M))) / (D * M * N) > tol:
         raise SolverContradictionError("residuals exceed tolerance at the located root")
-    return PiWeights(x, y)
+    return _trusted(PiWeights, x=x, y=y)  # PiWeights' checks hold: 0 < x and 0 < y < 1
 
 
 def residual(mu: StepOnS, t: PiWeights) -> tuple[Fraction, Fraction, Fraction]:
     """Signed residuals (right side minus left side) of the three stationarity
     equations, exact; a float weight counts at its binary value."""
-    weights = _integer_masses(mu.as_tuple())
     X, N = Fraction(t.x).as_integer_ratio()
     Y, M = Fraction(t.y).as_integer_ratio()
-    DMN = weights[0] * M * N
-    return tuple(Fraction(r, DMN) for r in _residual_numerators(weights, X, N, Y, M))
+    DMN = mu._core[0] * M * N
+    return tuple(Fraction(r, DMN) for r in _residual_numerators(mu._core, X, N, Y, M))
 
 
 def harmonic_params(mu: StepOnS) -> DenjoyParams:

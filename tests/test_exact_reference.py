@@ -301,10 +301,12 @@ class TestEncodings:
 # Solver.
 
 def unchecked_step(*weights: Fraction) -> StepOnS:
-    """A ``StepOnS`` built without its validation, so weights may be negative."""
+    """A ``StepOnS`` built without its validation, so weights may be negative;
+    it keeps the integer core as ``StepOnS.__post_init__`` does."""
     mu = object.__new__(StepOnS)
     for name, w in zip(("af", "bf", "bbarf", "bprime", "bbarprime"), weights):
         object.__setattr__(mu, name, w)
+    object.__setattr__(mu, "_core", _integer_masses(weights))
     return mu
 
 
@@ -391,6 +393,24 @@ class TestSolver:
                 assert outcome(solve_master, mu, r) == triple
                 assert outcome(solve_master, mu, math.nextafter(r, 0)) is SolverContradictionError
         assert crossed
+
+    def test_results_pass_the_public_checks(self):
+        # solve_master builds its PiWeights without their checks, and each walk
+        # keeps the integer core its unit-mass test computed
+        solved = 0
+        for mu in criterion_01_walks() + unchecked_walks():
+            assert mu._core == _integer_masses(mu.as_tuple())
+            got = outcome(solve_master, mu, 1e-15)
+            if isinstance(got, PiWeights):
+                assert PiWeights(got.x, got.y) == got
+                solved += 1
+        assert solved > 1000
+
+    def test_core_changes_nothing_visible(self):
+        for mu in criterion_01_walks()[:100]:
+            twin = StepOnS.from_json_dict(mu.to_json_dict())
+            assert twin == mu and hash(twin) == hash(mu) and repr(twin) == repr(mu)
+            assert "_core" not in repr(mu) and twin._core == mu._core
 
     @pytest.mark.parametrize("tol", [0.0, -1e-15, math.inf, math.nan])
     def test_bad_tolerance(self, tol):

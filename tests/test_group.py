@@ -35,7 +35,7 @@ from modwalk import (
     translate_right,
     word_to_matrix,
 )
-from modwalk.group import _check_letters, _provably_degenerate, _reach, _unit_mass
+from modwalk.group import _check_letters, _integer_masses, _provably_degenerate, _reach, _unit_mass
 
 from helpers import random_word, swap_b_letters
 
@@ -316,7 +316,7 @@ class TestUnitMass:
     @pytest.mark.parametrize("weights", mass_cases(), ids=lambda w: str(sum(w)))
     def test_integer_test_matches_the_fraction_sum(self, weights):
         total = sum(weights)
-        assert _unit_mass(weights) == (total == 1)
+        assert _unit_mass(_integer_masses(weights)) == (total == 1)
         m = GroupMeasure(dict(zip(map(parse_word, ("a", "b", "B", "ba", "Ba")), weights)))
         assert m.is_probability() == (total == 1)
         assert m.total_mass == total
@@ -332,8 +332,8 @@ class TestUnitMass:
         assert str(exc.value) == f"m1 must be a probability measure (total mass {total})"
 
     def test_empty_and_single_masses(self):
-        assert not _unit_mass([])
-        assert _unit_mass([Fraction(1)])
+        assert not _unit_mass(_integer_masses([]))
+        assert _unit_mass(_integer_masses([Fraction(1)]))
         assert not GroupMeasure({}).is_probability()
         assert not GroupMeasure({IDENTITY: Fraction(1, 10**30)}).is_probability()
 

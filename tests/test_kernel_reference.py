@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import modwalk.montecarlo as montecarlo
-from modwalk import GroupMeasure, SimConfig, parse_word, sample_path, simulate
+from modwalk import GroupMeasure, SimConfig, parse_word, simulate
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def test_targets_told_apart_by_lower_cells(name):
     _, _, v0 = reference_evolve(increments, table, width, *reference_targets(TWINS))
     assert np.array_equal(visited, v0)
     for i in range(paths):
-        _, seen = sample_path(mu, steps, montecarlo._path_generator(seed, i), TWINS[1:])
+        _, seen = montecarlo._sample_path(words, cum, steps, montecarlo._path_generator(seed, i), TWINS[1:])
         assert {t for t, hit in zip(TWINS, visited[i]) if hit} - {TWINS[0]} == seen
     # each target is hit by some path and missed by another
     assert visited.any(axis=0).all() and not visited.all(axis=0).any()

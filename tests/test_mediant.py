@@ -24,6 +24,7 @@ from modwalk import (
 from helpers import random_rational
 
 lr_words = st.text(alphabet="LR", max_size=24)
+positive_rationals = st.builds(Fraction, st.integers(1, 10**4), st.integers(1, 10**4))  # codes of <= 10^4 letters
 
 
 class TestExtRational:
@@ -137,6 +138,37 @@ class TestLetterCheck:
 
     def test_long_good_word(self):
         assert lr_to_cf(LONG_WORD) == (0,) + (1,) * len(LONG_WORD)
+
+    @pytest.mark.parametrize(
+        "check, word",
+        [(lambda w: LRCode(w, "R"), ["L", "R"]), (lr_to_interval, ["L"]), (lr_to_cf, ("R", "L"))],
+        ids=["LRCode", "lr_to_interval", "lr_to_cf"],
+    )
+    def test_words_that_are_not_strings(self, check, word):
+        # a list of letters once made a list stem, or a TypeError from re
+        with pytest.raises(ValueError) as exc:
+            check(word)
+        assert str(exc.value) == f"an L/R word must be a string, got {word!r}"
+
+
+class TestValidByConstruction:
+    """Intervals and codes built without the public checks pass them when
+    rebuilt through the public constructors, and compare equal."""
+
+    @settings(derandomize=True, max_examples=300)
+    @given(st.text(alphabet="LR", max_size=200))
+    def test_intervals(self, word):
+        iv = lr_to_interval(word)
+        left, right = ExtRational(iv.left.num, iv.left.den), ExtRational(iv.right.num, iv.right.den)
+        assert MediantInterval(left, right) == iv
+
+    @settings(derandomize=True, max_examples=300)
+    @given(positive_rationals)
+    def test_codes(self, q):
+        codes = rational_to_lr(q)
+        for code in (codes.left, codes.right):
+            assert type(code.stem) is str and LRCode(code.stem, code.tail) == code
+        assert codes.left.stem[:-1] == codes.stem == codes.right.stem[:-1]
 
 
 class TestContinuedFractions:

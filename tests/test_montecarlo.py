@@ -112,7 +112,7 @@ class TestSamplePath:
             packed[:, increments.T], phases, [montecarlo._stack(t) for t in targets], 1
         )
         for i in range(cfg.paths):
-            expected, seen = sample_path(mu, cfg.steps, _path_generator(cfg.seed, i), targets)
+            expected, seen = montecarlo._sample_path(words, cum, cfg.steps, _path_generator(cfg.seed, i), targets)
             got = montecarlo._spell(W[i, : L[i] + 1])
             assert got == expected.letters
             assert L[i] == len(got) - got.count("a")
@@ -211,7 +211,7 @@ class TestBatchLayout:
         assert (L == steps * nmax).all()
         assert W.size - 1 - ((paths - 1) * W.shape[1] + L[-1]) == full - (steps * nmax + 1)
         for i in range(paths):
-            expected, _ = sample_path(mu, steps, _path_generator(seed, i))
+            expected, _ = montecarlo._sample_path(words, cum, steps, _path_generator(seed, i))
             assert montecarlo._spell(W[i, : L[i] + 1]) == expected.letters
 
     @pytest.mark.parametrize("steps", [255, 511])
@@ -226,7 +226,7 @@ class TestBatchLayout:
         W, L, _ = montecarlo._evolve(codes, phases, [], 4)
         assert W.shape == (paths, steps + 2) and (L == steps).all()
         for i in range(paths):
-            expected, _ = sample_path(mu, steps, _path_generator(seed, i))
+            expected, _ = montecarlo._sample_path(words, cum, steps, _path_generator(seed, i))
             assert montecarlo._spell(W[i, : L[i] + 1]) == expected.letters
 
     def test_rows_shorter_than_the_readout(self):
@@ -662,8 +662,9 @@ class TestLetterTest:
         else:
             mu = GroupMeasure.uniform(parse_word(w) for w in words)
         b_total = resolved = 0
+        table = montecarlo._support_table(mu)  # built once for all paths
         for i in range(cfg.paths):
-            word, _ = sample_path(mu, cfg.steps, _path_generator(cfg.seed, i))
+            word, _ = montecarlo._sample_path(*table, cfg.steps, _path_generator(cfg.seed, i))
             letters = [ch for ch in word.letters if ch != "a"][: cfg.depth]
             if len(letters) == cfg.depth:
                 resolved += 1
@@ -693,8 +694,9 @@ class TestLetterTest:
         est = estimate_alpha(mu, cfg)
         assert widths == [(41, widths[0][1])] and widths[0][1] > 2 * 41
         b_total = 0
+        table = montecarlo._support_table(mu)
         for i in range(cfg.paths):
-            word, _ = sample_path(mu, cfg.steps, _path_generator(cfg.seed, i))
+            word, _ = montecarlo._sample_path(*table, cfg.steps, _path_generator(cfg.seed, i))
             b_total += [ch for ch in word.letters if ch != "a"][: cfg.depth].count("b")
         assert est.resolved == cfg.paths and est.letters == cfg.depth
         assert est.estimate == b_total / (cfg.depth * cfg.paths)

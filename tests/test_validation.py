@@ -314,18 +314,12 @@ REFUSALS = {
         for value in ("True", "None", "'1/3'", "nan", "inf", "-inf", "2**80")
     },
     "lr_to_interval": {
-        "True": "TypeError: 'bool' object is not iterable",
-        "None": "TypeError: 'NoneType' object is not iterable",
         "'1/3'": "ValueError: invalid L/R letters ['/', '1', '3'] in '1/3'",
-        "nan": "TypeError: 'float' object is not iterable",
-        "inf": "TypeError: 'float' object is not iterable",
-        "-inf": "TypeError: 'float' object is not iterable",
-        "float64": "TypeError: 'numpy.float64' object is not iterable",
-        "int64": "TypeError: 'numpy.int64' object is not iterable",
-        "subclass": "TypeError: '_Third' object is not iterable",
-        "2**80": "TypeError: 'int' object is not iterable",
-        "Fraction(0)": "TypeError: 'Fraction' object is not iterable",
-        "Fraction(1)": "TypeError: 'Fraction' object is not iterable",
+        **{
+            value: f"ValueError: an L/R word must be a string, got {VALUES[value]!r}"
+            for value in VALUES
+            if value != "'1/3'"
+        },
     },
 }
 
