@@ -38,7 +38,7 @@ class Cylinder:
     def _unchecked(cls, letters: str) -> "Cylinder":
         """``Cylinder.of(letters)`` without its checks, for a reduced prefix
         ending in ``a`` that the caller built as such."""
-        return _trusted(cls, prefix=_trusted(GroupWord, letters=letters))
+        return _cylinder(_group_word(letters))
 
     def __hash__(self) -> int:
         # Equal cylinders have equal prefix letters; one call of str's hash
@@ -62,6 +62,9 @@ class Cylinder:
 
     def __str__(self) -> str:
         return self.prefix.letters
+
+
+_group_word, _cylinder = _trusted(GroupWord), _trusted(Cylinder)  # Cylinder._unchecked's builders
 
 
 def cylinders_up_to_depth(depth: int) -> Iterator[Cylinder]:

@@ -269,7 +269,7 @@ def question_mark(x: RationalLike, depth: int = 256) -> Fraction:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     x = _rational(x, "x")
-    n, d = x.numerator, x.denominator
+    n, d = x.as_integer_ratio()
     if not 0 <= n <= d:
         raise ValueError(f"need 0 <= x <= 1, got {x}")
     if n == 0:
@@ -278,14 +278,14 @@ def question_mark(x: RationalLike, depth: int = 256) -> Fraction:
         return Fraction(1)
     # Euclid's digits [0; a1, ..., an] spell R^0 L^a1 R^a2 ..., which is w R but
     # for its last letter: that one is always R, so its bit is set unless cut off
-    value, size = 0, 0
+    value, room = 0, depth + 1  # room: the letters still to take
     for i, digit in enumerate(_cf_digits(x)):
-        k = min(digit, depth + 1 - size)
+        k = digit if digit < room else room
         value = value << k | (0 if i % 2 else (1 << k) - 1)
-        size += k
+        room -= k
         if k < digit:
             break
     else:
         value |= 1
     # the leading L is a 0 bit, and the dropped tail L^oo adds nothing
-    return Fraction(value, 1 << (size - 1))
+    return Fraction(value, 1 << (depth - room))

@@ -97,16 +97,29 @@ def _unit_mass(core: tuple[int, ...]) -> bool:
     return sum(core[1:]) == core[0]
 
 
-_new, _setattr = object.__new__, object.__setattr__  # looked up once, not per call of _trusted
+def _trusted(cls: type):
+    """A builder of the frozen slots dataclass ``cls``, made once per class: it takes the
+    field values positionally, in ``cls.__slots__`` order (one or two fields), and stores
+    them through the slots' own descriptors without ``__post_init__``.  For values valid
+    by construction, whose public checks would pass."""
+    new = object.__new__
+    stores = [cls.__dict__[name].__set__ for name in cls.__slots__]
+    if len(stores) == 1:
+        (store,) = stores
 
+        def build(value):
+            obj = new(cls)
+            store(obj, value)
+            return obj
+    else:
+        first, second = stores
 
-def _trusted(cls: type, **fields: object):
-    """An instance of the frozen slots dataclass ``cls`` holding ``fields``, built without
-    ``__post_init__``: for values valid by construction, whose public checks would pass."""
-    obj = _new(cls)
-    for name in fields:
-        _setattr(obj, name, fields[name])
-    return obj
+        def build(value, other):
+            obj = new(cls)
+            first(obj, value)
+            second(obj, other)
+            return obj
+    return build
 
 
 # The longest admissible prefix ('a' alternating with 'b'/'B') ends at a word's first fault.

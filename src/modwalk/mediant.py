@@ -12,7 +12,8 @@ from Euclid's algorithm and intervals are built a whole run at a time
 reverse).  One Euclid pass (``_cf_digits``) lists the digits of a
 rational: its address takes them as runs, and :func:`rational_to_cf` takes
 them as they are, so no letter string is built to get them.  The intervals
-and codes built here are valid by construction (``group._trusted``).
+and codes built here are valid by construction, so each class's
+``group._trusted`` builder stores them without the public checks.
 """
 
 from __future__ import annotations
@@ -144,8 +145,7 @@ def lr_to_interval(word: str) -> MediantInterval:
         else:
             rn, rd = rn + k * ln, rd + k * ld
     # each run keeps the determinant 1, so the endpoints are in lowest terms and in order
-    left, right = _trusted(ExtRational, num=ln, den=ld), _trusted(ExtRational, num=rn, den=rd)
-    return _trusted(MediantInterval, left=left, right=right)
+    return _mediant_interval(_ext_rational(ln, ld), _ext_rational(rn, rd))
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,6 +164,10 @@ class LRCode:
         return f"{self.stem}({self.tail})^oo"
 
 
+# Builders (group._trusted) of lr_to_interval's and rational_to_lr's results.
+_ext_rational, _mediant_interval, _lr_code = map(_trusted, (ExtRational, MediantInterval, LRCode))
+
+
 class RationalCodes(NamedTuple):
     stem: str
     left: LRCode  # ends with R repeated forever
@@ -180,8 +184,7 @@ def rational_to_lr(q: RationalLike) -> RationalCodes:
     digits = _cf_digits(_positive(q))
     digits[-1] -= 1  # R^a0 L^a1 R^a2 ... over Euclid's digits [a0; a1, ..., an - 1] is w
     word = _syllables(digits, sum(digits) + 1)  # each code's stem has one letter more
-    left, right = _trusted(LRCode, stem=word + "L", tail="R"), _trusted(LRCode, stem=word + "R", tail="L")
-    return RationalCodes(word, left, right)
+    return RationalCodes(word, _lr_code(word + "L", "R"), _lr_code(word + "R", "L"))
 
 
 # Most letters of an L/R string built from digits: the letter count is checked
@@ -206,7 +209,7 @@ def _positive(q: RationalLike) -> Fraction:
 def _cf_digits(q: Fraction) -> list[int]:
     """Euclid's digits ``q = [a0; a1, ..., an]`` of a positive rational;
     ``an >= 2`` unless ``q`` is an integer."""
-    num, den = q.numerator, q.denominator
+    num, den = q.as_integer_ratio()
     digits = []
     while den:
         digits.append(num // den)

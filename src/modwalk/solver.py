@@ -205,7 +205,7 @@ def _bisection_midpoint(coeffs: tuple[int, int, int], hi: Fraction, width: tuple
     ``g(k) < 0 < g(k+1)`` confirm it.
     """
     a, b, c = coeffs
-    u, v = hi.numerator, hi.denominator
+    u, v = hi.as_integer_ratio()
     span, cell = u * width[1], v * width[0]  # hi / width = span / cell
     n = max(0, span.bit_length() - cell.bit_length())
     if cell << n < span:
@@ -243,19 +243,27 @@ def _quadratic_root(coeffs: tuple[int, int, int], hi: Fraction, width: tuple[int
     return _bisection_midpoint(coeffs, hi, width)
 
 
-def _residual_numerators(
-    weights: tuple[int, ...], X: int, N: int, Y: int, M: int
-) -> tuple[int, int, int]:
-    """``D M N`` times the signed residuals (right side minus left side) of the three
-    stationarity equations at ``x = X/N``, ``y = Y/M``, ``ybar = 1 - y``; ``weights``
-    as ``mu._core`` holds them."""
+def _first_residual_numerator(weights: tuple[int, ...], X: int, N: int, Y: int, M: int) -> int:
+    """``D M N`` times the signed residual (right side minus left side) of the first
+    stationarity equation at ``x = X/N``, ``y = Y/M``, ``ybar = 1 - y``; ``weights`` as
+    ``mu._core`` holds them.  0 at ``solve_master``'s ``x``, which solves this equation."""
     D, af, bf, bb, bp, bbp = weights
-    Yb, MN = M - Y, M * N  # ybar = Yb / M
+    Yb = M - Y  # ybar = Yb / M
+    return af * M * N + bf * Yb * N + bb * Y * N + bp * X * Yb + bbp * X * Y - D * M * X
+
+
+def _last_residual_numerators(weights: tuple[int, ...], X: int, N: int, Y: int, M: int) -> tuple[int, int]:
+    """The same for the second and third equations, the ``y`` and ``ybar`` ones."""
+    D, af, bf, bb, bp, bbp = weights
+    Yb, MN = M - Y, M * N
     return (
-        af * MN + bf * Yb * N + bb * Y * N + bp * X * Yb + bbp * X * Y - D * M * X,
         af * X * Y + bf * X * M + bb * Yb * N + bp * MN + bbp * X * Yb - D * Y * N,
         af * X * Yb + bf * Y * N + bb * X * M + bp * X * Y + bbp * MN - D * Yb * N,
     )
+
+
+_ONE = Fraction(1)  # the right end of the y-equation's bracket (0, 1)
+_pi_weights = _trusted(PiWeights)  # solve_master's builder
 
 
 def solve_master(mu: StepOnS, tol: float = 1e-15) -> PiWeights:
@@ -265,14 +273,15 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PiWeights:
     gives: exact when its discriminant is a rational square (in particular in
     the linear symmetric case), and otherwise the midpoint of the dyadic
     enclosure of width at most ``tol / 8`` that bisecting the guaranteed sign
-    change reaches, computed directly; all three residuals must stay below
-    ``tol``, which may be any positive finite real number (numpy scalars
-    included).
+    change reaches, computed directly.  ``x`` solves the first equation
+    exactly at that ``y``, so its residual is 0 by construction; the other two
+    residuals must stay below ``tol``, which may be any positive finite real
+    number (numpy scalars included).
 
     Everything runs on the integers of ``_y_equation_integers``: the
     discriminant over ``D^4`` is a rational square exactly when its integer
     numerator is a perfect square, and with ``y = Y/M`` and ``x = X/N`` the
-    residuals are three integers over ``D M N`` (``_residual_numerators``),
+    residuals are integers over ``D M N`` (``_last_residual_numerators``),
     so one correctly rounded division decides the tolerance as the float
     residuals would.
     """
@@ -289,18 +298,18 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PiWeights:
         num, den = int(tol), 1
     else:
         num, den = tol.as_integer_ratio()
-    y = _quadratic_root((A, B, C), Fraction(1), (num, 8 * den))  # width tol / 8
+    y = _quadratic_root((A, B, C), _ONE, (num, 8 * den))  # width tol / 8
 
     D, af, bf, bb, bp, bbp = weights
-    Y, M = y.numerator, y.denominator
+    Y, M = y.as_integer_ratio()
     Yb = M - Y  # ybar = Yb / M
-    x = Fraction(D * M - bf * Y - bb * Yb - (bp + bbp) * M, D * M - bp * Yb - bbp * Y)
-    X, N = x.numerator, x.denominator
+    x = Fraction(af * M + bf * Yb + bb * Y, D * M - bp * Yb - bbp * Y)  # solves the first equation
+    X, N = x.as_integer_ratio()
     if not (0 < X < N and 0 < Y < M):
         raise ValueError(f"passage probabilities must lie in (0,1), got x = {x}, y = {y}")
-    if max(map(abs, _residual_numerators(weights, X, N, Y, M))) / (D * M * N) > tol:
+    if max(map(abs, _last_residual_numerators(weights, X, N, Y, M))) / (D * M * N) > tol:
         raise SolverContradictionError("residuals exceed tolerance at the located root")
-    return _trusted(PiWeights, x=x, y=y)  # PiWeights' checks hold: 0 < x and 0 < y < 1
+    return _pi_weights(x, y)  # PiWeights' checks hold: 0 < x and 0 < y < 1
 
 
 def residual(mu: StepOnS, t: PiWeights) -> tuple[Fraction, Fraction, Fraction]:
@@ -309,7 +318,8 @@ def residual(mu: StepOnS, t: PiWeights) -> tuple[Fraction, Fraction, Fraction]:
     X, N = Fraction(t.x).as_integer_ratio()
     Y, M = Fraction(t.y).as_integer_ratio()
     DMN = mu._core[0] * M * N
-    return tuple(Fraction(r, DMN) for r in _residual_numerators(mu._core, X, N, Y, M))
+    first = _first_residual_numerator(mu._core, X, N, Y, M)
+    return tuple(Fraction(r, DMN) for r in (first, *_last_residual_numerators(mu._core, X, N, Y, M)))
 
 
 def harmonic_params(mu: StepOnS) -> DenjoyParams:

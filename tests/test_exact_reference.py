@@ -296,6 +296,19 @@ class TestEncodings:
                 for depth in (1, 5, 64, 25_000, *(d for d in cuts if d >= 1)):
                     assert question_mark(x, depth) == reference_question_mark(word, depth), (x, depth)
 
+    def test_question_mark_at_every_depth(self):
+        # every truncation depth, up to one past the length of w R, against
+        # the bits of the right code's stem after its leading L
+        rng = random.Random(2929)
+        xs = {Fraction(1, rng.randint(2, 400)) for _ in range(20)}
+        while len(xs) < 300:
+            den = rng.randint(2, 10**6)
+            xs.add(Fraction(rng.randint(1, den - 1), den))
+        for x in sorted(xs):
+            stem = rational_to_lr(x).right.stem
+            for depth in range(1, len(stem) + 2):
+                assert question_mark(x, depth) == reference_question_mark(stem, depth), (x, depth)
+
 
 # ---------------------------------------------------------------------------
 # Solver.
@@ -405,6 +418,18 @@ class TestSolver:
                 assert PiWeights(got.x, got.y) == got
                 solved += 1
         assert solved > 1000
+
+    def test_first_residual_is_zero_by_construction(self):
+        # x solves the first equation at y, which is why solve_master's
+        # tolerance check reads only the other two
+        solved = 0
+        for mu in criterion_01_walks() + unchecked_walks():
+            for tol in (1e-15, 0.5):
+                got = outcome(solve_master, mu, tol)
+                if isinstance(got, PiWeights):
+                    assert residual(mu, got)[0] == reference_residual(mu, got)[0] == 0, (mu.as_tuple(), tol)
+                    solved += 1
+        assert solved > 2000
 
     def test_core_changes_nothing_visible(self):
         for mu in criterion_01_walks()[:100]:

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -10,9 +12,13 @@ from modwalk import (
     EX0_PAIR,
     Cylinder,
     DenjoyParams,
+    ExtRational,
     GroupMeasure,
     GroupWord,
     IDENTITY,
+    LRCode,
+    MediantInterval,
+    PiWeights,
     SimConfig,
     StepOnS,
     cf_to_lr,
@@ -35,6 +41,7 @@ from modwalk import (
     translate_right,
     word_to_matrix,
 )
+from modwalk import boundary, cli, denjoy, group, mediant, montecarlo, solver
 from modwalk.group import _check_letters, _integer_masses, _provably_degenerate, _reach, _unit_mass
 
 from helpers import random_word, swap_b_letters
@@ -432,3 +439,59 @@ class TestReach:
         words = [parse_word(w) for w in support]
         assert _reach(words) == reach
         assert _provably_degenerate(iter(words)) == degenerate
+
+
+def _builders() -> dict[type, object]:
+    """Every module-level builder that ``group._trusted`` made, by its class."""
+    found = {}
+    for module in (boundary, cli, denjoy, group, mediant, montecarlo, solver):
+        for value in vars(module).values():
+            if getattr(value, "__qualname__", "") == "_trusted.<locals>.build":
+                found[inspect.getclosurevars(value).nonlocals["cls"]] = value
+    return found
+
+
+# For each class given to _trusted: field values its public constructor takes,
+# and values it refuses.
+BUILT = {
+    ExtRational: ([(2, 5), (-3, 7), (0, 1), (1, 0), (-1, 0)], (2, 4)),
+    MediantInterval: (
+        [(ExtRational(0, 1), ExtRational(1, 0)), (ExtRational(1, 2), ExtRational(1, 1))],
+        (ExtRational(1, 0), ExtRational(0, 1)),
+    ),
+    LRCode: ([("LRR", "L"), ("", "R")], ("LX", "Q")),
+    PiWeights: ([(Fraction(3, 2), Fraction(1, 3)), (0.25, 0.5)], (Fraction(-1), Fraction(2))),
+    GroupWord: ([("",), ("a",), ("baBab",)], ("aa",)),
+    Cylinder: ([(GroupWord("a"),), (GroupWord("baBa"),)], (GroupWord("ab"),)),
+}
+
+
+class TestTrustedBuilders:
+    """The builders store fields positionally, without ``__post_init__``."""
+
+    def test_every_builder_is_listed(self):
+        assert set(_builders()) == set(BUILT)
+
+    @pytest.mark.parametrize("cls", BUILT, ids=lambda cls: cls.__name__)
+    def test_slots_are_the_fields_in_order(self, cls):
+        # a builder stores its arguments in slot order, so a non-field slot or
+        # a reordered field would store a value under the wrong name
+        assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls))
+
+    @pytest.mark.parametrize("cls", BUILT, ids=lambda cls: cls.__name__)
+    def test_built_values_match_the_public_constructor(self, cls):
+        build = _builders()[cls]
+        for args in BUILT[cls][0]:
+            built, public = build(*args), cls(*args)
+            assert type(built) is cls
+            assert built == public and hash(built) == hash(public) and repr(built) == repr(public)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(built, cls.__slots__[0], args[0])
+
+    @pytest.mark.parametrize("cls", BUILT, ids=lambda cls: cls.__name__)
+    def test_builders_skip_the_checks(self, cls):
+        bad = BUILT[cls][1]
+        with pytest.raises(ValueError):
+            cls(*bad)
+        built = _builders()[cls](*bad)
+        assert tuple(getattr(built, name) for name in cls.__slots__) == bad
