@@ -58,7 +58,7 @@ class Cylinder:
         return (Cylinder.of(s + "ba"), Cylinder.of(s + "Ba"))
 
     def sort_key(self) -> tuple[int, str]:
-        return (len(self.prefix.letters), self.prefix.letters)
+        return self.prefix.sort_key()
 
     def __str__(self) -> str:
         return self.prefix.letters

@@ -1,9 +1,10 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 invalid input, 3 degenerate step distribution,
-4 solver contradiction, 5 unresolved-path fraction exceeded.  The
-environment variable ``MODWALK_SEED`` supplies ``--seed`` when the flag is
-absent.  Rationals are accepted and emitted as ``p/q`` strings alongside
+Exit codes: 0 success, 1 internal failure (such as a simulator process
+that died or could not be forked), 2 invalid input, 3 degenerate step
+distribution, 4 solver contradiction, 5 unresolved-path fraction exceeded.
+The environment variable ``MODWALK_SEED`` supplies ``--seed`` when the flag
+is absent.  Rationals are accepted and emitted as ``p/q`` strings alongside
 full-precision decimals.
 """
 
@@ -331,6 +332,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, OSError) as exc:
+        print(f"error: internal failure: {exc}", file=sys.stderr)
+        return 1
     print(output)
     return 0
 

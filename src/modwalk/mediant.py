@@ -120,9 +120,6 @@ class MediantInterval:
     def neg_reciprocal(self) -> "MediantInterval":
         return MediantInterval(self.left.neg_reciprocal(), self.right.neg_reciprocal())
 
-    def __str__(self) -> str:
-        return f"{self.left}..{self.right}"
-
 
 def _check_lr(word: str) -> None:
     if type(word) is str and not word.strip("LR"):  # no other letter

@@ -26,6 +26,7 @@ import os
 import pickle
 import warnings
 from dataclasses import dataclass
+from signal import SIGKILL
 from statistics import NormalDist
 from typing import Iterable, Mapping, Sequence
 
@@ -71,6 +72,7 @@ CPUS = (
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     else 1
 )
+_MAX_UNRESOLVED = 0.01  # fraction of unresolved paths an estimator accepts by default
 
 _CODE = {"a": 0, "b": 1, "B": 2}
 
@@ -182,16 +184,14 @@ def _path_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def _batch_uniforms(
-    seed: int, start: int, count: int, steps: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    # Row j holds the uniforms of path start + j; they go into ``out`` when
-    # it is given, so that a caller can reuse one buffer.  One bit generator
-    # walks the batch.  advance(i * PATH_STRIDE) on a fresh generator leaves
-    # the counter at i * PATH_STRIDE, the key and an empty buffer, so path i
-    # assigns exactly that state (the state of _path_generator(seed, i))
-    # before its draws.  The assignment reads one reused dict of Python
-    # ints, about a quarter of the cost of advance().
+def _batch_uniforms(seed: int, start: int, out: np.ndarray) -> np.ndarray:
+    # Fills row j of the caller's float64 buffer ``out`` with the uniforms
+    # of path start + j and returns it.  One bit generator walks the rows.
+    # advance(i * PATH_STRIDE) on a fresh generator leaves the counter at
+    # i * PATH_STRIDE, the key and an empty buffer, so path i assigns exactly
+    # that state (the state of _path_generator(seed, i)) before its draws.
+    # The assignment reads one reused dict of Python ints, about a quarter of
+    # the cost of advance().
     bg = np.random.Philox(key=seed)
     counter = [0, 0, 0, 0]  # 64-bit limbs, least significant first
     state = {
@@ -203,8 +203,6 @@ def _batch_uniforms(
         "uinteger": 0,
     }
     gen = np.random.Generator(bg)
-    if out is None:
-        out = np.empty((count, steps), dtype=np.float64)
     for i, row in enumerate(out, start):
         c = i * PATH_STRIDE
         counter[0] = c & _LIMB
@@ -256,7 +254,7 @@ def _step_codes(
     u = np.empty((min(block, count), steps), dtype=np.float64)
     for lo in range(0, count, block):
         hi = min(lo + block, count)
-        block_u = _batch_uniforms(seed, start + lo, hi - lo, steps, u[: hi - lo])
+        block_u = _batch_uniforms(seed, start + lo, u[: hi - lo])
         out[:, :, lo:hi] = _lookup(cum, packed, block_u).transpose(0, 2, 1)
     return out
 
@@ -492,7 +490,7 @@ def _batches(table, cfg: SimConfig, targets, read):
 
     The paths are cut into up to ``CPUS`` contiguous shares, one per
     process: this process runs the first share, and each other share runs
-    in a forked child that sends its reads back through a pipe.  All
+    in a forked child that streams its reads back through a pipe.  All
     processes together batch at most ``BATCH_PATHS`` paths and
     ``BATCH_BYTES`` at a time (above a floor of one path each), and a run
     that fits in one batch forks nothing.  A child's exception is raised
@@ -528,34 +526,31 @@ def _batches(table, cfg: SimConfig, targets, read):
             children.append(_fork(share(cuts[j], cuts[j + 1])))
         yield from share(cuts[0], cuts[1])
         while children:
-            pid, fd = children[0]
-            with open(fd, "rb", closefd=False) as pipe:
-                data = pipe.read()
+            pid, pipe = children[0]
+            try:
+                ok, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # nothing, or a result cut short
+                raise RuntimeError(f"simulator process {pid} died without a result") from None
             children.pop(0)
-            os.close(fd)
+            pipe.close()
             os.waitpid(pid, 0)
-            if not data:
-                raise RuntimeError(f"simulator process {pid} died without a result")
-            ok, value = pickle.loads(data)
             if not ok:
                 raise value
             yield from value
     finally:
-        if children:
-            from signal import SIGKILL
-
-            for pid, fd in children:
-                os.kill(pid, SIGKILL)
-                os.close(fd)
-                os.waitpid(pid, 0)
+        for pid, pipe in children:
+            os.kill(pid, SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
 def _fork(reads):
-    """Fork a child that runs the generator ``reads`` and pickles the list
-    of its items, or the exception it raised, into a pipe; returns the
-    child's pid and the pipe's read end.  The child calls only numpy's
-    element-wise and sorting routines; the one other thread of a modwalk
-    process is the BLAS pool, which they never use."""
+    """Fork a child that runs the generator ``reads`` and pickles
+    ``(True, list of its items)``, or ``(False, the exception it raised)``,
+    straight into a pipe; returns the child's pid and the pipe's read end
+    opened as a file.  The child calls only numpy's element-wise and sorting
+    routines; the one other thread of a modwalk process is the BLAS pool,
+    which they never use."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -565,19 +560,17 @@ def _fork(reads):
         raise
     if pid:
         os.close(w)
-        return pid, r
-    code = 1
+        return pid, open(r, "rb")
     try:
         os.close(r)
-        try:
-            data = pickle.dumps((True, list(reads)))
-            code = 0
-        except BaseException as exc:
-            data = pickle.dumps((False, exc))
         with open(w, "wb") as pipe:
-            pipe.write(data)
+            try:
+                result = True, list(reads)
+            except BaseException as exc:
+                result = False, exc
+            pickle.dump(result, pipe)
     finally:
-        os._exit(code)
+        os._exit(0)
 
 
 def _warn_if_degenerate(words: Sequence[GroupWord]) -> bool:
@@ -603,7 +596,7 @@ def simulate(
     mu: GroupMeasure,
     cfg: SimConfig,
     targets: Iterable[GroupWord] = (),
-    max_unresolved_fraction: float = 0.01,
+    max_unresolved_fraction: float = _MAX_UNRESOLVED,
 ) -> SimReport:
     """Full run: passage estimates for ``targets`` plus cylinder frequencies
     for every depth up to ``cfg.depth``.
@@ -768,13 +761,14 @@ def estimate_alpha(mu: GroupMeasure, cfg: SimConfig) -> AlphaEstimate:
     ``P(b) = alpha`` whatever ``p`` is, so a single z-score against ``1/2``
     tests membership in the whole Minkowski class.  Paths whose final word
     holds fewer than ``cfg.depth`` such letters are unresolved and dropped;
-    an unresolved fraction above 1% raises :class:`UnresolvedPathsError`,
-    before any path is drawn when no path can hold ``cfg.depth`` such letters
-    (``_reach``).  Fewer than two resolved paths, or resolved paths that all hold the same
-    count of ``b``, leave no standard error to test with and raise
-    ``ValueError``.  A provably degenerate support warns, as in
-    :func:`simulate`.  Paths are tallied by their integer count of ``b``, so
-    the result obeys RNG contract v1 exactly whatever the batch layout is.
+    an unresolved fraction above ``_MAX_UNRESOLVED`` raises
+    :class:`UnresolvedPathsError`, before any path is drawn when no path can
+    hold ``cfg.depth`` such letters (``_reach``).  Fewer than two resolved
+    paths, or resolved paths that all hold the same count of ``b``, leave no
+    standard error to test with and raise ``ValueError``.  A provably
+    degenerate support warns, as in :func:`simulate`.  Paths are tallied by
+    their integer count of ``b``, so the result obeys RNG contract v1 exactly
+    whatever the batch layout is.
     """
     k = cfg.depth
     table = _support_table(mu)
@@ -798,7 +792,7 @@ def estimate_alpha(mu: GroupMeasure, cfg: SimConfig) -> AlphaEstimate:
 
     resolved = int(tally.sum())
     unresolved = cfg.paths - resolved
-    if unresolved > 0.01 * cfg.paths:
+    if unresolved > _MAX_UNRESOLVED * cfg.paths:
         raise UnresolvedPathsError(
             f"{unresolved} of {cfg.paths} paths ended with fewer than {k} letters"
             " 'b'/'B'; raise steps or lower depth"

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 from fractions import Fraction
 
+import modwalk.montecarlo as montecarlo
 from modwalk import (
     IDENTITY,
     Cylinder,
@@ -73,3 +75,16 @@ def cylinder_diameter(c: Cylinder) -> float:
     """Diameter ``e^-|g|`` of the shadow of ``g`` in the ultrametric
     ``e^-(.|.)`` of the Gromov product at the identity."""
     return math.exp(-len(c.prefix))
+
+
+def children_exit_at_once(monkeypatch) -> None:
+    """Make every forked simulator child exit before it draws a batch, so it
+    writes nothing into its pipe; the calling process runs as before."""
+    parent, step_codes = os.getpid(), montecarlo._step_codes
+
+    def exiting(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return step_codes(*args)
+
+    monkeypatch.setattr(montecarlo, "_step_codes", exiting)

@@ -1,12 +1,16 @@
 import json
+import os
 from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import modwalk.montecarlo as montecarlo
 from modwalk import EX0_PAIR, SimConfig, estimate_alpha, example_ex1, example_ex2
 from modwalk.cli import main
+
+from helpers import children_exit_at_once
 
 
 def run(capsys, *argv):
@@ -436,6 +440,22 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", "--mu", '{"a":"1/3","b":"1/3","bb":"1/3"}')
         assert code == 4
         assert "contradiction" in err
+
+    @pytest.mark.parametrize("failure", ["fork", "child"])
+    def test_simulator_process_failure_exit_1(self, capsys, monkeypatch, failure):
+        # Two processes: a fork that fails, or a child that exits without a result.
+        monkeypatch.setattr(montecarlo, "CPUS", 2)
+        monkeypatch.setattr(montecarlo, "BATCH_PATHS", 128)
+        if failure == "fork":
+            def fork():
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", fork)
+        else:
+            children_exit_at_once(monkeypatch)
+        code, out, err = run(capsys, "simulate", "--mu", '{"a":"1/3","b":"1/3","B":"1/3"}', "--paths", "300")
+        assert code == 1 and out == ""
+        assert err.startswith("error: internal failure: ")
 
     @pytest.mark.parametrize("value", ["1e999", "Infinity", "-Infinity", "NaN"])
     @pytest.mark.parametrize(

@@ -87,7 +87,7 @@ def reference_run(mu, cfg, targets, batch_paths):
     unresolved = 0
     for start in range(0, cfg.paths, batch_paths):
         count = min(batch_paths, cfg.paths - start)
-        u = montecarlo._batch_uniforms(cfg.seed, start, count, cfg.steps)
+        u = montecarlo._batch_uniforms(cfg.seed, start, np.empty((count, cfg.steps)))
         W, L, visited = reference_evolve(
             np.searchsorted(cum, u, side="right"), table, width, tgt_flat, tgt_off
         )
@@ -158,7 +158,7 @@ def test_kernel_matches_reference(name):
     words, cum = montecarlo._support_table(mu)
     table = reference_table(words)
     steps, paths = 150, 97
-    u = montecarlo._batch_uniforms(3, 11, paths, steps)
+    u = montecarlo._batch_uniforms(3, 11, np.empty((paths, steps)))
     increments = np.searchsorted(cum, u, side="right")
     width = steps * table.shape[1] + 2
     W0, L0, v0 = reference_evolve(increments, table, width, *reference_targets(TARGETS))
@@ -194,7 +194,7 @@ def test_targets_told_apart_by_lower_cells(name):
     codes = montecarlo._step_codes(cum, packed, seed, 0, paths, steps)
     _, _, visited = montecarlo._evolve(codes, phases, [montecarlo._stack(t) for t in TWINS], 1)
     # "" counts revisits of the identity after step 0, as the reference does
-    u = montecarlo._batch_uniforms(seed, 0, paths, steps)
+    u = montecarlo._batch_uniforms(seed, 0, np.empty((paths, steps)))
     increments = np.searchsorted(cum, u, side="right")
     table = reference_table(words)
     width = steps * table.shape[1] + 2

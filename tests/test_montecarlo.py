@@ -1,11 +1,13 @@
 import dataclasses
 import math
 import os
+import pickle
 import random
 import tracemalloc
 import warnings
 from fractions import Fraction
 from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +35,8 @@ from modwalk import (
     simulate,
 )
 from modwalk.montecarlo import _path_generator
+
+from helpers import children_exit_at_once
 
 SYMMETRIC_NN = GroupMeasure.from_json_dict({"a": "1/3", "b": "1/3", "B": "1/3"})
 
@@ -105,7 +109,7 @@ class TestSamplePath:
         cfg = small_cfg(paths=40, steps=140, seed=99, allow_short_steps=False)
         targets = [parse_word(w) for w in ("a", "ba", "aB", "aba")]
         words, cum = montecarlo._support_table(mu)
-        u = montecarlo._batch_uniforms(cfg.seed, 0, cfg.paths, cfg.steps)
+        u = montecarlo._batch_uniforms(cfg.seed, 0, np.empty((cfg.paths, cfg.steps)))
         increments = np.searchsorted(cum, u, side="right").astype(np.int16)
         packed, phases = montecarlo._phase_codes(words)
         W, L, visited = montecarlo._evolve(
@@ -160,12 +164,10 @@ class TestBatchLayout:
     def test_uniforms_follow_path_generators(self, steps):
         # From 2**44 - 1 on, the paths' counters carry into the second limb.
         for start, count in ((37, 6), (2**44 - 1, 3)):
-            u = montecarlo._batch_uniforms(12, start, count, steps)
-            for i, row in enumerate(u):
-                assert np.array_equal(row, _path_generator(12, start + i).random(steps))
             into = np.full((count, steps), np.nan)
-            assert montecarlo._batch_uniforms(12, start, count, steps, into) is into
-            assert np.array_equal(into, u)
+            assert montecarlo._batch_uniforms(12, start, into) is into
+            for i, row in enumerate(into):
+                assert np.array_equal(row, _path_generator(12, start + i).random(steps))
 
     @pytest.mark.parametrize("block_bytes", [1, 1 << 40])
     @pytest.mark.parametrize("words", [
@@ -181,7 +183,7 @@ class TestBatchLayout:
         packed, _ = montecarlo._phase_codes(support)
         seed, start, count, steps = 4, 29, 70, 45
         increments = np.searchsorted(
-            cum, montecarlo._batch_uniforms(seed, start, count, steps), side="right"
+            cum, montecarlo._batch_uniforms(seed, start, np.empty((count, steps))), side="right"
         ).T  # step-major, as the kernel reads the codes
         monkeypatch.setattr(montecarlo, "BLOCK_BYTES", block_bytes)
         codes = montecarlo._step_codes(cum, packed, seed, start, count, steps)
@@ -302,9 +304,9 @@ class TestBatchLayout:
         sizes = []
         uniforms = montecarlo._batch_uniforms
 
-        def recording_uniforms(seed, start, count, steps, out):
-            sizes.append(count)
-            return uniforms(seed, start, count, steps, out)
+        def recording_uniforms(seed, start, out):
+            sizes.append(len(out))
+            return uniforms(seed, start, out)
 
         monkeypatch.setattr(montecarlo, "_batch_uniforms", recording_uniforms)
         monkeypatch.setattr(montecarlo, "BLOCK_BYTES", block_bytes)
@@ -414,6 +416,53 @@ class TestProcesses:
         monkeypatch.setattr(montecarlo, "_step_codes", failing)
         with pytest.raises(LookupError, match="raised in the child"):
             simulate(self.MU, self.CFG)
+        self.no_children()
+
+    @pytest.mark.parametrize("result", ["none", "cut short"])
+    def test_child_without_a_whole_result(self, monkeypatch, result):
+        # The child exits before it writes, or after the first half of its
+        # pickled reads.
+        monkeypatch.setattr(montecarlo, "CPUS", 2)
+        monkeypatch.setattr(montecarlo, "BATCH_PATHS", 128)
+        if result == "none":
+            children_exit_at_once(monkeypatch)
+        else:
+            def half_dump(obj, pipe):
+                data = pickle.dumps(obj)
+                pipe.write(data[: len(data) // 2])
+
+            monkeypatch.setattr(montecarlo, "pickle", SimpleNamespace(
+                dump=half_dump, load=pickle.load, UnpicklingError=pickle.UnpicklingError
+            ))
+        with pytest.raises(RuntimeError, match="died without a result"):
+            simulate(self.MU, self.CFG, targets=self.TARGETS)
+        self.no_children()
+
+    def test_results_larger_than_the_pipe_buffer(self, monkeypatch):
+        # The NN walk at depth 12: the child's 10,000 paths stream about
+        # 185 KB of reads, more than a pipe holds (64 KiB), so the child
+        # writes while the parent reads.  The parent counts what it reads.
+        cfg = SimConfig(paths=20_000, steps=800, seed=1, depth=12)
+        sizes = []
+
+        def counting_load(pipe):
+            def read(*n):
+                data = pipe.read(*n)
+                sizes[-1] += len(data)
+                return data
+
+            sizes.append(0)
+            return pickle.load(SimpleNamespace(read=read, readline=pipe.readline))
+
+        monkeypatch.setattr(montecarlo, "pickle", SimpleNamespace(
+            dump=pickle.dump, load=counting_load, UnpicklingError=pickle.UnpicklingError
+        ))
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(montecarlo, "CPUS", cpus)
+            runs.append((simulate(SYMMETRIC_NN, cfg).to_json(), estimate_alpha(SYMMETRIC_NN, cfg)))
+        assert runs[1] == runs[0]
+        assert len(sizes) == 2 and sizes[0] > 1 << 16  # one child per run at 2 CPUs
         self.no_children()
 
     def test_closing_early_leaves_no_child(self, monkeypatch):
