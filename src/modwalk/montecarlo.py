@@ -548,9 +548,10 @@ def _fork(reads):
     """Fork a child that runs the generator ``reads`` and pickles
     ``(True, list of its items)``, or ``(False, the exception it raised)``,
     straight into a pipe; returns the child's pid and the pipe's read end
-    opened as a file.  The child calls only numpy's element-wise and sorting
-    routines; the one other thread of a modwalk process is the BLAS pool,
-    which they never use."""
+    opened as a file.  An exception that fails a pickle round trip goes as a
+    ``RuntimeError`` that names it.  The child calls only numpy's element-wise
+    and sorting routines; the one other thread of a modwalk process is the
+    BLAS pool, which they never use."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -567,7 +568,10 @@ def _fork(reads):
             try:
                 result = True, list(reads)
             except BaseException as exc:
-                result = False, exc
+                try:
+                    result = False, pickle.loads(pickle.dumps(exc))
+                except Exception:
+                    result = False, RuntimeError(f"simulator process {os.getpid()} raised {exc!r}")
             pickle.dump(result, pipe)
     finally:
         os._exit(0)

@@ -5,15 +5,16 @@ For a non-degenerate step distribution on this set the passage probabilities
 ``x = pi_a``, ``y = pi_ba``, ``ybar = pi_Ba`` satisfy a three-equation
 stationarity system whose unique solution in the open unit cube has
 ``y + ybar = 1``: the weights ``denjoy.PiWeights`` of the harmonic measure,
-which ``denjoy.pi_to_params`` realizes in the Denjoy family.  The ``y``
-variable solves a quadratic with exact rational coefficients.  One routine,
-``_quadratic_root``, finds that root and the hyperbola family's: rational
-roots exactly, and an irrational root as the midpoint of the dyadic
+which ``denjoy.pi_to_params`` realizes in the Denjoy family.  The system is
+written once, as a table of integer rows over the weights' common denominator
+(``_passage_rows``): eliminating ``x`` from its last two rows gives the
+quadratic in ``y`` (``_y_equation_integers``), ``x`` solves its first row,
+and the residuals are the rows' numerators (``_row_numerator``).  One
+routine, ``_quadratic_root``, finds ``y`` and the hyperbola family's root:
+rational roots exactly, and an irrational root as the midpoint of the dyadic
 bisection enclosure that brackets it, computed in closed form from one
-integer square root (``_bisection_midpoint``).  The solver works on one
-integer core: the weights and the quadratic are taken over the common
-denominator of the weights (``_y_equation_integers``), and a solve stays on
-integers until it builds the ``Fraction``s it returns.
+integer square root (``_bisection_midpoint``).  A solve stays on integers
+until it builds the ``Fraction``s it returns.
 
 Also here: the Denjoy/Minkowski membership residuals, the level-set
 function ``phi`` of nearest-neighbour walks (equal ``phi`` means the same
@@ -156,21 +157,37 @@ class StepOnS:
         return cls(*(data.get(k, 0) for k in S_KEYS))
 
 
+def _passage_rows(weights: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
+    """Rows ``(p, p0, q, q0)`` of the ``x``, ``y``, ``ybar = 1 - y`` passage equations, from
+    ``mu._core``: ``D`` times right side minus left is ``x P(y) + Q(y)``, ``P = p y + p0``,
+    ``Q = q y + q0``."""
+    D, af, bf, bb, bp, bbp = weights
+    return (
+        (bbp - bp, bp - D, bb - bf, af + bf),
+        (af - bbp, bf + bbp, -(D + bb), bb + bp),
+        (bp - af, af + bb, D + bf, bbp - D),
+    )
+
+
+def _row_numerator(row: tuple[int, ...], X: int, N: int, Y: int, M: int) -> int:
+    """``M N`` times a row at ``x = X/N``, ``y = Y/M``: its residual's numerator over ``D M N``."""
+    p, p0, q, q0 = row
+    return X * (p * Y + p0 * M) + N * (q * Y + q0 * M)
+
+
+def _y_quadratic(rows: Sequence[tuple[int, ...]]) -> tuple[int, int, int]:
+    """Rows 2 and 3 with ``x`` eliminated: ``P2 Q3 - P3 Q2 = A t^2 + B t + C``, as ``(A, B, C)``."""
+    _, (p2, p20, q2, q20), (p3, p30, q3, q30) = rows
+    return (
+        p2 * q3 - p3 * q2,
+        p2 * q30 + p20 * q3 - p3 * q20 - p30 * q2,
+        p20 * q30 - p30 * q20,
+    )
+
+
 def _y_equation_integers(weights: tuple[int, ...]) -> tuple[int, int, int]:
     """``D^2`` times the coefficients of the quadratic ``A t^2 + B t + C`` in ``y``."""
-    # The membership relation reads (a1 t + a0)(b1 t + b0) = (c1 t + c0)(d1 t + d0)
-    # in the unknown t; at t = y it is the consistency condition of the
-    # stationarity system.  A t^2 + B t + C is its left side minus its right,
-    # each factor taken times D.
-    D, af, bf, bb, bp, bbp = weights
-    a1, a0 = D + bb, -(bb + bp)
-    b1, b0 = bp - af, af + bb
-    c1, c0 = af - bbp, bbp + bf
-    d1, d0 = -(D + bf), D - bbp
-    A = a1 * b1 - c1 * d1
-    B = a1 * b0 + a0 * b1 - (c1 * d0 + c0 * d1)
-    C = a0 * b0 - c0 * d0
-    return A, B, C
+    return _y_quadratic(_passage_rows(weights))
 
 
 def denjoy_membership_residual(mu: StepOnS, alpha: Scalar) -> Scalar:
@@ -243,25 +260,6 @@ def _quadratic_root(coeffs: tuple[int, int, int], hi: Fraction, width: tuple[int
     return _bisection_midpoint(coeffs, hi, width)
 
 
-def _first_residual_numerator(weights: tuple[int, ...], X: int, N: int, Y: int, M: int) -> int:
-    """``D M N`` times the signed residual (right side minus left side) of the first
-    stationarity equation at ``x = X/N``, ``y = Y/M``, ``ybar = 1 - y``; ``weights`` as
-    ``mu._core`` holds them.  0 at ``solve_master``'s ``x``, which solves this equation."""
-    D, af, bf, bb, bp, bbp = weights
-    Yb = M - Y  # ybar = Yb / M
-    return af * M * N + bf * Yb * N + bb * Y * N + bp * X * Yb + bbp * X * Y - D * M * X
-
-
-def _last_residual_numerators(weights: tuple[int, ...], X: int, N: int, Y: int, M: int) -> tuple[int, int]:
-    """The same for the second and third equations, the ``y`` and ``ybar`` ones."""
-    D, af, bf, bb, bp, bbp = weights
-    Yb, MN = M - Y, M * N
-    return (
-        af * X * Y + bf * X * M + bb * Yb * N + bp * MN + bbp * X * Yb - D * Y * N,
-        af * X * Yb + bf * Y * N + bb * X * M + bp * X * Y + bbp * MN - D * Yb * N,
-    )
-
-
 _ONE = Fraction(1)  # the right end of the y-equation's bracket (0, 1)
 _pi_weights = _trusted(PiWeights)  # solve_master's builder
 
@@ -278,21 +276,17 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PiWeights:
     residuals must stay below ``tol``, which may be any positive finite real
     number (numpy scalars included).
 
-    Everything runs on the integers of ``_y_equation_integers``: the
-    discriminant over ``D^4`` is a rational square exactly when its integer
-    numerator is a perfect square, and with ``y = Y/M`` and ``x = X/N`` the
-    residuals are integers over ``D M N`` (``_last_residual_numerators``),
-    so one correctly rounded division decides the tolerance as the float
-    residuals would.
+    Everything runs on the integer rows of ``_passage_rows``, built once: the
+    quadratic is their ``_y_quadratic``, and the residuals are their
+    ``_row_numerator``s over ``D M N``, so one correctly rounded division
+    decides the tolerance as the float residuals would.
     """
     if not _real_between(tol, inf):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
-    weights = mu._core
-    A, B, C = _y_equation_integers(weights)
+    rows = _passage_rows(mu._core)
+    A, B, C = _y_quadratic(rows)
     if not C < 0 < A + B + C:  # D^2 f(0) and D^2 f(1)
-        raise NoRootInCube(
-            f"no sign change of the y-equation on (0,1) for weights {mu.as_tuple()}"
-        )
+        raise NoRootInCube(f"no sign change of the y-equation on (0,1) for weights {mu.as_tuple()}")
 
     if type(tol) is not float and isinstance(tol, Integral):  # numpy integers lack as_integer_ratio
         num, den = int(tol), 1
@@ -300,14 +294,14 @@ def solve_master(mu: StepOnS, tol: float = 1e-15) -> PiWeights:
         num, den = tol.as_integer_ratio()
     y = _quadratic_root((A, B, C), _ONE, (num, 8 * den))  # width tol / 8
 
-    D, af, bf, bb, bp, bbp = weights
     Y, M = y.as_integer_ratio()
-    Yb = M - Y  # ybar = Yb / M
-    x = Fraction(af * M + bf * Yb + bb * Y, D * M - bp * Yb - bbp * Y)  # solves the first equation
+    p, p0, q, q0 = rows[0]
+    x = Fraction(q * Y + q0 * M, -(p * Y + p0 * M))  # solves the first equation
     X, N = x.as_integer_ratio()
     if not (0 < X < N and 0 < Y < M):
         raise ValueError(f"passage probabilities must lie in (0,1), got x = {x}, y = {y}")
-    if max(map(abs, _last_residual_numerators(weights, X, N, Y, M))) / (D * M * N) > tol:
+    worst = max(abs(_row_numerator(rows[1], X, N, Y, M)), abs(_row_numerator(rows[2], X, N, Y, M)))
+    if worst / (mu._core[0] * M * N) > tol:
         raise SolverContradictionError("residuals exceed tolerance at the located root")
     return _pi_weights(x, y)  # PiWeights' checks hold: 0 < x and 0 < y < 1
 
@@ -318,8 +312,7 @@ def residual(mu: StepOnS, t: PiWeights) -> tuple[Fraction, Fraction, Fraction]:
     X, N = Fraction(t.x).as_integer_ratio()
     Y, M = Fraction(t.y).as_integer_ratio()
     DMN = mu._core[0] * M * N
-    first = _first_residual_numerator(mu._core, X, N, Y, M)
-    return tuple(Fraction(r, DMN) for r in (first, *_last_residual_numerators(mu._core, X, N, Y, M)))
+    return tuple(Fraction(_row_numerator(row, X, N, Y, M), DMN) for row in _passage_rows(mu._core))
 
 
 def harmonic_params(mu: StepOnS) -> DenjoyParams:
@@ -354,8 +347,17 @@ def phi(mu: StepOnS) -> Fraction:
 # Minkowski-filling exactly on the branch 2b^2 - 2b*bb - bb^2 - 2b + bb = 0
 # joining (0,0) to (0,1) in the (b, bb) plane.
 
+def _branch_coefficients(bbarf: Fraction) -> tuple[int, int, int]:
+    """``v^2`` times minus the branch quadratic ``2 t^2 - 2 (bbarf+1) t + bbarf - bbarf^2`` in
+    ``t = bf`` as integers ``(a, b, c)``, with ``bbarf = u/v``: ``v^2 bbarf (bbarf - 1) < 0`` at 0,
+    ``v^2 (1 - bbarf^2) / 2 > 0`` at ``(1 - bbarf) / 2``, discriminant ``4 v^2 (3 u^2 + v^2)``."""
+    u, v = bbarf.as_integer_ratio()
+    return -2 * v * v, 2 * (u + v) * v, u * (u - v)
+
+
 def _hyperbola_equation(bf: Fraction, bbarf: Fraction) -> Fraction:
-    return 2 * bf**2 - 2 * bf * bbarf - bbarf**2 - 2 * bf + bbarf
+    a, b, c = _branch_coefficients(bbarf)
+    return -((a * bf + b) * bf + c) / bbarf.denominator**2
 
 
 def hyperbola_point(bbarf: RationalLike) -> StepOnS:
@@ -372,14 +374,7 @@ def hyperbola_point(bbarf: RationalLike) -> StepOnS:
     bb = _weight(bbarf)
     if not 0 < bb < 1:
         raise ValueError(f"need 0 < bbarf < 1, got {bb}")
-
-    u, v = bb.numerator, bb.denominator
-    # v^2 times minus the branch quadratic 2 t^2 - 2 (bbarf+1) t + bbarf - bbarf^2:
-    # v^2 bbarf (bbarf - 1) < 0 at 0 and v^2 (1 - bbarf^2) / 2 > 0 at hi.  Its
-    # discriminant is 4 v^2 (3 u^2 + v^2), so the root is exact when 3 bbarf^2 + 1
-    # is a rational square, and then equals (u + v - sqrt(3 u^2 + v^2)) / 2v.
-    coeffs = (-2 * v * v, 2 * (u + v) * v, u * (u - v))
-    bf = _quadratic_root(coeffs, Fraction(v - u, 2 * v), (1, 1 << 64))
+    bf = _quadratic_root(_branch_coefficients(bb), (1 - bb) / 2, (1, 1 << 64))
     return StepOnS(1 - 2 * bf - bb, bf, bb, bf, Fraction(0))
 
 

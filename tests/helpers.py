@@ -88,3 +88,30 @@ def children_exit_at_once(monkeypatch) -> None:
         return step_codes(*args)
 
     monkeypatch.setattr(montecarlo, "_step_codes", exiting)
+
+
+def children_raise(monkeypatch, exc: BaseException) -> None:
+    """Make every forked simulator child raise ``exc`` when it draws a batch;
+    the calling process runs as before."""
+    parent, step_codes = os.getpid(), montecarlo._step_codes
+
+    def raising(*args):
+        if os.getpid() != parent:
+            raise exc
+        return step_codes(*args)
+
+    monkeypatch.setattr(montecarlo, "_step_codes", raising)
+
+
+def unpicklable_error() -> ValueError:
+    """A ``ValueError`` that ``pickle.dumps`` refuses: it holds a lambda."""
+    exc = ValueError("raised in the child")
+    exc.hook = lambda: None
+    return exc
+
+
+class NeedsTwoArguments(Exception):
+    """Pickles, but ``pickle.loads`` calls it with its one stored argument and fails."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} and {second}")

@@ -7,10 +7,19 @@ import jsonschema
 import pytest
 
 import modwalk.montecarlo as montecarlo
-from modwalk import EX0_PAIR, SimConfig, estimate_alpha, example_ex1, example_ex2
+from modwalk import (
+    EX0_PAIR,
+    SimConfig,
+    StepOnS,
+    estimate_alpha,
+    example_ex1,
+    example_ex2,
+    residual,
+    solve_master,
+)
 from modwalk.cli import main
 
-from helpers import children_exit_at_once
+from helpers import children_exit_at_once, children_raise, unpicklable_error
 
 
 def run(capsys, *argv):
@@ -70,6 +79,26 @@ class TestSolve:
         header, row = out.strip().split("\n")
         assert header == "x,y,ybar,alpha,p,residual1,residual2,residual3,minkowski_residual"
         assert float(row.split(",")[4]) == 0.4
+
+    def test_asymmetric_walk_residuals(self, capsys):
+        # An irrational root, so the residuals of the last two equations are
+        # nonzero: both formats print the floats of solver.residual.
+        mu = '{"a":"1/5","b":"2/5","bb":"1/10","ba":"1/5","bba":"1/10"}'
+        step = StepOnS.from_json_dict(json.loads(mu))
+        expected = [float(r) for r in residual(step, solve_master(step))]
+        assert expected[0] == 0.0 and expected[1] == -expected[2] != 0
+        code, out, _ = run(capsys, "solve", "--mu", mu)
+        payload = parse(out)
+        validate(payload, "solve.schema.json")
+        assert code == 0 and payload["residuals"] == expected
+        assert payload["alpha"] == 0.5322723971605663
+        assert payload["exact"] == {"minkowski_residual": "-7/200"}
+        code, out, _ = run(capsys, "solve", "--mu", mu, "--format", "csv")
+        header, row = out.strip().split("\n")
+        values = dict(zip(header.split(","), map(float, row.split(","))))
+        assert code == 0
+        assert [values[f"residual{i}"] for i in (1, 2, 3)] == expected
+        assert values["alpha"] == 0.5322723971605663
 
     def test_invalid_input_exit_2(self, capsys):
         assert run(capsys, "solve", "--mu", "not json")[0] == 2
@@ -441,9 +470,10 @@ class TestExitCodes:
         assert code == 4
         assert "contradiction" in err
 
-    @pytest.mark.parametrize("failure", ["fork", "child"])
+    @pytest.mark.parametrize("failure", ["fork", "child", "unpicklable"])
     def test_simulator_process_failure_exit_1(self, capsys, monkeypatch, failure):
-        # Two processes: a fork that fails, or a child that exits without a result.
+        # Two processes: a fork that fails, a child that exits without a
+        # result, or a child that raises an exception that does not pickle.
         monkeypatch.setattr(montecarlo, "CPUS", 2)
         monkeypatch.setattr(montecarlo, "BATCH_PATHS", 128)
         if failure == "fork":
@@ -451,11 +481,15 @@ class TestExitCodes:
                 raise BlockingIOError(11, "Resource temporarily unavailable")
 
             monkeypatch.setattr(os, "fork", fork)
-        else:
+        elif failure == "child":
             children_exit_at_once(monkeypatch)
+        else:
+            children_raise(monkeypatch, unpicklable_error())
         code, out, err = run(capsys, "simulate", "--mu", '{"a":"1/3","b":"1/3","B":"1/3"}', "--paths", "300")
         assert code == 1 and out == ""
         assert err.startswith("error: internal failure: ")
+        if failure == "unpicklable":
+            assert err.rstrip().endswith(" raised ValueError('raised in the child')")
 
     @pytest.mark.parametrize("value", ["1e999", "Infinity", "-Infinity", "NaN"])
     @pytest.mark.parametrize(

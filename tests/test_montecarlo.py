@@ -36,7 +36,7 @@ from modwalk import (
 )
 from modwalk.montecarlo import _path_generator
 
-from helpers import children_exit_at_once
+from helpers import NeedsTwoArguments, children_exit_at_once, children_raise, unpicklable_error
 
 SYMMETRIC_NN = GroupMeasure.from_json_dict({"a": "1/3", "b": "1/3", "B": "1/3"})
 
@@ -416,6 +416,27 @@ class TestProcesses:
         monkeypatch.setattr(montecarlo, "_step_codes", failing)
         with pytest.raises(LookupError, match="raised in the child"):
             simulate(self.MU, self.CFG)
+        self.no_children()
+
+    @pytest.mark.parametrize(
+        "exc, named",
+        [
+            (unpicklable_error(), "ValueError('raised in the child')"),
+            (NeedsTwoArguments(1, 2), "NeedsTwoArguments('1 and 2')"),
+        ],
+        ids=["dumps fails", "loads fails"],
+    )
+    def test_child_exception_that_does_not_pickle(self, monkeypatch, exc, named):
+        # The child cannot send the exception itself: pickle.dumps refuses a
+        # lambda, and pickle.loads cannot rebuild a class whose __init__ needs
+        # two arguments.  The parent raises a RuntimeError that names it.
+        monkeypatch.setattr(montecarlo, "CPUS", 2)
+        monkeypatch.setattr(montecarlo, "BATCH_PATHS", 128)
+        children_raise(monkeypatch, exc)
+        with pytest.raises(RuntimeError) as info:
+            simulate(self.MU, self.CFG, targets=self.TARGETS)
+        assert type(info.value) is RuntimeError
+        assert str(info.value).endswith(f" raised {named}")
         self.no_children()
 
     @pytest.mark.parametrize("result", ["none", "cut short"])
